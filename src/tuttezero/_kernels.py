@@ -1,15 +1,19 @@
 """Subset kernels behind the partition polynomials.
 
 z_coefficients and connected_spanning_flags walk every subset of the edge
-set as a bitmask and measure connectivity with a small union-find.  They
-are compiled with numba when it is available; the pure-Python twins
-implement the identical iteration order so results are bit-identical
-between the two backends.
+set as a bitmask, through one vectorized numpy engine.  The masks over the
+first BLOCK_BITS edges form a block, built by doubling: adding edge j
+copies every mask of the first j edges, merges the classes of its
+endpoints in the copy's vertex labels with one np.where, and multiplies
+its weight into the copy's products.  The higher edges are walked depth
+first, each applied to a whole block in one step, so a block is a fixed
+set of high edges together with every subset of the low ones.  Every
+product is multiplied in increasing edge order, as in a per-mask loop.
 
-The partition-function kernel accumulates per-component-count sums in
-fixed blocks of 4096 masks.  Callers reduce the block sums pairwise,
-which keeps the summation order deterministic and the rounding error
-logarithmic in the number of blocks.
+The partition-function kernel sums the products per component count
+within each block.  The block sums are then reduced pairwise in order of
+their high edges, which keeps the summation order deterministic and the
+rounding error logarithmic in the number of blocks.
 
 connected_by_support works over vertex subsets instead, in O(3^n) time
 for any number of edges, by the Fortuin-Kasteleyn set-partition recursion
@@ -17,7 +21,8 @@ for any number of edges, by the Fortuin-Kasteleyn set-partition recursion
 in vertex-exponential time", arXiv:0711.2585).  Its subtraction can cancel,
 so the float pass carries a rounding bound per vertex subset and falls
 back to exact Gaussian rationals when a bound is not small against the
-value it bounds.
+value it bounds.  It shares nothing with the edge engine, so the polymer
+identity compares two independent routes.
 """
 
 from __future__ import annotations
@@ -26,165 +31,60 @@ from fractions import Fraction
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except Exception:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if len(args) == 1 and callable(args[0]) and not kwargs:
-            return args[0]
-        return wrap
+# Edge masks over the first BLOCK_BITS edges form one block of the engine.
+BLOCK_BITS = 14
 
 
-BLOCK_BITS = 12
+def _join(labels: np.ndarray, u: int, v: int) -> tuple[np.ndarray, np.ndarray]:
+    """Add edge uv to every mask of a vertex-class label matrix.
+
+    labels[x, i] is the class of vertex x in mask i.  Returns the new
+    labels, where the class of v becomes the class of u, and per mask
+    whether the edge joined two classes.  The labels are unsigned, so the
+    arithmetic wraps and lands exactly on the class of u.
+    """
+    a = labels[u]
+    b = labels[v]
+    return labels + (labels == b) * (a - b), a != b
 
 
-def _z_blocks_py(n, eu, ev, w, block_bits):
-    m = len(eu)
-    total = 1 << m
-    bsize = 1 << block_bits
-    nblocks = (total + bsize - 1) >> block_bits
-    out = np.zeros((nblocks, n + 1), dtype=np.complex128)
-    parent = list(range(n))
-    for b in range(nblocks):
-        lo = b << block_bits
-        hi = min(total, lo + bsize)
-        for mask in range(lo, hi):
-            for i in range(n):
-                parent[i] = i
-            k = n
-            pr = 1.0 + 0.0j
-            mm = mask
-            e = 0
-            while mm:
-                if mm & 1:
-                    pr = pr * w[e]
-                    ru = eu[e]
-                    while parent[ru] != ru:
-                        ru = parent[ru]
-                    rv = ev[e]
-                    while parent[rv] != rv:
-                        rv = parent[rv]
-                    if ru != rv:
-                        parent[ru] = rv
-                        k -= 1
-                mm >>= 1
-                e += 1
-            out[b, k] += pr
-    return out
+def _edge_subset_blocks(n: int, pairs, weights=None):
+    """Yield (high, k, prod) for every block of edge masks.
 
+    A block holds the masks low + (high << B) for every low below 2^B,
+    B = min(BLOCK_BITS, m), in ascending order of low.  k is the number of
+    components of (V, mask), isolated vertices included; prod is the
+    product of the mask's weights in increasing edge order, or None when
+    no weights are given.  Blocks come in depth-first order of the high
+    edges, not in order of high.
+    """
+    m = len(pairs)
+    used = sorted({x for p in pairs for x in p})
+    index = {x: i for i, x in enumerate(used)}
+    eu = [index[u] for u, _ in pairs]
+    ev = [index[v] for _, v in pairs]
+    b = min(BLOCK_BITS, m)
 
-@njit(cache=True)
-def _z_blocks_numba(n, eu, ev, w, block_bits):  # pragma: no cover - numba path
-    m = eu.shape[0]
-    total = 1 << m
-    bsize = 1 << block_bits
-    nblocks = (total + bsize - 1) >> block_bits
-    out = np.zeros((nblocks, n + 1), dtype=np.complex128)
-    parent = np.empty(n, dtype=np.int64)
-    for b in range(nblocks):
-        lo = b << block_bits
-        hi = lo + bsize
-        if hi > total:
-            hi = total
-        for mask in range(lo, hi):
-            for i in range(n):
-                parent[i] = i
-            k = n
-            pr = 1.0 + 0.0j
-            mm = mask
-            e = 0
-            while mm:
-                if mm & 1:
-                    pr = pr * w[e]
-                    ru = eu[e]
-                    while parent[ru] != ru:
-                        ru = parent[ru]
-                    rv = ev[e]
-                    while parent[rv] != rv:
-                        rv = parent[rv]
-                    if ru != rv:
-                        parent[ru] = rv
-                        k -= 1
-                mm >>= 1
-                e += 1
-            out[b, k] += pr
-    return out
+    labels = np.arange(len(used), dtype=np.min_scalar_type(len(used)))[:, None]
+    k = np.array([n], dtype=np.min_scalar_type(n))
+    prod = None if weights is None else np.ones(1, dtype=np.complex128)
+    for j in range(b):
+        merged, joined = _join(labels, eu[j], ev[j])
+        labels = np.concatenate([labels, merged], axis=1)
+        k = np.concatenate([k, k - joined])
+        if prod is not None:
+            prod = np.concatenate([prod, prod * weights[j]])
 
+    def walk(e, high, labels, k, prod):
+        if e == m:
+            yield high, k, prod
+            return
+        yield from walk(e + 1, high, labels, k, prod)
+        merged, joined = _join(labels, eu[e], ev[e])
+        yield from walk(e + 1, high | 1 << (e - b), merged, k - joined,
+                        None if prod is None else prod * weights[e])
 
-def _connflags_py(n, eu, ev):
-    m = len(eu)
-    out = np.zeros(1 << m, dtype=np.uint8)
-    parent = list(range(n))
-    for mask in range(1 << m):
-        for i in range(n):
-            parent[i] = i
-        unions = 0
-        mm = mask
-        e = 0
-        while mm:
-            if mm & 1:
-                ru = eu[e]
-                while parent[ru] != ru:
-                    ru = parent[ru]
-                rv = ev[e]
-                while parent[rv] != rv:
-                    rv = parent[rv]
-                if ru != rv:
-                    parent[ru] = rv
-                    unions += 1
-            mm >>= 1
-            e += 1
-        if n - unions == 1:
-            out[mask] = 1
-    return out
-
-
-@njit(cache=True)
-def _connflags_numba(n, eu, ev):  # pragma: no cover - numba path
-    m = eu.shape[0]
-    out = np.zeros(1 << m, dtype=np.uint8)
-    parent = np.empty(n, dtype=np.int64)
-    for mask in range(1 << m):
-        for i in range(n):
-            parent[i] = i
-        unions = 0
-        mm = mask
-        e = 0
-        while mm:
-            if mm & 1:
-                ru = eu[e]
-                while parent[ru] != ru:
-                    ru = parent[ru]
-                rv = ev[e]
-                while parent[rv] != rv:
-                    rv = parent[rv]
-                if ru != rv:
-                    parent[ru] = rv
-                    unions += 1
-            mm >>= 1
-            e += 1
-        if n - unions == 1:
-            out[mask] = 1
-    return out
-
-
-def _edge_arrays(n, edges):
-    m = len(edges)
-    eu = np.empty(m, dtype=np.int64)
-    ev = np.empty(m, dtype=np.int64)
-    w = np.empty(m, dtype=np.complex128)
-    for i, (u, v, wt) in enumerate(edges):
-        eu[i] = u
-        ev[i] = v
-        w[i] = wt
-    return eu, ev, w
+    yield from walk(b, 0, labels, k, prod)
 
 
 def _pairwise_reduce(blocks: np.ndarray) -> np.ndarray:
@@ -199,31 +99,30 @@ def _pairwise_reduce(blocks: np.ndarray) -> np.ndarray:
     return cur[0]
 
 
-def z_coefficients(n: int, edges, use_numba: bool | None = None) -> np.ndarray:
+def z_coefficients(n: int, edges) -> np.ndarray:
     """Coefficients (ascending in q) of sum_A q^{k(A)} prod_{e in A} w_e."""
-    eu, ev, w = _edge_arrays(n, edges)
-    if use_numba is None:
-        use_numba = HAVE_NUMBA
-    if use_numba and HAVE_NUMBA:
-        blocks = _z_blocks_numba(n, eu, ev, w, BLOCK_BITS)
-    else:
-        blocks = _z_blocks_py(n, eu.tolist(), ev.tolist(), w.tolist(), BLOCK_BITS)
-    return _pairwise_reduce(np.asarray(blocks))
+    pairs = [(u, v) for u, v, _ in edges]
+    w = np.array([complex(x) for _, _, x in edges], dtype=np.complex128)
+    nhigh = max(0, len(pairs) - BLOCK_BITS)
+    blocks = np.zeros((1 << nhigh, n + 1), dtype=np.complex128)
+    for high, k, prod in _edge_subset_blocks(n, pairs, w):
+        # group the products by k, keeping mask order, and sum each group
+        # with numpy's pairwise summation
+        grouped = prod[np.argsort(k, kind="stable")]
+        start = 0
+        for c, size in enumerate(np.bincount(k, minlength=n + 1).tolist()):
+            blocks[high, c] = grouped[start:start + size].sum()
+            start += size
+    return _pairwise_reduce(blocks)
 
 
-def connected_spanning_flags(n: int, pairs, use_numba: bool | None = None) -> np.ndarray:
+def connected_spanning_flags(n: int, pairs) -> np.ndarray:
     """Byte per edge mask: 1 iff the mask spans and connects all n vertices."""
-    m = len(pairs)
-    eu = np.empty(m, dtype=np.int64)
-    ev = np.empty(m, dtype=np.int64)
-    for i, (u, v) in enumerate(pairs):
-        eu[i] = u
-        ev[i] = v
-    if use_numba is None:
-        use_numba = HAVE_NUMBA
-    if use_numba and HAVE_NUMBA:
-        return _connflags_numba(n, eu, ev)
-    return _connflags_py(n, eu.tolist(), ev.tolist())
+    nhigh = max(0, len(pairs) - BLOCK_BITS)
+    flags = np.zeros((1 << nhigh, 1 << (len(pairs) - nhigh)), dtype=np.uint8)
+    for high, k, _ in _edge_subset_blocks(n, pairs):
+        flags[high] = k == 1
+    return flags.ravel()
 
 
 # Unit roundoff of binary64, and a bound on the relative rounding error of

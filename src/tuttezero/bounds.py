@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import minimize_scalar
 from scipy.special import gammaln
 
 from .errors import BadLambda, NoConvergence, OutOfDomain
@@ -411,20 +411,3 @@ def variational_objective(lam: float, beta: float, y: float) -> float:
         raise OutOfDomain(f"y must lie in (1, 1+beta), got {y}")
     return beta * y ** lam / ((1.0 + beta - y) * math.log(y))
 
-
-def gkfp_alpha_refine(phi_values: Callable[[float], tuple[float, float]],
-                      lo: float, hi: float) -> float:
-    """Root of a derivative on a bracket, for minimizers located elsewhere.
-
-    phi_values(alpha) returns (value, derivative); only the derivative is
-    used here.  Falls back to the midpoint if no sign change is present.
-    """
-    dlo = phi_values(lo)[1]
-    dhi = phi_values(hi)[1]
-    if dlo == 0.0:
-        return lo
-    if dhi == 0.0:
-        return hi
-    if dlo * dhi > 0.0:
-        return 0.5 * (lo + hi)
-    return float(brentq(lambda a: phi_values(a)[1], lo, hi, xtol=1e-15, rtol=8.9e-16))

@@ -9,10 +9,10 @@ one ("contractive"), above one ("expansive"), or a per-edge mix.
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import combinations, permutations, product
 
-import networkx as nx
 import numpy as np
 
 from .errors import OutOfDomain
@@ -73,12 +73,19 @@ def grid_graph(rows: int, cols: int, w: Weight = 1.0) -> WeightedGraph:
     return build_graph(range(rows * cols), edges)
 
 
-def connected_simple_structures(max_n: int) -> list[tuple[int, list[tuple[int, int]]]]:
+Structure = tuple[int, tuple[tuple[int, int], ...]]
+
+
+@functools.lru_cache(maxsize=16)
+def connected_simple_structures(max_n: int) -> tuple[Structure, ...]:
     """Every connected simple graph with 1..max_n vertices, up to isomorphism.
 
     Backed by the networkx graph atlas (complete through seven vertices);
-    deterministic order, vertices relabeled 0..n-1, edges sorted.
+    deterministic order, vertices relabeled 0..n-1, edges sorted.  The
+    corpus is built once per argument and shared, so it is immutable.
     """
+    import networkx as nx  # only the corpora need it; keep it off import
+
     if not (1 <= max_n <= 7):
         raise OutOfDomain(f"atlas covers 1..7 vertices, got {max_n}")
     out = []
@@ -88,20 +95,22 @@ def connected_simple_structures(max_n: int) -> list[tuple[int, list[tuple[int, i
             continue
         if not nx.is_connected(g):
             continue
-        edges = sorted((min(u, v), max(u, v)) for u, v in g.edges())
+        edges = tuple(sorted((min(u, v), max(u, v)) for u, v in g.edges()))
         out.append((n, edges))
-    return out
+    return tuple(out)
 
 
+@functools.lru_cache(maxsize=16)
 def connected_multigraph_structures(
     max_n: int, max_mult: int = 3, max_edges: int | None = None
-) -> list[tuple[int, list[tuple[int, int]]]]:
+) -> tuple[Structure, ...]:
     """Connected multigraphs up to isomorphism: simple skeletons with edge
     multiplicities 1..max_mult, deduplicated over vertex relabelings.
 
     The edge list repeats each skeleton pair by its multiplicity.  Only
     structures with at least one repeated edge are returned; the simple
-    corpus covers the rest.
+    corpus covers the rest.  Built once per argument and shared, like the
+    simple corpus.
     """
     if max_n > 6:
         raise OutOfDomain(f"multigraph corpus capped at 6 vertices, got {max_n}")
@@ -131,8 +140,8 @@ def connected_multigraph_structures(
             expanded = []
             for (u, v), mu in zip(pairs, mults):
                 expanded.extend([(u, v)] * mu)
-            out.append((n, expanded))
-    return out
+            out.append((n, tuple(expanded)))
+    return tuple(out)
 
 
 WEIGHT_REGIMES = ("contractive", "expansive", "mixed")
@@ -161,7 +170,7 @@ def sample_weights(m: int, regime: str, rng: np.random.Generator) -> list[comple
     return out
 
 
-def weighted(structure: tuple[int, list[tuple[int, int]]], weights) -> WeightedGraph:
+def weighted(structure: Structure, weights) -> WeightedGraph:
     """Attach weights to a corpus structure."""
     n, pairs = structure
     return build_graph(range(n), [(u, v, w) for (u, v), w in zip(pairs, weights)])

@@ -105,6 +105,9 @@ def parallel_reduce(g: WeightedGraph) -> WeightedGraph:
     Classes are ordered by first appearance, and the surviving edge keeps
     the orientation of the first edge of its class.  Simple graphs come
     back unchanged (same object content, fresh instance).
+
+    Each merge computes w0 + w + w0*w rather than (1+w0)(1+w) - 1, which
+    would round small weights against 1 and lose their digits.
     """
     order: list[tuple[int, int]] = []
     accum: dict[tuple[int, int], complex] = {}
@@ -113,10 +116,12 @@ def parallel_reduce(g: WeightedGraph) -> WeightedGraph:
         key = (u, v) if u < v else (v, u)
         if key not in accum:
             order.append(key)
-            accum[key] = 1 + 0j
+            accum[key] = w
             orient[key] = (u, v)
-        accum[key] *= 1 + w
-    new_edges = tuple(orient[k] + (accum[k] - 1,) for k in order)
+        else:
+            w0 = accum[key]
+            accum[key] = w0 + w + w0 * w
+    new_edges = tuple(orient[k] + (accum[k],) for k in order)
     return WeightedGraph(g.vertices, new_edges)
 
 

@@ -9,12 +9,14 @@ included.  Z_G is a monic polynomial of degree |V| in q.  The companion
 quantities are the connected generating value C_G(w) (the coefficient of
 q^1) and the spanning-tree generating value T_G(w).
 
-Z_G, C_G and T_G enumerate edge subsets directly; exactness at desk scale
-is the point, so inputs are capped at 24 edges.  The connected values of
-all induced subgraphs at once (connected_by_support) come instead from a
-recursion over vertex subsets, guarded against cancellation by a rounding
-bound and an exact rational fallback; it stays independent of Z_G, so the
-polymer identity checks one route against the other.
+Z_G and C_G enumerate edge subsets directly, in blocks of masks that the
+vectorized engine in _kernels handles a whole block at a time; exactness
+at desk scale is the point, so inputs are capped at 24 edges.  T_G walks
+the spanning trees.  The connected values of all induced subgraphs at
+once (connected_by_support) come instead from a recursion over vertex
+subsets, guarded against cancellation by a rounding bound and an exact
+rational fallback; it stays independent of Z_G, so the polymer identity
+checks one route against the other.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import cmath
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -55,6 +56,17 @@ def test_parallel_reduce_merges_weights():
     assert red.m == 1
     merged = red.edges[0][2]
     assert cmath.isclose(merged, (1 + w1) * (1 + w2) - 1, rel_tol=1e-14)
+
+
+@pytest.mark.parametrize("w1, w2", [(1e-12, 1e-12), (1e-9, 3e-9)])
+def test_parallel_reduce_keeps_small_weights(w1, w2):
+    # (1+w1)(1+w2) - 1 rounds each factor against 1 and keeps few digits
+    g = build_graph(range(2), [(0, 1, w1), (0, 1, w2)])
+    merged = parallel_reduce(g).edges[0][2]
+    a, b = Fraction(w1), Fraction(w2)
+    exact = a + b + a * b
+    assert merged.imag == 0
+    assert abs(Fraction(merged.real) - exact) <= Fraction(2.0 ** -52) * exact
 
 
 def test_parallel_reduce_preserves_polynomial():

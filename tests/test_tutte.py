@@ -17,7 +17,7 @@ from tuttezero import (
     z_eval,
     z_polynomial,
 )
-from tuttezero._kernels import HAVE_NUMBA, z_coefficients
+from tuttezero import _kernels
 from tuttezero.families import cycle_one_heavy
 from tuttezero.polymer import polymer_profile
 from tuttezero.tutte import connected_spanning_masks, spanning_tree_masks
@@ -119,15 +119,6 @@ def test_z_eval_matches_coefficients(small_weighted):
         assert abs(z_eval(small_weighted, q) - direct) < 1e-10 * max(1.0, abs(direct))
 
 
-def test_kernel_backends_agree(small_weighted):
-    if not HAVE_NUMBA:
-        pytest.skip("numba unavailable; only one backend to test")
-    edges = small_weighted.edges
-    a = z_coefficients(small_weighted.n, edges, use_numba=True)
-    b = z_coefficients(small_weighted.n, edges, use_numba=False)
-    assert np.allclose(a, b, rtol=1e-13, atol=1e-13)
-
-
 def test_connected_by_support_triangle(triangle):
     supp = connected_by_support(triangle)
     # vertex-pair supports carry single edges, the full mask carries 4 sets
@@ -185,6 +176,58 @@ def test_connected_by_support_against_brute_force(data):
             connected.add(mask)
             assert abs(supp.get(mask, 0j) - oracle) <= 1e-10 * max(1.0, scale)
     assert set(supp) == connected
+
+
+# BLOCK_BITS = 2 sends every edge past the second through the depth-first
+# walk over high edges, which the default block size reaches only past 14
+BLOCK_SIZES = [_kernels.BLOCK_BITS, 2]
+
+
+@pytest.mark.parametrize("block_bits", BLOCK_SIZES)
+@settings(max_examples=60, deadline=None)
+@given(generic_multigraphs(max_m=6))
+def test_z_coefficients_against_deletion_contraction(block_bits, data):
+    n, edges = data
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "BLOCK_BITS", block_bits)
+        mine = _kernels.z_coefficients(n, edges)
+    oracle = dc_z_coeffs(n, edges)
+    # the same polynomial on moduli bounds every term of each coefficient
+    scale = dc_z_coeffs(n, [(u, v, abs(w)) for u, v, w in edges]).real
+    assert mine.shape == (n + 1,)
+    assert np.all(np.abs(mine - oracle) <= 1e-12 * np.maximum(1.0, scale))
+
+
+def _spanning_by_union_find(n, pairs):
+    """Masks whose edges connect all n vertices, one union-find per mask."""
+    out = []
+    for mask in range(1 << len(pairs)):
+        parent = list(range(n))
+        comps = n
+        for e, (u, v) in enumerate(pairs):
+            if mask >> e & 1:
+                while parent[u] != u:
+                    u = parent[u]
+                while parent[v] != v:
+                    v = parent[v]
+                if u != v:
+                    parent[u] = v
+                    comps -= 1
+        if comps == 1:
+            out.append(mask)
+    return out
+
+
+@pytest.mark.parametrize("block_bits", BLOCK_SIZES)
+@settings(max_examples=40, deadline=None)
+@given(random_graphs(max_n=5, max_m=9))
+def test_connected_spanning_masks_against_union_find(block_bits, data):
+    n, edges = data
+    pairs = [(u, v) for u, v, _ in edges]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "BLOCK_BITS", block_bits)
+        mine = connected_spanning_masks(n, pairs)
+    assert mine == _spanning_by_union_find(n, pairs)
 
 
 @pytest.mark.parametrize("n, heavy, light", [(6, 1e6, 1e-6), (12, 1e4, 1e-4)])
