@@ -4,7 +4,7 @@ z_coefficients and connected_spanning_flags walk every subset of the edge
 set as a bitmask, through one vectorized numpy engine.  The masks over the
 first BLOCK_BITS edges form a block, built by doubling: adding edge j
 copies every mask of the first j edges, merges the classes of its
-endpoints in the copy's vertex labels with one np.where, and multiplies
+endpoints in the copy's vertex labels in one array step, and multiplies
 its weight into the copy's products.  The higher edges are walked depth
 first, each applied to a whole block in one step, so a block is a fixed
 set of high edges together with every subset of the low ones.  Every
@@ -32,7 +32,13 @@ from fractions import Fraction
 import numpy as np
 
 # Edge masks over the first BLOCK_BITS edges form one block of the engine.
-BLOCK_BITS = 14
+# At 12 a block's products take 64 KiB and a label row 4 KiB, so the
+# arrays of a whole call stay small enough for the C heap to reuse from one
+# call to the next.  At 14 they go back to the system after each call and
+# are faulted in again by the next (300 to 450 page faults per call at 15
+# and 16 edges), so a call's time follows the cost of a page fault on the
+# host rather than the work.
+BLOCK_BITS = 12
 
 
 def _join(labels: np.ndarray, u: int, v: int) -> tuple[np.ndarray, np.ndarray]:

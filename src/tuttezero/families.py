@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations, product, takewhile
 
 import numpy as np
 
@@ -85,13 +85,19 @@ def connected_simple_structures(max_n: int) -> tuple[Structure, ...]:
     corpus is built once per argument and shared, so it is immutable.
     """
     import networkx as nx  # only the corpora need it; keep it off import
+    from networkx.generators.atlas import _generate_graphs
 
     if not (1 <= max_n <= 7):
         raise OutOfDomain(f"atlas covers 1..7 vertices, got {max_n}")
     out = []
-    for g in nx.graph_atlas_g():
+    # The atlas is ordered by vertex count, so the corpus is a prefix of it.
+    # Read it one graph at a time (graph_atlas_g lists this generator) and
+    # stop past max_n.  Holding all 1253 atlas graphs at once would make
+    # 13k objects long-lived for the cyclic garbage collector, which then
+    # runs a full collection of the whole heap later, in unrelated work.
+    for g in takewhile(lambda g: g.number_of_nodes() <= max_n, _generate_graphs()):
         n = g.number_of_nodes()
-        if n < 1 or n > max_n:
+        if n < 1:
             continue
         if not nx.is_connected(g):
             continue

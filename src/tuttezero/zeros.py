@@ -21,6 +21,9 @@ from .tutte import nonzero_component_count, z_polynomial
 from . import families
 
 
+_EPS = float(np.finfo(np.float64).eps)
+
+
 def _poly_eval_many(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     p = np.full_like(z, c[-1])
     for k in range(len(c) - 2, -1, -1):
@@ -46,6 +49,8 @@ def _aberth(c: np.ndarray, max_iter: int = 500) -> np.ndarray | None:
     k = np.arange(d)
     # fixed phase offset; irrational spacing avoids symmetric stalls
     z = 0.7 * radius * np.exp(2j * np.pi * (k + 0.400137) / d + 0.19j)
+    abs_c = np.abs(c)
+    last_step = np.inf
     for _ in range(max_iter):
         p = _poly_eval_many(c, z)
         dp = _poly_eval_many(dc, z) if d > 1 else np.full_like(z, c[1])
@@ -62,9 +67,18 @@ def _aberth(c: np.ndarray, max_iter: int = 500) -> np.ndarray | None:
             z = z + 1e-6 * radius
             continue
         corr = w / denom
+        step = float(np.max(np.abs(corr)))
+        # A step no smaller than the last means the iteration is still
+        # searching or has reached rounding noise, as near a cluster of
+        # roots whose corrections never fall below the test further down.
+        # It is noise when every |p(z)| is within the rounding error of
+        # evaluating p at z; later steps would only move z within it.
+        at_noise = step >= last_step and bool(
+            np.all(np.abs(p) <= 4 * d * _EPS * _poly_eval_many(abs_c, np.abs(z))))
         z = z - corr
-        if float(np.max(np.abs(corr))) <= 1e-14 * (1.0 + float(np.max(np.abs(z)))):
+        if at_noise or step <= 1e-14 * (1.0 + float(np.max(np.abs(z)))):
             break
+        last_step = step
     else:
         return None
     for _ in range(3):  # Newton polish

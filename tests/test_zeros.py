@@ -107,6 +107,22 @@ def test_aberth_agrees_with_numpy_on_dense_polynomials(rng):
         assert np.allclose(np.sort_complex(np.asarray(got)), want, rtol=0, atol=1e-6)
 
 
+def test_aberth_stops_at_rounding_noise_near_a_root_cluster():
+    from tuttezero.zeros import _aberth
+
+    # Z of a tree is q times the product of (q + w_e) over its edges.  With
+    # these ten weights four roots lie within 0.25 of 1.4; there the Aberth
+    # corrections settle near 1e-12 relative, never pass the 1e-14 step
+    # test, and used to run out the iteration budget.
+    w = [-1.451 + 0.209j, -1.04 - 0.885j, -1.365 - 0.036j, -1.471 - 3.122j,
+         -0.855 - 0.777j, -0.063 - 1.862j, -1.312 - 4.078j, -0.035 - 0.854j,
+         -1.228 - 0.14j, -1.506 + 0.094j]
+    roots = -np.array(w)
+    got = _aberth(np.poly(roots)[::-1])
+    assert got is not None
+    assert np.allclose(np.sort_complex(got), np.sort_complex(roots), rtol=0, atol=1e-9)
+
+
 def test_example_suite_shape_and_determinism():
     suite = example_suite(0)
     names = [r["name"] for r in suite]
