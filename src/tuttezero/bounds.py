@@ -28,8 +28,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import gammaln
 
 from .errors import BadLambda, NoConvergence, OutOfDomain
 from .graph import WeightedGraph, degree_quantities, delta_prime_a
@@ -84,6 +82,101 @@ def lambert_w(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# bounded scalar minimization
+
+def _minimize_bounded(func: Callable[[float], float], lo: float, hi: float,
+                      xatol: float, maxiter: int) -> tuple[float, float]:
+    """Brent's bounded minimizer on [lo, hi]; returns (x, func(x)).
+
+    Golden-section steps, replaced by parabolic interpolation through the
+    three best points whenever the parabola's step is acceptable (R. P.
+    Brent, Algorithms for Minimization without Derivatives, 1973, ch. 5).
+    Stops when the bracket around the best point x is within
+    2 (sqrt(eps) |x| + xatol/3) or after maxiter evaluations.  The steps
+    follow scipy's minimize_scalar(method="bounded") operation for
+    operation, so both return the same x and func(x) bit for bit.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        # try a parabolic fit
+        if abs(e) > tol1:
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+
+            # accept the parabola's step only inside the bracket and when
+            # it is less than half the step before last
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+            else:
+                golden = True
+
+        if golden:
+            if xf >= xm:
+                e = a - xf
+            else:
+                e = b - xf
+            rat = golden_mean * e
+
+        step = max(abs(rat), tol1)
+        x = xf + (step if rat >= 0.0 else -step)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+
+        if num >= maxiter:
+            break
+
+    return xf, fx
+
+
+# ---------------------------------------------------------------------------
 # series route: least L with  inf_alpha  sum / denom(alpha) <= target
 
 def _series_partial_tail(alpha: float, L: float, lam: float, scale: float, N: int):
@@ -94,6 +187,8 @@ def _series_partial_tail(alpha: float, L: float, lam: float, scale: float, N: in
     N on the term ratio is at most rho = e^{alpha} * scale * e * (lam+1/N) / L
     and the tail beyond N is at most t_N * rho / (1 - rho) when rho < 1.
     """
+    from scipy.special import gammaln
+
     n = np.arange(2.0, N + 1.0)
     logt = (
         n * (alpha + math.log(scale))
@@ -115,9 +210,10 @@ def _series_decision(L: float, lam: float, scale: float, denom_kind: str,
                      target: float, n_cap: int) -> str:
     """Certified three-way answer to: is inf_alpha sum/denom <= target?
 
-    The objective is log-convex in alpha, so a bounded scalar minimization
-    of the truncated sum is trusted to locate the infimum; the tail bound
-    then settles the comparison, or reports "ambiguous" when it cannot.
+    The objective is log-convex in alpha, so Brent's bounded minimizer
+    (_minimize_bounded) on the truncated sum is trusted to locate the
+    infimum; the tail bound then settles the comparison, or reports
+    "ambiguous" when it cannot.
     """
     denom = math.expm1 if denom_kind == "expm1" else float
 
@@ -133,11 +229,7 @@ def _series_decision(L: float, lam: float, scale: float, denom_kind: str,
                 p, _ = _series_partial_tail(a, L, lam, scale, N)
                 return p / denom(a)
 
-            res = minimize_scalar(
-                lower_obj, bounds=(1e-6, alpha_hi), method="bounded",
-                options={"xatol": 1e-12, "maxiter": 300},
-            )
-            a_star = float(res.x)
+            a_star, _ = _minimize_bounded(lower_obj, 1e-6, alpha_hi, 1e-12, 300)
             p, tail = _series_partial_tail(a_star, L, lam, scale, N)
             d = denom(a_star)
             if (p + tail) / d <= target:
@@ -200,9 +292,10 @@ def f_lambda_series(lam: float, beta: float) -> float:
 def f_lambda_variational(lam: float, beta: float) -> float:
     """F_lambda(beta) = min over 1 < y < 1+beta of beta y^lam / ((1+beta-y) log y).
 
-    The objective blows up at both endpoints and is unimodal inside; a
-    bounded golden/parabolic minimization locates the minimum to 1e-13
-    in y, which pins the value to machine accuracy.
+    The objective blows up at both endpoints and is unimodal inside;
+    Brent's bounded golden-section/parabolic minimizer (_minimize_bounded)
+    locates the minimum to 1e-13 in y, which pins the value to machine
+    accuracy.
     """
     if lam < 0.0:
         raise OutOfDomain(f"lambda must be >= 0, got {lam}")
@@ -213,11 +306,8 @@ def f_lambda_variational(lam: float, beta: float) -> float:
         return beta * y ** lam / ((1.0 + beta - y) * math.log(y))
 
     eps = 1e-12 * min(1.0, beta)
-    res = minimize_scalar(
-        obj, bounds=(1.0 + eps, 1.0 + beta - eps), method="bounded",
-        options={"xatol": 1e-13, "maxiter": 500},
-    )
-    return float(res.fun)
+    _, fmin = _minimize_bounded(obj, 1.0 + eps, 1.0 + beta - eps, 1e-13, 500)
+    return fmin
 
 
 def f_closed(lam: float, beta: float) -> float:
@@ -285,11 +375,8 @@ def sokal_K(route: str = "variational") -> float:
         def obj(a: float) -> float:
             return (a + math.exp(a)) / math.log1p(a * math.exp(-a))
 
-        res = minimize_scalar(
-            obj, bounds=(1e-8, 10.0), method="bounded",
-            options={"xatol": 1e-12, "maxiter": 500},
-        )
-        return float(res.fun)
+        _, fmin = _minimize_bounded(obj, 1e-8, 10.0, 1e-12, 500)
+        return fmin
     if route == "series":
         return _series_threshold(1.0, 1.0, "alpha", 1.0)
     raise OutOfDomain(f"unknown route {route!r}")

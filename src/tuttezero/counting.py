@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import BadIndex, OutOfDomain, TooLarge
 from .graph import WeightedGraph, degree_quantities, induced_subgraph
@@ -163,6 +162,8 @@ def tree_function(x: float, n_terms: int = 200_000) -> float:
         raise OutOfDomain(f"n_terms must be >= 1, got {n_terms}")
     if x == 0.0:
         return 0.0
+    from scipy.special import gammaln
+
     n = np.arange(1.0, n_terms + 1.0)
     logt = (n - 1) * np.log(n) - gammaln(n + 1.0) + n * math.log(x)
     return float(np.sum(np.exp(logt)))

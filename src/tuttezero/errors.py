@@ -13,6 +13,10 @@ class LoopEdge(TutteZeroError):
     """An edge joins a vertex to itself; loops are not representable here."""
 
 
+class NonFiniteWeight(TutteZeroError):
+    """An edge weight has a NaN or infinite real or imaginary part."""
+
+
 class BadIndex(TutteZeroError):
     """An edge endpoint is not a valid vertex index."""
 

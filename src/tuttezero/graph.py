@@ -12,6 +12,7 @@ a new graph.  Beyond construction and serialization this module provides
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -22,6 +23,7 @@ from .errors import (
     EmptySet,
     LoopEdge,
     MissingRoot,
+    NonFiniteWeight,
     OutOfDomain,
     SingularDual,
 )
@@ -92,9 +94,13 @@ def build_graph(vertex_labels: Sequence, edge_list: Iterable[tuple]) -> Weighted
     """Validate and construct a WeightedGraph.
 
     edge_list items are (u, v, w) with integer endpoints and a weight
-    convertible to complex.  Loops raise LoopEdge, bad endpoints BadIndex.
+    convertible to complex.  Loops raise LoopEdge, bad endpoints BadIndex,
+    and a NaN or infinite part of a weight NonFiniteWeight.
     """
     edges = tuple((int(u), int(v), complex(w)) for u, v, w in edge_list)
+    for i, (_, _, w) in enumerate(edges):
+        if not cmath.isfinite(w):
+            raise NonFiniteWeight(f"edge {i} has non-finite weight {w}")
     return WeightedGraph(tuple(vertex_labels), edges)
 
 
@@ -343,9 +349,3 @@ def load_graph(path: str) -> WeightedGraph:
     if stripped.startswith("{"):
         return graph_from_json(json.loads(text))
     return parse_edge_lines(text)
-
-
-def save_graph(g: WeightedGraph, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_json(g), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
+from .bounds import _minimize_bounded
 from .errors import (
     BadIndex,
     DegenerateWeights,
@@ -218,9 +218,10 @@ def gkfp_optimal(pw: PolymerWeights) -> tuple[float, float]:
     """Minimizing alpha and minimum of the certificate margin.
 
     The margin is a maximum of log-convex functions of alpha, hence
-    unimodal; a bounded scalar minimization brackets the optimum, and
-    when a single vertex attains the maximum there the exact stationary
-    point of its smooth branch is polished by root finding.
+    unimodal; Brent's bounded minimizer (bounds._minimize_bounded)
+    brackets the optimum, and when a single vertex attains the maximum
+    there the exact stationary point of its smooth branch is polished by
+    scipy's brentq root finder.
     """
     if not pw.entries:
         raise DegenerateWeights("no polymers: margin vanishes identically")
@@ -235,11 +236,7 @@ def gkfp_optimal(pw: PolymerWeights) -> tuple[float, float]:
             worst = max(worst, s)
         return worst / math.expm1(alpha)
 
-    res = minimize_scalar(
-        margin, bounds=(1e-6, 50.0), method="bounded",
-        options={"xatol": 1e-10, "maxiter": 500},
-    )
-    a0 = float(res.x)
+    a0, _ = _minimize_bounded(margin, 1e-6, 50.0, 1e-10, 500)
 
     # identify the active vertex branch at the coarse optimum
     vals = []
@@ -254,6 +251,8 @@ def gkfp_optimal(pw: PolymerWeights) -> tuple[float, float]:
         num = sum(a * math.exp(alpha * size) for size, a in d.items())
         dnum = sum(a * size * math.exp(alpha * size) for size, a in d.items())
         return dnum * (ea - 1.0) - num * ea
+
+    from scipy.optimize import brentq
 
     lo, hi = max(1e-9, a0 - 0.1), a0 + 0.1
     try:

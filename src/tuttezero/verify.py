@@ -15,10 +15,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import counting, families
 from .bounds import (
+    _minimize_bounded,
     f_closed,
     f_lambda_series,
     f_lambda_variational,
@@ -640,11 +640,7 @@ def examples_check(seed: int = 0) -> dict:
         abs(c["qmax_over_w_power_at_100"] - 1.0) < abs(c["qmax_over_w_power_at_10"] - 1.0)
     )
 
-    res = minimize_scalar(
-        g_ratio, bounds=(2.0, 6.0), method="bounded",
-        options={"xatol": 1e-10, "maxiter": 500},
-    )
-    g_argmin, g_min = float(res.x), float(res.fun)
+    g_argmin, g_min = _minimize_bounded(g_ratio, 2.0, 6.0, 1e-10, 500)
     sub["g_minimum"] = (
         abs(g_min - G_MIN_REFERENCE) <= 1e-4 and abs(g_argmin - G_ARGMIN_REFERENCE) <= 1e-3
     )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 from tuttezero import (
     BadLambda,
@@ -20,8 +21,77 @@ from tuttezero import (
     lambert_w,
     sokal_K,
 )
-from tuttezero.bounds import variational_objective
+from tuttezero.bounds import _minimize_bounded, variational_objective
 from tuttezero.families import cycle_graph, path_graph
+from tuttezero.verify import BETA_GRID, LAMBDA_GRID
+
+
+# ---------------------------------------------------------------------------
+# the bounded minimizer against scipy's, bit for bit
+
+def assert_matches_scipy(func, lo, hi, xatol, maxiter):
+    x, fx = _minimize_bounded(func, lo, hi, xatol, maxiter)
+    res = minimize_scalar(func, bounds=(lo, hi), method="bounded",
+                          options={"xatol": xatol, "maxiter": maxiter})
+    assert x == res.x and fx == res.fun
+    return x, fx
+
+
+def test_minimizer_matches_scipy_on_variational_objective():
+    for lam in LAMBDA_GRID:
+        for beta in BETA_GRID:
+            eps = 1e-12 * min(1.0, beta)
+            _, fx = assert_matches_scipy(
+                lambda y: variational_objective(lam, beta, y),
+                1.0 + eps, 1.0 + beta - eps, 1e-13, 500,
+            )
+            assert f_lambda_variational(lam, beta) == fx
+
+
+def test_minimizer_matches_scipy_on_sokal_objective():
+    def obj(a):
+        return (a + math.exp(a)) / math.log1p(a * math.exp(-a))
+
+    _, fx = assert_matches_scipy(obj, 1e-8, 10.0, 1e-12, 500)
+    assert sokal_K("variational") == fx
+
+
+def test_minimizer_matches_scipy_on_g_ratio():
+    assert_matches_scipy(g_ratio, 2.0, 6.0, 1e-10, 500)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lo=st.floats(-50, 50),
+    width=st.floats(1e-3, 100),
+    shift=st.floats(-0.5, 1.5),
+    power=st.floats(0.3, 4),
+    xatol=st.sampled_from([1e-12, 1e-8, 1e-5, 1e-2]),
+)
+def test_minimizer_matches_scipy_on_random_unimodal(lo, width, shift, power, xatol):
+    hi = lo + width
+    c = lo + shift * width
+    assert_matches_scipy(lambda x: (x - c) ** 2 + 0.25 * c, lo, hi, xatol, 500)
+    assert_matches_scipy(lambda x: abs(x - c) ** power, lo, hi, xatol, 500)
+    # flat stretches make ties between function values, where the
+    # bookkeeping of the three best points must follow scipy's exactly
+    assert_matches_scipy(lambda x: max(abs(x - c), 0.1 * width), lo, hi, xatol, 500)
+    assert_matches_scipy(lambda x: math.floor(8.0 * abs(x - c) / width), lo, hi, xatol, 500)
+
+
+def test_minimizer_matches_scipy_when_cut_by_maxiter():
+    calls = []
+
+    def obj(y):
+        calls.append(y)
+        return variational_objective(0.5, 3.0, y)
+
+    lo, hi = 1.0 + 1e-12, 4.0 - 1e-12
+    _minimize_bounded(obj, lo, hi, 1e-13, 500)
+    assert len(calls) > 6  # converging takes more evaluations than the cap below
+    calls.clear()
+    assert_matches_scipy(obj, lo, hi, 1e-13, 6)
+    assert len(calls) == 12  # six in each minimizer
 
 
 # ---------------------------------------------------------------------------

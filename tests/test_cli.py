@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import tuttezero
 from tuttezero.cli import main
 
 
@@ -105,6 +108,53 @@ def test_analyze_cap_exceeded(capsys, tmp_path):
     code, _, err = run_cli(capsys, "analyze", "--input", str(p))
     assert code == 2
     assert "cap" in err
+
+
+NON_FINITE = ["nan", "inf", "-inf"]
+
+
+@pytest.mark.parametrize("part", ["real", "imag"])
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_analyze_rejects_non_finite_edge_list(capsys, tmp_path, bad, part):
+    re, im = (bad, "0") if part == "real" else ("1", bad)
+    p = tmp_path / "bad.txt"
+    p.write_text(f"0 1 {re} {im}\n1 2 1 0\n")
+    code, _, err = run_cli(capsys, "analyze", "--input", str(p))
+    assert code == 2
+    assert "non-finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("part", ["real", "imag"])
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_analyze_rejects_non_finite_json(capsys, tmp_path, bad, part):
+    w = [float(bad), 0.0] if part == "real" else [1.0, float(bad)]
+    p = tmp_path / "bad.json"
+    # json.dumps writes NaN and Infinity, which json.loads reads back
+    p.write_text(json.dumps({"vertices": [0, 1, 2],
+                             "edges": [{"u": 0, "v": 1, "w": w},
+                                       {"u": 1, "v": 2, "w": [1.0, 0.0]}]}))
+    code, _, err = run_cli(capsys, "analyze", "--input", str(p))
+    assert code == 2
+    assert "non-finite" in err and "Traceback" not in err
+
+
+def test_analyze_loads_neither_scipy_nor_networkx(k2_file):
+    """The analyze path runs without importing scipy or networkx."""
+    script = (
+        "import json, sys\n"
+        "from tuttezero.cli import main\n"
+        f"code = main(['analyze', '--input', {k2_file!r}])\n"
+        "heavy = sorted(m for m in sys.modules if m.startswith(('scipy', 'networkx')))\n"
+        "sys.stderr.write(json.dumps({'code': code, 'heavy': heavy}))\n"
+    )
+    src = str(Path(tuttezero.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    blob = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert blob == {"code": 0, "heavy": []}
 
 
 def test_max_vertices_flag_validated(capsys):

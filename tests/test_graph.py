@@ -13,6 +13,7 @@ from tuttezero import (
     EdgeWeightView,
     LoopEdge,
     MissingRoot,
+    NonFiniteWeight,
     build_graph,
     degree_quantities,
     delta_prime_a,
@@ -36,6 +37,15 @@ def test_build_rejects_loops():
 def test_build_rejects_bad_endpoint():
     with pytest.raises(BadIndex):
         build_graph(range(2), [(0, 5, 1.0)])
+
+
+@pytest.mark.parametrize("w", [
+    complex(float("nan"), 0.0), complex(0.0, float("nan")),
+    complex(float("inf"), 0.0), complex(1.0, -float("inf")),
+])
+def test_build_rejects_non_finite_weight(w):
+    with pytest.raises(NonFiniteWeight):
+        build_graph(range(3), [(0, 1, 1.0), (1, 2, w)])
 
 
 def test_basic_attributes(triangle):
