@@ -1,19 +1,19 @@
 """Subset kernels behind the partition polynomials.
 
-z_coefficients and connected_spanning_flags walk every subset of the edge
-set as a bitmask, through one vectorized numpy engine.  The masks over the
-first BLOCK_BITS edges form a block, built by doubling: adding edge j
-copies every mask of the first j edges, merges the classes of its
-endpoints in the copy's vertex labels in one array step, and multiplies
-its weight into the copy's products.  The higher edges are walked depth
-first, each applied to a whole block in one step, so a block is a fixed
-set of high edges together with every subset of the low ones.  Every
-product is multiplied in increasing edge order, as in a per-mask loop.
+z_coefficients walks every subset of the edge set as a bitmask, through a
+vectorized numpy engine.  The masks over the first BLOCK_BITS edges form a
+block, built by doubling: adding edge j copies every mask of the first j
+edges, merges the classes of its endpoints in the copy's vertex labels in
+one array step, and multiplies its weight into the copy's products.  The
+higher edges are walked depth first, each applied to a whole block in one
+step, so a block is a fixed set of high edges together with every subset
+of the low ones.  Every product is multiplied in increasing edge order, as
+in a per-mask loop.
 
-The partition-function kernel sums the products per component count
-within each block.  The block sums are then reduced pairwise in order of
-their high edges, which keeps the summation order deterministic and the
-rounding error logarithmic in the number of blocks.
+The products are summed per component count within each block.  The
+block sums are then reduced pairwise in order of their high edges, which
+keeps the summation order deterministic and the rounding error
+logarithmic in the number of blocks.
 
 connected_by_support works over vertex subsets instead, in O(3^n) time
 for any number of edges, by the Fortuin-Kasteleyn set-partition recursion
@@ -54,15 +54,14 @@ def _join(labels: np.ndarray, u: int, v: int) -> tuple[np.ndarray, np.ndarray]:
     return labels + (labels == b) * (a - b), a != b
 
 
-def _edge_subset_blocks(n: int, pairs, weights=None):
+def _edge_subset_blocks(n: int, pairs, weights):
     """Yield (high, k, prod) for every block of edge masks.
 
     A block holds the masks low + (high << B) for every low below 2^B,
     B = min(BLOCK_BITS, m), in ascending order of low.  k is the number of
     components of (V, mask), isolated vertices included; prod is the
-    product of the mask's weights in increasing edge order, or None when
-    no weights are given.  Blocks come in depth-first order of the high
-    edges, not in order of high.
+    product of the mask's weights in increasing edge order.  Blocks come
+    in depth-first order of the high edges, not in order of high.
     """
     m = len(pairs)
     used = sorted({x for p in pairs for x in p})
@@ -73,13 +72,12 @@ def _edge_subset_blocks(n: int, pairs, weights=None):
 
     labels = np.arange(len(used), dtype=np.min_scalar_type(len(used)))[:, None]
     k = np.array([n], dtype=np.min_scalar_type(n))
-    prod = None if weights is None else np.ones(1, dtype=np.complex128)
+    prod = np.ones(1, dtype=np.complex128)
     for j in range(b):
         merged, joined = _join(labels, eu[j], ev[j])
         labels = np.concatenate([labels, merged], axis=1)
         k = np.concatenate([k, k - joined])
-        if prod is not None:
-            prod = np.concatenate([prod, prod * weights[j]])
+        prod = np.concatenate([prod, prod * weights[j]])
 
     def walk(e, high, labels, k, prod):
         if e == m:
@@ -87,8 +85,7 @@ def _edge_subset_blocks(n: int, pairs, weights=None):
             return
         yield from walk(e + 1, high, labels, k, prod)
         merged, joined = _join(labels, eu[e], ev[e])
-        yield from walk(e + 1, high | 1 << (e - b), merged, k - joined,
-                        None if prod is None else prod * weights[e])
+        yield from walk(e + 1, high | 1 << (e - b), merged, k - joined, prod * weights[e])
 
     yield from walk(b, 0, labels, k, prod)
 
@@ -120,15 +117,6 @@ def z_coefficients(n: int, edges) -> np.ndarray:
             blocks[high, c] = grouped[start:start + size].sum()
             start += size
     return _pairwise_reduce(blocks)
-
-
-def connected_spanning_flags(n: int, pairs) -> np.ndarray:
-    """Byte per edge mask: 1 iff the mask spans and connects all n vertices."""
-    nhigh = max(0, len(pairs) - BLOCK_BITS)
-    flags = np.zeros((1 << nhigh, 1 << (len(pairs) - nhigh)), dtype=np.uint8)
-    for high, k, _ in _edge_subset_blocks(n, pairs):
-        flags[high] = k == 1
-    return flags.ravel()
 
 
 # Unit roundoff of binary64, and a bound on the relative rounding error of

@@ -3,8 +3,10 @@
 Commands: analyze, constants, verify-penrose, verify-inequalities,
 verify-polymer, examples.  Output is JSON (default) or CSV on standard
 output, byte-stable for fixed seed and inputs; timing fields are
-stripped for that reason.  Exit codes: 0 success, 1 a verification
-failed (the failing instances are serialized), 2 usage or input error.
+stripped for that reason.  Each subcommand accepts only the flags it
+reads.  Exit codes: 0 success, 1 a verification sweep ran and failed (the
+failing instances are serialized), 2 a usage or input error, including a
+typed numerical failure on the given input.
 """
 
 from __future__ import annotations
@@ -28,36 +30,11 @@ from .verify import (
     verify_penrose_chains,
     verify_penrose_partition,
     verify_polymer_identity,
-    verify_zero_free,
 )
 from .zeros import analyze, example_suite
 
 HARD_MAX_VERTICES = 12
 HARD_MAX_EDGES = 24
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tuttezero",
-        description="Partition-function zeros of small weighted graphs.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", metavar="PATH", help="graph file (JSON or edge list)")
-    common.add_argument("--seed", type=int, default=0, metavar="N")
-    common.add_argument("--max-vertices", type=int, default=None, metavar="N")
-    common.add_argument("--max-edges", type=int, default=None, metavar="N")
-    common.add_argument("--psi", type=float, default=1.0, metavar="X")
-    common.add_argument("--lambda", dest="lam", type=float, default=1.0, metavar="X")
-    common.add_argument("--beta", type=float, default=1.0, metavar="X")
-    common.add_argument("--format", dest="output_format", choices=("json", "csv"),
-                        default="json")
-    common.add_argument("--a", type=float, default=None, metavar="X",
-                        help="interpolation parameter in [0, 1]")
-    for name in ("analyze", "constants", "verify-penrose", "verify-inequalities",
-                 "verify-polymer", "examples"):
-        sub.add_parser(name, parents=[common])
-    return parser
 
 
 def _strip_timing(obj):
@@ -103,14 +80,10 @@ def _emit_harness_csv(results: list[dict]) -> None:
     sys.stdout.write(buf.getvalue())
 
 
-def _cap(args) -> tuple[int, int]:
-    mv = args.max_vertices
-    me = args.max_edges
-    if mv is not None and not 1 <= mv <= HARD_MAX_VERTICES:
-        raise SystemExit(_usage(f"--max-vertices must be in 1..{HARD_MAX_VERTICES}"))
-    if me is not None and not 1 <= me <= HARD_MAX_EDGES:
-        raise SystemExit(_usage(f"--max-edges must be in 1..{HARD_MAX_EDGES}"))
-    return mv, me
+def _cap(value: int | None, flag: str, hard: int) -> int | None:
+    if value is not None and not 1 <= value <= hard:
+        raise SystemExit(_usage(f"{flag} must be in 1..{hard}"))
+    return value
 
 
 def _usage(msg: str) -> int:
@@ -131,7 +104,8 @@ def _finish_verify(results: list[dict], args) -> int:
 def _cmd_analyze(args) -> int:
     if not args.input:
         return _usage("analyze requires --input PATH")
-    mv, me = _cap(args)
+    mv = _cap(args.max_vertices, "--max-vertices", HARD_MAX_VERTICES)
+    me = _cap(args.max_edges, "--max-edges", HARD_MAX_EDGES)
     try:
         g = load_graph(args.input)
     except OSError as exc:
@@ -184,7 +158,7 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_verify_penrose(args) -> int:
-    mv, _ = _cap(args)
+    mv = _cap(args.max_vertices, "--max-vertices", HARD_MAX_VERTICES)
     results = [
         verify_penrose_partition(mv or 6),
         verify_penrose_chains(min(mv or 5, 5), draws=100, seed=args.seed),
@@ -193,7 +167,7 @@ def _cmd_verify_penrose(args) -> int:
 
 
 def _cmd_verify_inequalities(args) -> int:
-    mv, _ = _cap(args)
+    mv = _cap(args.max_vertices, "--max-vertices", HARD_MAX_VERTICES)
     results = [
         verify_constants(),
         verify_f_routes(),
@@ -205,7 +179,7 @@ def _cmd_verify_inequalities(args) -> int:
 
 
 def _cmd_verify_polymer(args) -> int:
-    mv, _ = _cap(args)
+    mv = _cap(args.max_vertices, "--max-vertices", HARD_MAX_VERTICES)
     results = [
         verify_polymer_identity(mv or 7, min(mv or 4, 4), seed=args.seed),
         verify_gkfp_pair(),
@@ -236,26 +210,55 @@ def _cmd_examples(args) -> int:
     return 0
 
 
+_SWEEP_FLAGS = ("--max-vertices", "--seed", "--format")
+
+# subcommand -> (handler, the flags it reads)
 _COMMANDS = {
-    "analyze": _cmd_analyze,
-    "constants": _cmd_constants,
-    "verify-penrose": _cmd_verify_penrose,
-    "verify-inequalities": _cmd_verify_inequalities,
-    "verify-polymer": _cmd_verify_polymer,
-    "examples": _cmd_examples,
+    "analyze": (_cmd_analyze, ("--input", "--seed", "--max-vertices", "--max-edges",
+                               "--a", "--format")),
+    "constants": (_cmd_constants, ("--psi", "--lambda", "--beta", "--seed", "--format")),
+    "verify-penrose": (_cmd_verify_penrose, _SWEEP_FLAGS),
+    "verify-inequalities": (_cmd_verify_inequalities, _SWEEP_FLAGS),
+    "verify-polymer": (_cmd_verify_polymer, _SWEEP_FLAGS),
+    "examples": (_cmd_examples, ("--seed", "--format")),
 }
+
+_FLAGS = {
+    "--input": dict(metavar="PATH", help="graph file (JSON or edge list)"),
+    "--seed": dict(type=int, default=0, metavar="N"),
+    "--max-vertices": dict(type=int, default=None, metavar="N"),
+    "--max-edges": dict(type=int, default=None, metavar="N"),
+    "--psi": dict(type=float, default=1.0, metavar="X"),
+    "--lambda": dict(dest="lam", type=float, default=1.0, metavar="X"),
+    "--beta": dict(type=float, default=1.0, metavar="X"),
+    "--format": dict(dest="output_format", choices=("json", "csv"), default="json"),
+    "--a": dict(type=float, default=None, metavar="X",
+                help="interpolation parameter in [0, 1]"),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="tuttezero",
+        description="Partition-function zeros of small weighted graphs.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, flags) in _COMMANDS.items():
+        cmd = sub.add_parser(name)
+        for flag in flags:
+            cmd.add_argument(flag, **_FLAGS[flag])
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        code = _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command][0](args)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
     except TutteZeroError as exc:
-        sys.stderr.write(f"tuttezero: verification error: {exc}\n")
-        code = 1
+        code = _usage(str(exc))
     return code
 
 

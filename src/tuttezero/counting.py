@@ -62,24 +62,9 @@ def _connected_mask_levels(g: WeightedGraph, x: int, m_max: int) -> list[set[int
 
 def c_m(g: WeightedGraph, x: int, m: int) -> float:
     """Weighted count of m-edge connected subgraphs containing x."""
-    if not (0 <= x < g.n):
-        raise BadIndex(f"vertex {x} outside 0..{g.n - 1}")
     if m < 0:
         raise OutOfDomain(f"m must be >= 0, got {m}")
-    if g.m > MAX_ENUM_EDGES:
-        raise TooLarge(f"{g.m} edges exceeds enumeration limit {MAX_ENUM_EDGES}")
-    if m > g.m:
-        return 0.0
-    absw = [abs(w) for w in g.weights()]
-    levels = _connected_mask_levels(g, x, m)
-    total = 0.0
-    for mask in sorted(levels[m]):
-        p = 1.0
-        for i in range(g.m):
-            if mask >> i & 1:
-                p *= absw[i]
-        total += p
-    return total
+    return c_m_table(g, x, m)[m]
 
 
 def c_m_table(g: WeightedGraph, x: int, m_max: int) -> list[float]:

@@ -23,44 +23,9 @@ from .tutte import (
     MAX_ENUM_EDGES,
     component_count,
     connected_gen_poly,
-    connected_spanning_masks,
     spanning_tree_gen_poly,
     spanning_tree_masks,
 )
-
-
-@dataclass(frozen=True)
-class EdgeSubset:
-    """A set of edge indices of a host graph with edge_count edges."""
-
-    bits: frozenset[int]
-    edge_count: int
-
-    def __post_init__(self):
-        for i in self.bits:
-            if not (0 <= i < self.edge_count):
-                raise BadIndex(f"edge index {i} outside 0..{self.edge_count - 1}")
-
-    @classmethod
-    def from_mask(cls, mask: int, edge_count: int) -> "EdgeSubset":
-        bits = frozenset(i for i in range(edge_count) if mask >> i & 1)
-        return cls(bits, edge_count)
-
-    @property
-    def mask(self) -> int:
-        m = 0
-        for i in self.bits:
-            m |= 1 << i
-        return m
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    def __contains__(self, i: int) -> bool:
-        return i in self.bits
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.bits))
 
 
 @dataclass(frozen=True)
@@ -103,13 +68,12 @@ def _require_connected(g: WeightedGraph) -> None:
         raise Disconnected(f"graph with {g.n} vertices is not connected")
 
 
-def enumerate_spanning_trees(g: WeightedGraph) -> list[EdgeSubset]:
-    """All spanning trees as edge subsets; the graph must be connected."""
+def enumerate_spanning_trees(g: WeightedGraph) -> list[int]:
+    """All spanning trees as edge bitmasks; the graph must be connected."""
     if g.m > MAX_ENUM_EDGES:
         raise TooLarge(f"{g.m} edges exceeds enumeration limit {MAX_ENUM_EDGES}")
     _require_connected(g)
-    pairs = [(u, v) for u, v, _ in g.edges]
-    return [EdgeSubset.from_mask(mask, g.m) for mask in spanning_tree_masks(g.n, pairs)]
+    return spanning_tree_masks(g.n, [(u, v) for u, v, _ in g.edges])
 
 
 def _tree_layering(g: WeightedGraph, tree_mask: int, root: int):
@@ -138,8 +102,8 @@ def _tree_layering(g: WeightedGraph, tree_mask: int, root: int):
     return gen, parent
 
 
-def penrose_map(g: WeightedGraph, tree: EdgeSubset, root: int = 0) -> EdgeSubset:
-    """R(T) for a spanning tree T of a simple connected graph.
+def penrose_map(g: WeightedGraph, tree_mask: int, root: int = 0) -> int:
+    """R(T) as an edge bitmask, for a spanning tree T given as one.
 
     Beyond the tree edges, R(T) picks up every non-tree edge that either
     joins two vertices in the same generation, or joins a vertex x to a
@@ -152,65 +116,66 @@ def penrose_map(g: WeightedGraph, tree: EdgeSubset, root: int = 0) -> EdgeSubset
         raise NotSimple("interval construction needs a simple graph")
     if not (0 <= root < g.n):
         raise BadIndex(f"root {root} outside 0..{g.n - 1}")
-    if tree.edge_count != g.m or len(tree.bits) != g.n - 1:
+    if tree_mask < 0 or tree_mask >> g.m:
+        raise BadIndex(f"edge mask {tree_mask:#x} has a bit outside 0..{g.m - 1}")
+    if tree_mask.bit_count() != g.n - 1:
         raise NotATree(f"expected {g.n - 1} edges on a host with {g.m}")
-    tree_mask = tree.mask
     gen, parent = _tree_layering(g, tree_mask, root)
-    out = set(tree.bits)
+    out = tree_mask
     for i, (u, v, _) in enumerate(g.edges):
         if tree_mask >> i & 1:
             continue
         gu, gv = gen[u], gen[v]
         if gu == gv:
-            out.add(i)
+            out |= 1 << i
         elif abs(gu - gv) == 1:
             x, up = (u, v) if gu > gv else (v, u)
             if up > parent[x]:
-                out.add(i)
-    return EdgeSubset(frozenset(out), g.m)
+                out |= 1 << i
+    return out
 
 
 def verify_partition(g: WeightedGraph, root: int = 0) -> PartitionReport:
     """Exhaustively check that the intervals tile the connected subsets.
 
     Every connected spanning edge set must lie in the interval of exactly
-    one tree; the per-tree interval sizes 2^{|R(T)-T|} are reported and
-    their total must equal the number of connected spanning sets.
+    one tree.  The walk visits 2^{|R(T)-T|} elements per tree, and the
+    intervals are disjoint when the distinct elements number as many as
+    the visits.  Each element contains a spanning tree, so it is itself
+    connected and spanning; the intervals cover when the distinct
+    elements number as many as the connected spanning sets.  That count
+    is C_G at unit weights, a sum of ones exact in binary64.
     """
     if not g.is_simple:
         raise NotSimple("interval construction needs a simple graph")
     _require_connected(g)
-    pairs = [(u, v) for u, v, _ in g.edges]
-    connected = connected_spanning_masks(g.n, pairs)
-    counts = dict.fromkeys(connected, 0)
-    trees = spanning_tree_masks(g.n, pairs)
+    connected_count = int(connected_gen_poly(g.with_weights([1.0] * g.m)).real)
+    trees = spanning_tree_masks(g.n, [(u, v) for u, v, _ in g.edges])
+    seen: set[int] = set()
     sizes = []
     clear = True
     for t in trees:
-        r = penrose_map(g, EdgeSubset.from_mask(t, g.m), root).mask
-        extra = r & ~t
+        extra = penrose_map(g, t, root) & ~t
         for i in range(g.m):
             if extra >> i & 1:
                 u, v, _ = g.edges[i]
                 if u == root or v == root:
                     clear = False
-        sizes.append(1 << bin(extra).count("1"))
-        # walk the Boolean interval [t, r]
+        sizes.append(1 << extra.bit_count())
+        # walk the Boolean interval [t, R(t)]
         sub = extra
         while True:
-            counts[t | sub] += 1
+            seen.add(t | sub)
             if sub == 0:
                 break
             sub = (sub - 1) & extra
-    disjoint = all(c <= 1 for c in counts.values())
-    covering = all(c >= 1 for c in counts.values())
     return PartitionReport(
         root=root,
         tree_count=len(trees),
-        connected_count=len(connected),
+        connected_count=connected_count,
         interval_sizes=tuple(sizes),
-        disjoint=disjoint,
-        covering=covering,
+        disjoint=len(seen) == sum(sizes),
+        covering=len(seen) == connected_count,
         root_edges_clear=clear,
     )
 
@@ -227,7 +192,7 @@ def penrose_identity_eval(g: WeightedGraph, root: int = 0) -> complex:
     pairs = [(u, v) for u, v, _ in g.edges]
     total = 0j
     for t in spanning_tree_masks(g.n, pairs):
-        r = penrose_map(g, EdgeSubset.from_mask(t, g.m), root).mask
+        r = penrose_map(g, t, root)
         term = 1 + 0j
         for i, (_, _, w) in enumerate(g.edges):
             if t >> i & 1:

@@ -107,13 +107,11 @@ def tutte_polymer_weights(g: WeightedGraph, q: complex) -> PolymerWeights:
         raise ZeroQ("activities are undefined at q = 0")
     if g.n > MAX_POLYMER_VERTICES:
         raise TooLarge(f"{g.n} vertices exceeds polymer limit {MAX_POLYMER_VERTICES}")
-    entries = []
-    for mask, c in connected_by_support(g).items():
-        size = bin(mask).count("1")
-        if size < 2 or c == 0:
-            continue
-        entries.append((mask, c * q ** -(size - 1)))
-    return PolymerWeights(g.n, tuple(entries))
+    entries = tuple(
+        (mask, c * q ** -(bin(mask).count("1") - 1))
+        for mask, c in connected_by_support(g).items()
+    )
+    return PolymerWeights(g.n, entries)
 
 
 def polymer_partition(pw: PolymerWeights) -> complex:
@@ -158,11 +156,8 @@ def polymer_profile(g: WeightedGraph) -> np.ndarray:
         raise TooLarge(f"{n} vertices exceeds polymer limit {MAX_POLYMER_VERTICES}")
     by_low: list[list[tuple[int, int, complex]]] = [[] for _ in range(n)]
     for mask, c in connected_by_support(g).items():
-        size = bin(mask).count("1")
-        if size < 2 or c == 0:
-            continue
         low = (mask & -mask).bit_length() - 1
-        by_low[low].append((mask, size - 1, c))
+        by_low[low].append((mask, bin(mask).count("1") - 1, c))
     f = np.zeros((1 << n, n), dtype=np.complex128)
     f[0, 0] = 1.0
     for mask in range(1, 1 << n):
@@ -189,9 +184,10 @@ def polymer_size_profile(pw: PolymerWeights) -> list[dict]:
     return by_vertex
 
 
-def _margin_numerators(pw: PolymerWeights, alpha: float) -> float:
+def _margin_numerators(profile: list[dict], alpha: float) -> float:
+    """Largest per-vertex activity mass at scale alpha over a size profile."""
     worst = 0.0
-    for d in polymer_size_profile(pw):
+    for d in profile:
         s = sum(a * math.exp(alpha * size) for size, a in d.items())
         worst = max(worst, s)
     return worst
@@ -204,14 +200,14 @@ def gkfp_margin(pw: PolymerWeights, alpha: float) -> float:
     """
     if alpha <= 0:
         raise OutOfDomain(f"alpha must be > 0, got {alpha}")
-    return _margin_numerators(pw, alpha) / math.expm1(alpha)
+    return _margin_numerators(polymer_size_profile(pw), alpha) / math.expm1(alpha)
 
 
 def kp_margin(pw: PolymerWeights, alpha: float) -> float:
     """Same numerator over the smaller denominator alpha."""
     if alpha <= 0:
         raise OutOfDomain(f"alpha must be > 0, got {alpha}")
-    return _margin_numerators(pw, alpha) / alpha
+    return _margin_numerators(polymer_size_profile(pw), alpha) / alpha
 
 
 def gkfp_optimal(pw: PolymerWeights) -> tuple[float, float]:
@@ -230,11 +226,7 @@ def gkfp_optimal(pw: PolymerWeights) -> tuple[float, float]:
         raise EmptySet("no vertex meets any polymer")
 
     def margin(alpha: float) -> float:
-        worst = 0.0
-        for d in profile:
-            s = sum(a * math.exp(alpha * size) for size, a in d.items())
-            worst = max(worst, s)
-        return worst / math.expm1(alpha)
+        return _margin_numerators(profile, alpha) / math.expm1(alpha)
 
     a0, _ = _minimize_bounded(margin, 1e-6, 50.0, 1e-10, 500)
 

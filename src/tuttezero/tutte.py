@@ -9,14 +9,16 @@ included.  Z_G is a monic polynomial of degree |V| in q.  The companion
 quantities are the connected generating value C_G(w) (the coefficient of
 q^1) and the spanning-tree generating value T_G(w).
 
-Z_G and C_G enumerate edge subsets directly, in blocks of masks that the
-vectorized engine in _kernels handles a whole block at a time; exactness
-at desk scale is the point, so inputs are capped at 24 edges.  T_G walks
-the spanning trees.  The connected values of all induced subgraphs at
-once (connected_by_support) come instead from a recursion over vertex
-subsets, guarded against cancellation by a rounding bound and an exact
-rational fallback; it stays independent of Z_G, so the polymer identity
-checks one route against the other.
+Z_G is computed by enumerating the edge subsets, in blocks of masks that
+the vectorized engine in _kernels handles a whole block at a time;
+exactness at desk scale is the point, so inputs are capped at 24 edges.
+C_G is read off as its q^1 coefficient (at unit weights it counts the
+connected spanning edge sets).  T_G walks the spanning trees.  The
+connected values of all induced subgraphs at once (connected_by_support)
+come instead from a recursion over vertex subsets, guarded against
+cancellation by a rounding bound and an exact rational fallback; it stays
+independent of Z_G, so the polymer identity checks one route against the
+other.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ import functools
 import itertools
 import json
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import _kernels
 from .errors import TooLarge
@@ -69,43 +69,42 @@ class QPolynomial:
         return QPolynomial(tuple(complex(re, im) for re, im in obj))
 
 
-def _check_size(g: WeightedGraph, max_edges: int) -> None:
-    cap = min(max_edges, MAX_ENUM_EDGES) if max_edges else MAX_ENUM_EDGES
-    if g.m > cap:
-        raise TooLarge(f"{g.m} edges exceeds the enumeration cap of {cap}")
+def _check_size(g: WeightedGraph) -> None:
+    if g.m > MAX_ENUM_EDGES:
+        raise TooLarge(f"{g.m} edges exceeds the enumeration cap of {MAX_ENUM_EDGES}")
 
 
-def z_polynomial(g: WeightedGraph, max_edges: int = MAX_ENUM_EDGES) -> QPolynomial:
+def z_polynomial(g: WeightedGraph) -> QPolynomial:
     """The full polynomial Z_G(q), exact up to floating-point rounding.
 
     The leading coefficient (power |V|) is exactly 1 from the empty edge
     subset, and coefficients below the component count of the nonzero-
     weight edge set are exact zeros.
     """
-    _check_size(g, max_edges)
+    _check_size(g)
     coeffs = _kernels.z_coefficients(g.n, g.edges)
     return QPolynomial(tuple(complex(c) for c in coeffs))
 
 
-def z_eval(g: WeightedGraph, q: complex, max_edges: int = MAX_ENUM_EDGES) -> complex:
+def z_eval(g: WeightedGraph, q: complex) -> complex:
     """Z_G at one point, by Horner evaluation of the coefficient vector."""
-    return z_polynomial(g, max_edges).eval(complex(q))
+    return z_polynomial(g).eval(complex(q))
 
 
-def connected_gen_poly(g: WeightedGraph, max_edges: int = MAX_ENUM_EDGES) -> complex:
+def connected_gen_poly(g: WeightedGraph) -> complex:
     """C_G(w): sum of prod w_e over edge subsets connecting all of V.
 
     Equals the q^1 coefficient of Z_G; a single-vertex graph gives 1 and
     a disconnected graph gives 0.
     """
-    _check_size(g, max_edges)
+    _check_size(g)
     if g.n == 0:
         return 1 + 0j
     coeffs = _kernels.z_coefficients(g.n, g.edges)
     return complex(coeffs[1])
 
 
-def connected_by_support(g: WeightedGraph, max_edges: int = MAX_ENUM_EDGES) -> dict[int, complex]:
+def connected_by_support(g: WeightedGraph) -> dict[int, complex]:
     """C values of all induced sub-systems in one sweep.
 
     Returns {vertex_bitmask: C} where C sums prod w_e over edge subsets
@@ -121,7 +120,7 @@ def connected_by_support(g: WeightedGraph, max_edges: int = MAX_ENUM_EDGES) -> d
     whose induced subgraph is disconnected get an exact zero, which is
     what drops them here.
     """
-    _check_size(g, max_edges)
+    _check_size(g)
     table = _kernels.connected_by_support(g.n, g.edges)
     return {int(s): complex(c) for s, c in enumerate(table) if c != 0}
 
@@ -164,17 +163,9 @@ def spanning_tree_masks(n: int, edge_pairs) -> list[int]:
     return list(_spanning_tree_masks_cached(n, tuple(tuple(p) for p in edge_pairs)))
 
 
-def connected_spanning_masks(n: int, edge_pairs) -> list[int]:
-    """Edge masks whose subgraph connects all n vertices, ascending."""
-    if len(edge_pairs) > MAX_ENUM_EDGES:
-        raise TooLarge(f"{len(edge_pairs)} edges exceeds the enumeration cap")
-    flags = _kernels.connected_spanning_flags(n, [tuple(p) for p in edge_pairs])
-    return [int(i) for i in np.nonzero(flags)[0]]
-
-
-def spanning_tree_gen_poly(g: WeightedGraph, max_edges: int = MAX_ENUM_EDGES) -> complex:
+def spanning_tree_gen_poly(g: WeightedGraph) -> complex:
     """T_G(w): sum of prod w_e over spanning trees of G (0 if disconnected)."""
-    _check_size(g, max_edges)
+    _check_size(g)
     pairs = [(u, v) for u, v, _ in g.edges]
     w = g.weights()
     total = 0j

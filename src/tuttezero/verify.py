@@ -23,7 +23,6 @@ from .bounds import (
     f_lambda_series,
     f_lambda_variational,
     g_ratio,
-    kstar_lambda,
     kstar_psi,
     lambert_w,
     sokal_K,
@@ -365,7 +364,7 @@ def verify_penrose_chains(max_vertices: int = 5, draws: int = 100, seed: int = 0
     for n, pairs in families.connected_simple_structures(max_vertices):
         for _ in range(draws):
             ws = families.sample_weights(len(pairs), "mixed", rng)
-            g = build_graph(range(n), [(u, v, w) for (u, v), w in zip(pairs, ws)])
+            g = families.weighted((n, pairs), ws)
             c = connected_gen_poly(g)
             pe = penrose_identity_eval(g, 0)
             denom = max(abs(c), abs(pe), 1e-300)
@@ -408,7 +407,7 @@ def verify_polymer_identity(
     for corpus in corpora:
         for n, pairs in corpus:
             ws = families.sample_weights(len(pairs), "mixed", rng)
-            g = build_graph(range(n), [(u, v, w) for (u, v), w in zip(pairs, ws)])
+            g = families.weighted((n, pairs), ws)
             zc = np.asarray(z_polynomial(g).coeffs)
             prof = polymer_profile(g)
             qs = rng.uniform(-3.0, 3.0, (n_q, 2))
@@ -488,7 +487,7 @@ def verify_counting(max_vertices: int = 6, m_max: int = 8, seed: int = 0) -> dic
     for n, pairs in families.connected_simple_structures(max_vertices):
         drawn = families.sample_weights(len(pairs), "mixed", rng)
         for ws in ([1.0] * len(pairs), drawn):
-            g = build_graph(range(n), [(u, v, w) for (u, v), w in zip(pairs, ws)])
+            g = families.weighted((n, pairs), ws)
             deg = degree_quantities(g)
             for x in range(n):
                 values = counting.c_m_table(g, x, m_max)
@@ -544,7 +543,7 @@ def verify_counting(max_vertices: int = 6, m_max: int = 8, seed: int = 0) -> dic
     # removal recursion dominates on small graphs
     for n, pairs in families.connected_simple_structures(4):
         ws = families.sample_weights(len(pairs), "mixed", rng)
-        g = build_graph(range(n), [(u, v, w) for (u, v), w in zip(pairs, ws)])
+        g = families.weighted((n, pairs), ws)
         for x in range(n):
             for m in range(1, 6):
                 lhs = counting.c_m(g, x, m)
@@ -576,7 +575,7 @@ def verify_zero_free(
         for n, pairs in families.connected_simple_structures(max_vertices):
             for i in range(draws):
                 ws = families.sample_weights(len(pairs), regime, rng)
-                g = build_graph(range(n), [(u, v, w) for (u, v), w in zip(pairs, ws)])
+                g = families.weighted((n, pairs), ws)
                 rep = analyze(g)
                 checked += 1
                 if not rep.general_disc_verified:
@@ -599,7 +598,7 @@ def verify_zero_free(
             for n, pairs in structures:
                 for i in range(multi_draws):
                     ws = families.sample_weights(len(pairs), regime, rng)
-                    g = build_graph(range(n), [(u, v, w) for (u, v), w in zip(pairs, ws)])
+                    g = families.weighted((n, pairs), ws)
                     rep = analyze(g)
                     multi_checked += 1
                     if not rep.general_disc_verified:

@@ -157,6 +157,30 @@ def test_analyze_loads_neither_scipy_nor_networkx(k2_file):
     assert blob == {"code": 0, "heavy": []}
 
 
+def test_analyze_numerical_failure_is_input_error(capsys, tmp_path):
+    # the weight overflows the root finder, which raises a typed error
+    p = tmp_path / "huge.txt"
+    p.write_text("0 1 1e200 1e200\n1 2 1 0\n")
+    code, out, err = run_cli(capsys, "analyze", "--input", str(p))
+    assert code == 2
+    assert out == ""
+    assert "tuttezero: error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["examples", "--psi", "2"],
+    ["verify-polymer", "--input", "f"],
+    ["verify-penrose", "--max-edges", "5"],
+    ["constants", "--max-vertices", "3"],
+    ["analyze", "--input", "f", "--beta", "2"],
+])
+def test_unread_flag_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_max_vertices_flag_validated(capsys):
     code, _, err = run_cli(capsys, "verify-penrose", "--max-vertices", "40")
     assert code == 2

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tuttezero import (
+    BadIndex,
     Disconnected,
     NotATree,
     NotSimple,
@@ -56,20 +57,29 @@ def test_penrose_map_contains_tree_and_avoids_root_edges():
     pairs = tuple((u, v) for u, v, _ in g.edges)
     for tree in enumerate_spanning_trees(g):
         r = penrose_map(g, tree, 0)
-        assert set(tree.indices()) <= set(r.indices())
+        assert r & tree == tree
         # added edges never touch the root: its generation-one children
         # cannot gain same-generation or back edges pointing at it
-        for i in set(r.indices()) - set(tree.indices()):
-            u, v = pairs[i]
-            assert 0 not in (u, v)
+        for i in range(g.m):
+            if (r & ~tree) >> i & 1:
+                u, v = pairs[i]
+                assert 0 not in (u, v)
 
 
 def test_penrose_map_rejects_non_tree():
     g = cycle_graph(4, 1.0)
-    trees = enumerate_spanning_trees(g)
-    full = type(trees[0]).from_mask((1 << g.m) - 1, g.m)
     with pytest.raises(NotATree):
-        penrose_map(g, full, 0)
+        penrose_map(g, (1 << g.m) - 1, 0)
+
+
+def test_penrose_map_rejects_mask_outside_host():
+    g = cycle_graph(4, 1.0)
+    tree = enumerate_spanning_trees(g)[0]
+    # same popcount as a tree, one bit moved past the last edge
+    stray = tree & (tree - 1) | 1 << g.m
+    for mask in (stray, -1):
+        with pytest.raises(BadIndex):
+            penrose_map(g, mask, 0)
 
 
 def test_penrose_map_rejects_multigraph():

@@ -20,7 +20,7 @@ from tuttezero import (
 from tuttezero import _kernels
 from tuttezero.families import cycle_one_heavy
 from tuttezero.polymer import polymer_profile
-from tuttezero.tutte import connected_spanning_masks, spanning_tree_masks
+from tuttezero.tutte import spanning_tree_masks
 
 from conftest import brute_connected_sum, dc_z_coeffs, kirchhoff_tree_sum
 
@@ -221,13 +221,14 @@ def _spanning_by_union_find(n, pairs):
 @pytest.mark.parametrize("block_bits", BLOCK_SIZES)
 @settings(max_examples=40, deadline=None)
 @given(random_graphs(max_n=5, max_m=9))
-def test_connected_spanning_masks_against_union_find(block_bits, data):
+def test_connected_spanning_count_against_union_find(block_bits, data):
+    # at unit weights the q^1 coefficient counts the connected spanning sets
     n, edges = data
     pairs = [(u, v) for u, v, _ in edges]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "BLOCK_BITS", block_bits)
-        mine = connected_spanning_masks(n, pairs)
-    assert mine == _spanning_by_union_find(n, pairs)
+        count = connected_gen_poly(build_graph(range(n), [(u, v, 1.0) for u, v in pairs]))
+    assert count == len(_spanning_by_union_find(n, pairs))
 
 
 @pytest.mark.parametrize("n, heavy, light", [(6, 1e6, 1e-6), (12, 1e4, 1e-4)])
@@ -246,7 +247,7 @@ def test_connected_by_support_survives_cancellation(n, heavy, light):
 def test_spanning_tree_masks_count():
     k4 = build_graph(range(4), [(u, v, 1.0) for u in range(4) for v in range(u + 1, 4)])
     assert len(spanning_tree_masks(k4.n, tuple((u, v) for u, v, _ in k4.edges))) == 16
-    assert len(connected_spanning_masks(4, tuple((u, v) for u, v, _ in k4.edges))) == 38
+    assert connected_gen_poly(k4) == 38
 
 
 def test_qpolynomial_round_trip(small_weighted):
