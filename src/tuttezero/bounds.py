@@ -292,9 +292,13 @@ def f_lambda_series(lam: float, beta: float) -> float:
 def f_lambda_variational(lam: float, beta: float) -> float:
     """F_lambda(beta) = min over 1 < y < 1+beta of beta y^lam / ((1+beta-y) log y).
 
-    The objective blows up at both endpoints and is unimodal inside;
+    Minimized in t = (y-1)/beta on (0, 1), where the objective reads
+    (1+t beta)^lam / ((1-t) log1p(t beta)).  In y the interval shrinks
+    onto 1 as beta falls: the minimizer's tolerance, relative to |y|,
+    swamps it (6% high at beta = 1e-7) and 1 + beta rounds to 1 below
+    1e-16.  The objective blows up at both ends and is unimodal inside;
     Brent's bounded golden-section/parabolic minimizer (_minimize_bounded)
-    locates the minimum to 1e-13 in y, which pins the value to machine
+    locates the minimum to 1e-13 in t, which pins the value to machine
     accuracy.
     """
     if lam < 0.0:
@@ -302,11 +306,10 @@ def f_lambda_variational(lam: float, beta: float) -> float:
     if beta <= 0.0:
         raise OutOfDomain(f"beta must be > 0, got {beta}")
 
-    def obj(y: float) -> float:
-        return beta * y ** lam / ((1.0 + beta - y) * math.log(y))
+    def obj(t: float) -> float:
+        return (1.0 + t * beta) ** lam / ((1.0 - t) * math.log1p(t * beta))
 
-    eps = 1e-12 * min(1.0, beta)
-    _, fmin = _minimize_bounded(obj, 1.0 + eps, 1.0 + beta - eps, 1e-13, 500)
+    _, fmin = _minimize_bounded(obj, 1e-12, 1.0 - 1e-12, 1e-13, 500)
     return fmin
 
 
@@ -330,20 +333,44 @@ def f_closed(lam: float, beta: float) -> float:
 # ---------------------------------------------------------------------------
 # the named constants
 
+def _one_minus_w(b: float) -> float:
+    """u = 1 - W(e/(1+b)) for b > 0, the root in (0, 1) of
+    f(u) = u - log(1-u) - log(1+b).
+
+    f is increasing and convex on (0, 1), so Newton steps from a start
+    right of the root fall monotonically onto it; both guesses below have
+    f >= 0 since -log(1-x) >= x.  The iteration stops at a zero residual
+    or at the first step that no longer moves u down (rounding noise).
+    """
+    lb = math.log1p(b)
+    u = min(0.5 * lb, -math.expm1(-lb))
+    for _ in range(100):
+        f = (u - math.log1p(-u)) - lb
+        if f <= 0.0:
+            return u
+        nxt = u - f * (1.0 - u) / (2.0 - u)
+        if not (0.0 < nxt < u):
+            return u
+        u = nxt
+    raise NoConvergence(f"kstar_psi failed to converge at b = {b}")
+
+
 def kstar_psi(psi: float, route: str = "lambert") -> float:
     """Kstar(psi), the disc constant multiplying Delta' for vertex factor psi.
 
-    Routes: "lambert" (default) evaluates W(e/(1+psi^{-1/2})) / (1-W)^2;
+    Routes: "lambert" (default) evaluates W / (1-W)^2 at
+    W = W(e/(1+psi^{-1/2})), solving for u = 1 - W directly so that no
+    cancellation in 1 - W limits it at large psi (_one_minus_w);
     "variational" minimizes y/((1+psi^{-1/2}-y) log y); "series" solves the
     defining threshold with coefficients psi^{n/2} n^{n-1}/n!.  All agree
     to 1e-9, and Kstar(psi) <= 4 psi + 3 sqrt(psi).
     """
-    if psi <= 0.0:
-        raise OutOfDomain(f"psi must be > 0, got {psi}")
+    if not (0.0 < psi < math.inf):
+        raise OutOfDomain(f"psi must be finite and > 0, got {psi}")
     b = psi ** -0.5
     if route == "lambert":
-        w = lambert_w(_E / (1.0 + b))
-        return w / (1.0 - w) ** 2
+        u = _one_minus_w(b)
+        return (1.0 - u) / u / u
     if route == "variational":
         return math.sqrt(psi) * f_lambda_variational(1.0, b)
     if route == "series":

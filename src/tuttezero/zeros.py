@@ -3,9 +3,14 @@
 The polynomial is monic of degree |V| with a zero of known multiplicity
 at q = 0 (one per component left by the nonzero-weight edges); that
 factor is stripped exactly before handing the rest to a simultaneous
-Aberth iteration.  An analysis report places every nonzero root against
-the disc radii of graph_bounds, and the example suite reproduces the
-named small-graph phenomena end to end.
+Aberth iteration.  The iteration starts from the Newton polygon of the
+coefficient moduli, one circle of points per edge of the upper convex
+hull of (k, log|c_k|) (Bini, Numer. Algorithms 13, 1996), so the start
+radii follow the root moduli even when they span many decades.  Roots
+that fail a scaled residual check are recomputed as companion-matrix
+eigenvalues.  An analysis report places every nonzero root against the
+disc radii of graph_bounds, and the example suite reproduces the named
+small-graph phenomena end to end.
 """
 
 from __future__ import annotations
@@ -38,22 +43,63 @@ def _residual_ok(c: np.ndarray, roots: np.ndarray, tol: float = 1e-8) -> bool:
     az = np.abs(roots)
     for k, ck in enumerate(c):
         scale += abs(ck) * az ** k
-    return bool(np.all(np.abs(_poly_eval_many(c, roots)) <= tol * scale))
+    resid = np.abs(_poly_eval_many(c, roots))
+    # an infinite scale bounds nothing, so it fails like a non-finite residual
+    return bool(np.all(np.isfinite(scale)) and np.all(np.isfinite(resid))
+                and np.all(resid <= tol * scale))
+
+
+def _start(c: np.ndarray) -> np.ndarray:
+    """Aberth start points from the Newton polygon of the coefficients.
+
+    Each edge (a, b) of the upper convex hull of the points (k, log|c_k|)
+    puts b - a points on the circle of radius (|c_a|/|c_b|)^{1/(b-a)}, a
+    good guess at the moduli of that many roots (Bini 1996).  Zero
+    coefficients are skipped; c_0 and c_d are nonzero.
+    """
+    d = len(c) - 1
+    ks = np.flatnonzero(c).tolist()
+    logs = np.log(np.abs(c[ks])).tolist()
+    hull: list[tuple[int, float]] = []
+    for k, y in zip(ks, logs):
+        # drop the last vertex while it lies on or below the chord to (k, y)
+        while len(hull) >= 2 and (
+                (hull[-1][1] - hull[-2][1]) * (k - hull[-2][0])
+                <= (y - hull[-2][1]) * (hull[-1][0] - hull[-2][0])):
+            hull.pop()
+        hull.append((k, y))
+    log_r: list[float] = []
+    turns: list[float] = []
+    for (a, ya), (b, yb) in zip(hull, hull[1:]):
+        log_r += [(ya - yb) / (b - a)] * (b - a)
+        # fixed phase offset, irrational spacing against symmetric stalls;
+        # each circle is turned by a/d of a turn so the circles do not line up
+        turns += [(j + 0.400137) / (b - a) + a / d for j in range(b - a)]
+    return np.exp(np.array(log_r)) * np.exp(2j * np.pi * np.array(turns) + 0.19j)
 
 
 def _aberth(c: np.ndarray, max_iter: int = 500) -> np.ndarray | None:
-    """Simultaneous iteration on a monic coefficient array, or None."""
+    """Simultaneous iteration on a monic coefficient array, or None.
+
+    The points start on the Newton-polygon circles of _start.  The
+    iteration stops when the largest correction falls below 1e-14
+    relative, or when it stops shrinking while every |p(z)| is within the
+    rounding error of evaluating p; then three Newton steps polish the
+    points.  None means no stop within max_iter, or a non-finite p, p'
+    or correction (an overflowing polynomial).
+    """
     d = len(c) - 1
     dc = c[1:] * np.arange(1, d + 1)
-    radius = 1.0 + float(np.max(np.abs(c[:-1])))
-    k = np.arange(d)
-    # fixed phase offset; irrational spacing avoids symmetric stalls
-    z = 0.7 * radius * np.exp(2j * np.pi * (k + 0.400137) / d + 0.19j)
+    z = _start(c)
+    # the largest start radius scales the nudges off a vanishing denominator
+    radius = float(np.max(np.abs(z)))
     abs_c = np.abs(c)
     last_step = np.inf
     for _ in range(max_iter):
         p = _poly_eval_many(c, z)
         dp = _poly_eval_many(dc, z) if d > 1 else np.full_like(z, c[1])
+        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(dp))):
+            return None
         bad = np.abs(dp) < 1e-300
         if np.any(bad):
             z = z + 1e-6 * radius * (1 + 1j) * bad
@@ -68,6 +114,8 @@ def _aberth(c: np.ndarray, max_iter: int = 500) -> np.ndarray | None:
             continue
         corr = w / denom
         step = float(np.max(np.abs(corr)))
+        if not np.isfinite(step):
+            return None
         # A step no smaller than the last means the iteration is still
         # searching or has reached rounding noise, as near a cluster of
         # roots whose corrections never fall below the test further down.
@@ -104,19 +152,22 @@ def q_roots(g: WeightedGraph) -> tuple[list[complex], int]:
         return [], mult
     if d == 1:
         return [complex(-c[0] / c[1])], mult
-    roots = _aberth(c)
-    if roots is None or not _residual_ok(c, roots):
-        # companion-matrix eigenvalues, then a touch of Newton
-        alt = np.roots(c[::-1])
-        dc = c[1:] * np.arange(1, d + 1)
-        for _ in range(5):
-            p = _poly_eval_many(c, alt)
-            dp = _poly_eval_many(dc, alt)
-            step = np.where(np.abs(dp) > 1e-300, p / dp, 0.0)
-            alt = alt - step
-        if not _residual_ok(c, alt):
-            raise NoConvergence("root finder failed the residual check")
-        roots = alt
+    # overflow shows as a non-finite value, which _aberth and _residual_ok
+    # catch themselves; numpy's warnings would only repeat it on stderr
+    with np.errstate(all="ignore"):
+        roots = _aberth(c)
+        if roots is None or not _residual_ok(c, roots):
+            # companion-matrix eigenvalues, then a touch of Newton
+            alt = np.roots(c[::-1])
+            dc = c[1:] * np.arange(1, d + 1)
+            for _ in range(5):
+                p = _poly_eval_many(c, alt)
+                dp = _poly_eval_many(dc, alt)
+                step = np.where(np.abs(dp) > 1e-300, p / dp, 0.0)
+                alt = alt - step
+            if not _residual_ok(c, alt):
+                raise NoConvergence("root finder failed the residual check")
+            roots = alt
     ordered = sorted((complex(r) for r in roots), key=lambda r: (r.real, r.imag))
     return ordered, mult
 

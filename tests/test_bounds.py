@@ -41,9 +41,15 @@ def test_minimizer_matches_scipy_on_variational_objective():
     for lam in LAMBDA_GRID:
         for beta in BETA_GRID:
             eps = 1e-12 * min(1.0, beta)
-            _, fx = assert_matches_scipy(
+            assert_matches_scipy(
                 lambda y: variational_objective(lam, beta, y),
                 1.0 + eps, 1.0 + beta - eps, 1e-13, 500,
+            )
+            # f_lambda_variational minimizes the same objective in
+            # t = (y - 1)/beta on (0, 1)
+            _, fx = assert_matches_scipy(
+                lambda t: (1.0 + t * beta) ** lam / ((1.0 - t) * math.log1p(t * beta)),
+                1e-12, 1.0 - 1e-12, 1e-13, 500,
             )
             assert f_lambda_variational(lam, beta) == fx
 
@@ -164,6 +170,28 @@ def test_kstar_psi_linear_ceiling():
 def test_kstar_psi_increasing():
     vals = [kstar_psi(p) for p in np.geomspace(0.2, 200, 25)]
     assert all(a < b for a, b in zip(vals, vals[1:]))
+
+
+def test_kstar_psi_large_psi_asymptote():
+    # Kstar(psi) = 4 psi + 3 sqrt(psi) + O(1), so Kstar/(4 psi) -> 1; W
+    # itself rounds to 1 once psi^{-1/2} is below rounding
+    for psi in np.geomspace(1e20, 1e300, 57):
+        k = kstar_psi(psi)
+        assert abs(k / (4 * psi + 3 * math.sqrt(psi)) - 1) < 1e-12
+        if psi >= 1e24:
+            assert abs(k / (4 * psi) - 1) < 1e-12
+
+
+def test_kstar_psi_rejects_infinite_psi():
+    with pytest.raises(OutOfDomain):
+        kstar_psi(math.inf)
+
+
+def test_variational_route_at_tiny_beta():
+    # F_1(beta) = beta Kstar(beta^-2), and F_1(beta) -> 4/beta as beta -> 0
+    for beta in (1e-7, 1e-10, 1e-20, 1e-100):
+        assert abs(f_lambda_variational(1.0, beta) / (beta * kstar_psi(beta ** -2.0)) - 1) < 1e-12
+        assert abs(f_lambda_variational(0.5, beta) * beta / 4 - 1) < 1e-6
 
 
 def test_kstar_lambda_affine_ceiling():

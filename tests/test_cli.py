@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -31,6 +32,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_cli_process(*argv):
+    """The CLI in a fresh interpreter, so stderr holds exactly what a user sees."""
+    src = str(Path(tuttezero.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-W", "default", "-m", "tuttezero.cli", *argv],
+                          capture_output=True, text=True, env=env)
 
 
 def test_constants_default(capsys):
@@ -165,6 +175,32 @@ def test_analyze_numerical_failure_is_input_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "tuttezero: error:" in err and "Traceback" not in err
+    # the root finder stops at the first non-finite value; numpy says nothing
+    proc = run_cli_process("analyze", "--input", str(p))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("tuttezero: error:")
+    assert "RuntimeWarning" not in proc.stderr
+
+
+def test_analyze_weight_1e40_has_finite_radii(capsys, tmp_path):
+    # psi is 2e40 here; the disc constants used to divide by zero
+    p = tmp_path / "big.txt"
+    p.write_text("0 1 1e40 0\n1 2 1 0\n")
+    code, out, err = run_cli(capsys, "analyze", "--input", str(p))
+    assert code == 0, err
+    blob = json.loads(out)
+    radii = [blob["bounds"]["radius_general"], blob["bounds"]["radius_simple"],
+             *blob["bounds"]["radius_interpolated"].values()]
+    assert all(math.isfinite(r) and r > 1e40 for r in radii)
+    assert sorted(r[0] for r in blob["roots"]) == [-1e40, -1.0]
+
+
+def test_analyze_weight_1e300_fails_cleanly(capsys, tmp_path):
+    p = tmp_path / "huge.txt"
+    p.write_text("0 1 1e300 0\n1 2 1 0\n")
+    code, out, err = run_cli(capsys, "analyze", "--input", str(p))
+    assert code in (0, 2)
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

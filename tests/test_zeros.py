@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from tuttezero import analyze, build_graph, example_suite, q_max, q_roots, z_polynomial
+import tuttezero.zeros as zeros
+from tuttezero import analyze, build_graph, example_suite, families, q_max, q_roots, z_polynomial
 from tuttezero.families import (
     complete_graph,
     cycle_graph,
@@ -121,6 +122,52 @@ def test_aberth_stops_at_rounding_noise_near_a_root_cluster():
     got = _aberth(np.poly(roots)[::-1])
     assert got is not None
     assert np.allclose(np.sort_complex(got), np.sort_complex(roots), rtol=0, atol=1e-9)
+
+
+def test_start_puts_points_on_newton_polygon_circles():
+    # two roots at each of three moduli; the hull puts two start points
+    # within a factor sqrt(2) of each modulus
+    roots = [1e-3, 1e-3j, 1.0, -1.0, 1e3, 1e3j]
+    z = zeros._start(np.poly(roots)[::-1])
+    radii = np.sort(np.abs(z))
+    for pair, r in zip(radii.reshape(3, 2), (1e-3, 1.0, 1e3)):
+        assert np.all((r / 2 < pair) & (pair < 2 * r))
+
+
+def _guard_graphs():
+    rng = np.random.default_rng(0)
+    out = [cycle_one_heavy(6, 1e6, 1e-6), cycle_one_heavy(12, 1e4, 1e-4)]
+    for n in (11, 12):
+        for _ in range(3):
+            tree = [(int(rng.integers(k)), k) for k in range(1, n)]
+            out.append(families.weighted((n, tree), families.sample_weights(n - 1, "mixed", rng)))
+            ring = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
+            absent = [(u, v) for u in range(n) for v in range(u + 2, n) if (u, v) != (0, n - 1)]
+            chords = [absent[i] for i in rng.choice(len(absent), 3, replace=False)]
+            pairs = ring + chords
+            out.append(families.weighted((n, pairs), families.sample_weights(len(pairs), "mixed", rng)))
+    return out
+
+
+def test_root_finder_work_stays_small(monkeypatch):
+    # Polynomial evaluations over a fixed set of wide graphs: 406 with the
+    # Newton-polygon start, 1807 with a single start circle of radius
+    # 0.7 (1 + max|c_k|).  The bound leaves 50% headroom over the former.
+    calls = [0]
+    evaluate = zeros._poly_eval_many
+
+    def counted(c, z):
+        calls[0] += 1
+        return evaluate(c, z)
+
+    def no_fallback(*args):
+        raise AssertionError("the np.roots fallback ran")
+
+    monkeypatch.setattr(zeros, "_poly_eval_many", counted)
+    monkeypatch.setattr(np, "roots", no_fallback)
+    for g in _guard_graphs():
+        analyze(g)
+    assert calls[0] <= 600
 
 
 def test_example_suite_shape_and_determinism():
