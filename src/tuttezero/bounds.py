@@ -292,24 +292,30 @@ def f_lambda_series(lam: float, beta: float) -> float:
 def f_lambda_variational(lam: float, beta: float) -> float:
     """F_lambda(beta) = min over 1 < y < 1+beta of beta y^lam / ((1+beta-y) log y).
 
-    Minimized in t = (y-1)/beta on (0, 1), where the objective reads
-    (1+t beta)^lam / ((1-t) log1p(t beta)).  In y the interval shrinks
-    onto 1 as beta falls: the minimizer's tolerance, relative to |y|,
-    swamps it (6% high at beta = 1e-7) and 1 + beta rounds to 1 below
-    1e-16.  The objective blows up at both ends and is unimodal inside;
-    Brent's bounded golden-section/parabolic minimizer (_minimize_bounded)
-    locates the minimum to 1e-13 in t, which pins the value to machine
-    accuracy.
+    Minimized in v = log y on (0, log1p(beta)), where the objective reads
+    e^{lam v} / ((1 - expm1(v)/beta) v) and stays finite and accurate for
+    beta from 1e-300 to 1e300.  The minimum sits near v = beta/2 as
+    beta -> 0 and, for lam > 0, near v = 1/lam as beta grows.  The
+    minimizer's tolerance, 1e-13 min(1, log1p(beta)) plus sqrt(eps) |v|,
+    is relative to v at every beta (in y it swamps the interval at small
+    beta, and 1 + beta rounds to 1 below 1e-16).  The ends are
+    y - 1 = 1e-12 min(1, beta) and 1 + beta - y = 1e-12 beta.  The
+    objective blows up at both ends and is unimodal inside; Brent's
+    bounded golden-section/parabolic minimizer (_minimize_bounded) pins
+    the value to machine accuracy.
     """
     if lam < 0.0:
         raise OutOfDomain(f"lambda must be >= 0, got {lam}")
     if beta <= 0.0:
         raise OutOfDomain(f"beta must be > 0, got {beta}")
 
-    def obj(t: float) -> float:
-        return (1.0 + t * beta) ** lam / ((1.0 - t) * math.log1p(t * beta))
+    def obj(v: float) -> float:
+        return math.exp(lam * v) / ((1.0 - math.expm1(v) / beta) * v)
 
-    _, fmin = _minimize_bounded(obj, 1e-12, 1.0 - 1e-12, 1e-13, 500)
+    lo = math.log1p(1e-12 * min(1.0, beta))
+    hi = math.log1p(beta * (1.0 - 1e-12))
+    tol = 1e-13 * min(1.0, math.log1p(beta))
+    _, fmin = _minimize_bounded(obj, lo, hi, tol, 500)
     return fmin
 
 
@@ -318,6 +324,11 @@ def f_closed(lam: float, beta: float) -> float:
 
     F_0(beta) = beta/(1+beta) * W((1+beta)e) / (W((1+beta)e) - 1)^2
     F_1(beta) = beta * W(e/(1+beta)) / (1 - W(e/(1+beta)))^2
+
+    Both are evaluated as written, with lambert_w, so they check the
+    routes independently of kstar_psi's solver.  The F_1 form loses
+    accuracy to cancellation in 1 - W as beta -> 0 (F_1(beta) equals
+    beta Kstar(beta^-2), which kstar_psi evaluates without it).
     """
     if beta <= 0.0:
         raise OutOfDomain(f"beta must be > 0, got {beta}")
@@ -333,25 +344,28 @@ def f_closed(lam: float, beta: float) -> float:
 # ---------------------------------------------------------------------------
 # the named constants
 
-def _one_minus_w(b: float) -> float:
-    """u = 1 - W(e/(1+b)) for b > 0, the root in (0, 1) of
-    f(u) = u - log(1-u) - log(1+b).
+def _neg_log_w(b: float) -> float:
+    """s = -log W(e/(1+b)) for b > 0, the root in (0, inf) of
+    h(s) = s - expm1(-s) - log1p(b).
 
-    f is increasing and convex on (0, 1), so Newton steps from a start
-    right of the root fall monotonically onto it; both guesses below have
-    f >= 0 since -log(1-x) >= x.  The iteration stops at a zero residual
-    or at the first step that no longer moves u down (rounding noise).
+    Both W = e^{-s} and 1 - W = -expm1(-s) follow from s without
+    cancellation, whether W is near 1 (large psi) or near 0 (small psi).
+    h is increasing and concave, so Newton steps from a start left of the
+    root rise monotonically onto it; with lb = log1p(b), the start
+    max(lb/2, lb-1) has h <= 0 since 1 - e^{-s} <= min(s, 1).  The
+    iteration stops at a nonnegative residual or at the first step that
+    no longer moves s up (rounding noise).
     """
     lb = math.log1p(b)
-    u = min(0.5 * lb, -math.expm1(-lb))
+    s = max(0.5 * lb, lb - 1.0)
     for _ in range(100):
-        f = (u - math.log1p(-u)) - lb
-        if f <= 0.0:
-            return u
-        nxt = u - f * (1.0 - u) / (2.0 - u)
-        if not (0.0 < nxt < u):
-            return u
-        u = nxt
+        r = lb - (s - math.expm1(-s))
+        if r <= 0.0:
+            return s
+        nxt = s + r / (1.0 + math.exp(-s))
+        if not nxt > s:
+            return s
+        s = nxt
     raise NoConvergence(f"kstar_psi failed to converge at b = {b}")
 
 
@@ -359,8 +373,9 @@ def kstar_psi(psi: float, route: str = "lambert") -> float:
     """Kstar(psi), the disc constant multiplying Delta' for vertex factor psi.
 
     Routes: "lambert" (default) evaluates W / (1-W)^2 at
-    W = W(e/(1+psi^{-1/2})), solving for u = 1 - W directly so that no
-    cancellation in 1 - W limits it at large psi (_one_minus_w);
+    W = W(e/(1+psi^{-1/2})), solving for s = -log W (_neg_log_w) so that
+    neither cancellation in 1 - W at large psi nor rounding of W at small
+    psi limits it;
     "variational" minimizes y/((1+psi^{-1/2}-y) log y); "series" solves the
     defining threshold with coefficients psi^{n/2} n^{n-1}/n!.  All agree
     to 1e-9, and Kstar(psi) <= 4 psi + 3 sqrt(psi).
@@ -369,8 +384,9 @@ def kstar_psi(psi: float, route: str = "lambert") -> float:
         raise OutOfDomain(f"psi must be finite and > 0, got {psi}")
     b = psi ** -0.5
     if route == "lambert":
-        u = _one_minus_w(b)
-        return (1.0 - u) / u / u
+        s = _neg_log_w(b)
+        m = -math.expm1(-s)
+        return math.exp(-s) / m / m
     if route == "variational":
         return math.sqrt(psi) * f_lambda_variational(1.0, b)
     if route == "series":

@@ -2,7 +2,8 @@
 
 The polynomial is monic of degree |V| with a zero of known multiplicity
 at q = 0 (one per component left by the nonzero-weight edges); that
-factor is stripped exactly before handing the rest to a simultaneous
+factor, and any further zero root left by exact cancellation of weights,
+is stripped exactly before handing the rest to a simultaneous
 Aberth iteration.  The iteration starts from the Newton polygon of the
 coefficient moduli, one circle of points per edge of the upper convex
 hull of (k, log|c_k|) (Bini, Numer. Algorithms 13, 1996), so the start
@@ -138,38 +139,44 @@ def _aberth(c: np.ndarray, max_iter: int = 500) -> np.ndarray | None:
 
 
 def q_roots(g: WeightedGraph) -> tuple[list[complex], int]:
-    """Nonzero roots (with multiplicity) and the multiplicity at q = 0.
+    """Roots other than the forced zeros, and the multiplicity of those.
 
-    The zero multiplicity is the component count of the subgraph kept by
-    the nonzero-weight edges, an exact integer; the remaining factor is
-    monic and has a nonzero constant term.
+    The forced multiplicity at q = 0 is the component count of the
+    subgraph kept by the nonzero-weight edges, an exact integer.  Weights
+    can cancel further low coefficients exactly (the triangle with every
+    weight -3 has Z = q^3 - 9 q^2); each such coefficient is one more
+    root at 0, listed with the others, so the list always has n - mult
+    entries.  The factor left for the root finder is monic with a nonzero
+    constant term.
     """
     zp = z_polynomial(g)
     mult = nonzero_component_count(g)
     c = np.asarray(zp.coeffs, dtype=np.complex128)[mult:]
+    extra = int(np.flatnonzero(c)[0])
+    c = c[extra:]
     d = len(c) - 1
-    if d == 0:
-        return [], mult
-    if d == 1:
-        return [complex(-c[0] / c[1])], mult
-    # overflow shows as a non-finite value, which _aberth and _residual_ok
-    # catch themselves; numpy's warnings would only repeat it on stderr
-    with np.errstate(all="ignore"):
-        roots = _aberth(c)
-        if roots is None or not _residual_ok(c, roots):
-            # companion-matrix eigenvalues, then a touch of Newton
-            alt = np.roots(c[::-1])
-            dc = c[1:] * np.arange(1, d + 1)
-            for _ in range(5):
-                p = _poly_eval_many(c, alt)
-                dp = _poly_eval_many(dc, alt)
-                step = np.where(np.abs(dp) > 1e-300, p / dp, 0.0)
-                alt = alt - step
-            if not _residual_ok(c, alt):
-                raise NoConvergence("root finder failed the residual check")
-            roots = alt
-    ordered = sorted((complex(r) for r in roots), key=lambda r: (r.real, r.imag))
-    return ordered, mult
+    if d <= 1:
+        roots = [-c[0] / c[1]] if d == 1 else []
+    else:
+        # overflow shows as a non-finite value, which _aberth and
+        # _residual_ok catch themselves; numpy's warnings would only
+        # repeat it on stderr
+        with np.errstate(all="ignore"):
+            roots = _aberth(c)
+            if roots is None or not _residual_ok(c, roots):
+                # companion-matrix eigenvalues, then a touch of Newton
+                alt = np.roots(c[::-1])
+                dc = c[1:] * np.arange(1, d + 1)
+                for _ in range(5):
+                    p = _poly_eval_many(c, alt)
+                    dp = _poly_eval_many(dc, alt)
+                    step = np.where(np.abs(dp) > 1e-300, p / dp, 0.0)
+                    alt = alt - step
+                if not _residual_ok(c, alt):
+                    raise NoConvergence("root finder failed the residual check")
+                roots = alt
+    found = [0j] * extra + [complex(r) for r in roots]
+    return sorted(found, key=lambda r: (r.real, r.imag)), mult
 
 
 def q_max(g: WeightedGraph) -> float:

@@ -45,11 +45,11 @@ def test_minimizer_matches_scipy_on_variational_objective():
                 lambda y: variational_objective(lam, beta, y),
                 1.0 + eps, 1.0 + beta - eps, 1e-13, 500,
             )
-            # f_lambda_variational minimizes the same objective in
-            # t = (y - 1)/beta on (0, 1)
+            # f_lambda_variational minimizes the same objective in v = log y
             _, fx = assert_matches_scipy(
-                lambda t: (1.0 + t * beta) ** lam / ((1.0 - t) * math.log1p(t * beta)),
-                1e-12, 1.0 - 1e-12, 1e-13, 500,
+                lambda v: math.exp(lam * v) / ((1.0 - math.expm1(v) / beta) * v),
+                math.log1p(eps), math.log1p(beta * (1.0 - 1e-12)),
+                1e-13 * min(1.0, math.log1p(beta)), 500,
             )
             assert f_lambda_variational(lam, beta) == fx
 
@@ -185,6 +185,25 @@ def test_kstar_psi_large_psi_asymptote():
 def test_kstar_psi_rejects_infinite_psi():
     with pytest.raises(OutOfDomain):
         kstar_psi(math.inf)
+
+
+def test_kstar_psi_small_psi():
+    # W = W(e/(1+b)) is far from 1 here, so the Lambert expression is exact
+    # to rounding; W itself is about e psi^{1/2}
+    for psi in (1e-2, 1e-20, 1e-40, 1e-300):
+        w = lambert_w(math.e / (1 + psi ** -0.5))
+        want = w / (1 - w) ** 2
+        assert abs(kstar_psi(psi) / want - 1) < 1e-12
+        assert abs(kstar_psi(psi, "variational") / want - 1) < 1e-12
+
+
+def test_variational_route_at_large_beta():
+    # the minimum sits near y = e^{1/lam}, a vanishing fraction of the
+    # interval (1, 1 + beta) once beta is large
+    for beta in (1e6, 1e12, 1e20, 1e100, 1e300):
+        for lam in (0, 1):
+            assert abs(f_lambda_variational(lam, beta) / f_closed(lam, beta) - 1) < 1e-12
+    assert abs(f_lambda_variational(1.0, 1e20) - math.e) < 1e-12
 
 
 def test_variational_route_at_tiny_beta():

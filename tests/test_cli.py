@@ -61,6 +61,16 @@ def test_constants_flags(capsys):
     assert blob["kstar_psi"] > blob["f_lambda_beta"] > 0
 
 
+def test_constants_at_extreme_psi_and_beta(capsys):
+    # F_1(beta) -> e as beta grows; Kstar(psi) -> e psi^{1/2} as psi -> 0
+    code, out, _ = run_cli(capsys, "constants", "--psi", "1e-40", "--lambda", "1",
+                           "--beta", "1e20")
+    assert code == 0
+    blob = json.loads(out)
+    assert abs(blob["f_lambda_beta"] / math.e - 1) < 1e-12
+    assert abs(blob["kstar_psi"] / (math.e * 1e-20) - 1) < 1e-12
+
+
 def test_constants_rejects_bad_psi(capsys):
     code, _, err = run_cli(capsys, "constants", "--psi", "-1")
     assert code == 2

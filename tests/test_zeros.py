@@ -70,6 +70,17 @@ def test_zero_weight_edge_raises_multiplicity():
     assert mult == 2
 
 
+def test_cancelled_constant_term_is_a_root_at_zero():
+    # every weight -3: the q^1 coefficient 3*9 - 27 cancels exactly, so
+    # Z = q^3 - 9 q^2 has a zero root beyond the one forced by connectivity
+    g = complete_graph(3, -3.0)
+    roots, mult = q_roots(g)
+    assert mult == 1
+    assert len(roots) + mult == 3
+    assert roots[0] == 0 and abs(roots[1] - 9) < 1e-12
+    assert analyze(g).q_max == abs(roots[1])
+
+
 def test_q_max_triangle(triangle):
     assert abs(q_max(triangle) - 2.0) < 1e-10
 
