@@ -31,6 +31,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import OutOfDomain
+
 # Edge masks over the first BLOCK_BITS edges form one block of the engine.
 # At 12 a block's products take 64 KiB and a label row 4 KiB, so the
 # arrays of a whole call stay small enough for the C heap to reuse from one
@@ -103,20 +105,28 @@ def _pairwise_reduce(blocks: np.ndarray) -> np.ndarray:
 
 
 def z_coefficients(n: int, edges) -> np.ndarray:
-    """Coefficients (ascending in q) of sum_A q^{k(A)} prod_{e in A} w_e."""
+    """Coefficients (ascending in q) of sum_A q^{k(A)} prod_{e in A} w_e.
+
+    Raises OutOfDomain when a coefficient is not finite, which happens
+    when the products of finite weights overflow.
+    """
     pairs = [(u, v) for u, v, _ in edges]
     w = np.array([complex(x) for _, _, x in edges], dtype=np.complex128)
     nhigh = max(0, len(pairs) - BLOCK_BITS)
     blocks = np.zeros((1 << nhigh, n + 1), dtype=np.complex128)
-    for high, k, prod in _edge_subset_blocks(n, pairs, w):
-        # group the products by k, keeping mask order, and sum each group
-        # with numpy's pairwise summation
-        grouped = prod[np.argsort(k, kind="stable")]
-        start = 0
-        for c, size in enumerate(np.bincount(k, minlength=n + 1).tolist()):
-            blocks[high, c] = grouped[start:start + size].sum()
-            start += size
-    return _pairwise_reduce(blocks)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for high, k, prod in _edge_subset_blocks(n, pairs, w):
+            # group the products by k, keeping mask order, and sum each
+            # group with numpy's pairwise summation
+            grouped = prod[np.argsort(k, kind="stable")]
+            start = 0
+            for c, size in enumerate(np.bincount(k, minlength=n + 1).tolist()):
+                blocks[high, c] = grouped[start:start + size].sum()
+                start += size
+        out = _pairwise_reduce(blocks)
+    if not np.isfinite(out).all():
+        raise OutOfDomain("a partition-function coefficient overflows floating point")
+    return out
 
 
 # Unit roundoff of binary64, and a bound on the relative rounding error of

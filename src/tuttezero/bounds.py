@@ -266,9 +266,16 @@ def _series_threshold(lam: float, scale: float, denom_kind: str,
         elif hi - lo <= 1e-9 * max(1.0, hi):
             break  # undecidable only inside the agreement tolerance
         else:
-            raise NoConvergence(
-                f"series threshold: tail bound cannot certify at L = {mid}"
-            )
+            # mid sits within the decision margin of the threshold; two
+            # points just beside it can still bracket the threshold tightly
+            below, above = mid * (1.0 - 1e-10), mid * (1.0 + 1e-10)
+            if (_series_decision(below, lam, scale, denom_kind, target, n_cap) != "no"
+                    or _series_decision(above, lam, scale, denom_kind, target, n_cap)
+                    != "yes"):
+                raise NoConvergence(
+                    f"series threshold: tail bound cannot certify at L = {mid}"
+                )
+            lo, hi = below, above
     return 0.5 * (lo + hi)
 
 

@@ -100,16 +100,23 @@ class PolymerWeights:
         return cls.from_sets(n, pairs)
 
 
-def tutte_polymer_weights(g: WeightedGraph, q: complex) -> PolymerWeights:
-    """Activities rho(S) = q^{-(|S|-1)} C_{G[S]}(w) for connected |S| >= 2."""
+def tutte_polymer_weights(
+    g: WeightedGraph, q: complex, table: dict[int, complex] | None = None
+) -> PolymerWeights:
+    """Activities rho(S) = q^{-(|S|-1)} C_{G[S]}(w) for connected |S| >= 2.
+
+    table is g's connected_by_support table; it is built when not given,
+    so a caller evaluating several q on one graph can build it once.
+    """
     q = complex(q)
     if q == 0:
         raise ZeroQ("activities are undefined at q = 0")
     if g.n > MAX_POLYMER_VERTICES:
         raise TooLarge(f"{g.n} vertices exceeds polymer limit {MAX_POLYMER_VERTICES}")
+    if table is None:
+        table = connected_by_support(g)
     entries = tuple(
-        (mask, c * q ** -(bin(mask).count("1") - 1))
-        for mask, c in connected_by_support(g).items()
+        (mask, c * q ** -(bin(mask).count("1") - 1)) for mask, c in table.items()
     )
     return PolymerWeights(g.n, entries)
 
@@ -140,22 +147,27 @@ def polymer_partition(pw: PolymerWeights) -> complex:
     return complex(f[-1])
 
 
-def polymer_profile(g: WeightedGraph) -> np.ndarray:
+def polymer_profile(
+    g: WeightedGraph, table: dict[int, complex] | None = None
+) -> np.ndarray:
     """Coefficients p_j with Xi(q) = sum_j p_j q^{-j}, j = 0..n-1.
 
     Same dynamic programming as polymer_partition, but each activity is
     carried as its connected value times a shift by |S| - 1 in j, so the
     q-dependence stays symbolic.  Multiplying by q^n aligns p_j with the
     coefficient of q^{n-j} in the partition function; the tests compare
-    them coefficient by coefficient.
+    them coefficient by coefficient.  table is g's connected_by_support
+    table, built when not given, as in tutte_polymer_weights.
     """
     n = g.n
     if n == 0:
         return np.ones(1, dtype=np.complex128)
     if n > MAX_POLYMER_VERTICES:
         raise TooLarge(f"{n} vertices exceeds polymer limit {MAX_POLYMER_VERTICES}")
+    if table is None:
+        table = connected_by_support(g)
     by_low: list[list[tuple[int, int, complex]]] = [[] for _ in range(n)]
-    for mask, c in connected_by_support(g).items():
+    for mask, c in table.items():
         low = (mask & -mask).bit_length() - 1
         by_low[low].append((mask, bin(mask).count("1") - 1, c))
     f = np.zeros((1 << n, n), dtype=np.complex128)

@@ -79,7 +79,8 @@ def z_polynomial(g: WeightedGraph) -> QPolynomial:
 
     The leading coefficient (power |V|) is exactly 1 from the empty edge
     subset, and coefficients below the component count of the nonzero-
-    weight edge set are exact zeros.
+    weight edge set are exact zeros.  Weights whose products overflow
+    raise OutOfDomain.
     """
     _check_size(g)
     coeffs = _kernels.z_coefficients(g.n, g.edges)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
@@ -246,6 +246,8 @@ def test_closed_form_needs_integer_ends():
     lam=st.floats(0, 1, allow_nan=False),
     beta=st.floats(0.05, 20, allow_nan=False),
 )
+# a bisection midpoint 6e-13 from the threshold, inside the decision margin
+@example(lam=0.04794005893828192, beta=0.5296205060977487)
 def test_series_and_variational_agree_random(lam, beta):
     a = f_lambda_series(lam, beta)
     b = f_lambda_variational(lam, beta)

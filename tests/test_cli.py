@@ -192,6 +192,21 @@ def test_analyze_numerical_failure_is_input_error(capsys, tmp_path):
     assert "RuntimeWarning" not in proc.stderr
 
 
+def test_analyze_overflowing_coefficients_is_input_error(capsys, tmp_path):
+    # each weight is finite, but their product, the q^1 coefficient, is not
+    p = tmp_path / "product.txt"
+    p.write_text("0 1 1e200 0\n1 2 1e200 0\n")
+    code, out, err = run_cli(capsys, "analyze", "--input", str(p))
+    assert code == 2
+    assert out == ""
+    assert "tuttezero: error:" in err and "Traceback" not in err
+    proc = run_cli_process("analyze", "--input", str(p))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("tuttezero: error:")
+    assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
 def test_analyze_weight_1e40_has_finite_radii(capsys, tmp_path):
     # psi is 2e40 here; the disc constants used to divide by zero
     p = tmp_path / "big.txt"

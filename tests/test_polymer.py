@@ -8,8 +8,10 @@ from tuttezero import (
     DegenerateWeights,
     OutOfDomain,
     PolymerWeights,
+    QPolynomial,
     ZeroQ,
     build_graph,
+    connected_by_support,
     gkfp_margin,
     gkfp_optimal,
     kp_margin,
@@ -18,6 +20,7 @@ from tuttezero import (
     tutte_polymer_weights,
     z_polynomial,
 )
+from tuttezero import _kernels, verify
 from tuttezero.families import complete_graph, path_graph
 
 
@@ -192,3 +195,80 @@ def test_weights_json_round_trip():
     pw = PolymerWeights.from_sets(4, [([0, 1], 1.5 + 0.5j), ([1, 2, 3], -2.0j)])
     back = PolymerWeights.from_json(pw.host_vertex_count, pw.to_json())
     assert back == pw
+
+
+def test_given_table_matches_built_table():
+    g = complete_graph(4, complex(0.3, -1.1))
+    table = connected_by_support(g)
+    assert np.array_equal(polymer_profile(g, table=table), polymer_profile(g))
+    q = complex(1.3, 0.8)
+    assert tutte_polymer_weights(g, q, table=table) == tutte_polymer_weights(g, q)
+
+
+# ---------------------------------------------------------------------------
+# the identity sweep: one table per graph, and a failure path that reports
+
+
+def test_polymer_sweep_builds_one_table_per_graph(monkeypatch):
+    counts = {"table": 0, "z": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(_kernels, "connected_by_support",
+                        counted("table", _kernels.connected_by_support))
+    monkeypatch.setattr(verify, "z_polynomial", counted("z", verify.z_polynomial))
+    r = verify.verify_polymer_identity(max_simple=4, max_multi=3, n_q=4, seed=0)
+    assert r["passed"]
+    assert counts["z"] > 0
+    assert counts["table"] == counts["z"]
+
+
+def test_polymer_sweep_reports_a_scaled_profile(monkeypatch):
+    profile = verify.polymer_profile
+
+    def scaled(g, **kwargs):
+        p = profile(g, **kwargs)
+        return p * (1 + 1e-6) if g.n == 4 else p
+
+    monkeypatch.setattr(verify, "polymer_profile", scaled)
+    r = verify.verify_polymer_identity(4, 0, n_q=5, seed=0)
+    # 6 four-vertex structures, each off at all 5 points and both activity points
+    assert not r["passed"]
+    assert r["checked"] == 70
+    assert r["failure_count"] == 42
+    star = "identity off at n=4, edges=((0, 3), (1, 3), (2, 3)), q="
+    assert r["failures"][:2] == [
+        star + "(2.652678663038987-0.8093389905310286j)",
+        star + "(-2.367028322578623+0.7746489092382554j)",
+    ]
+    assert r["failures"][5:7] == [
+        "activity route differs at n=4, q=(2.652678663038987-0.8093389905310286j)",
+        "activity route differs at n=4, q=(-2.367028322578623+0.7746489092382554j)",
+    ]
+    assert r["failures"][7] == (
+        "identity off at n=4, edges=((0, 1), (0, 3), (1, 2)), "
+        "q=(1.2668572679384988+2.592358119680269j)"
+    )
+
+
+def test_polymer_sweep_reports_a_perturbed_polynomial(monkeypatch):
+    z_poly = verify.z_polynomial
+
+    def perturbed(g):
+        c = list(z_poly(g).coeffs)
+        c[1] *= 1 + 1e-6
+        return QPolynomial(tuple(c))
+
+    monkeypatch.setattr(verify, "z_polynomial", perturbed)
+    r = verify.verify_polymer_identity(4, 0, n_q=5, seed=0)
+    # every structure is off at every point; the activity route never sees Z
+    assert r["checked"] == 70
+    assert r["failure_count"] == 50
+    assert not any(f.startswith("activity") for f in r["failures"])
+    assert r["failures"][0] == (
+        "identity off at n=1, edges=(), q=(0.8217701239287258-1.3812797174167781j)"
+    )

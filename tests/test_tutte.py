@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tuttezero import (
+    OutOfDomain,
     QPolynomial,
     TooLarge,
     build_graph,
@@ -265,6 +266,14 @@ def test_too_many_edges_rejected():
     g = build_graph(range(8), edges)  # 28 edges > the enumeration cap
     with pytest.raises(TooLarge):
         z_polynomial(g)
+
+
+def test_overflowing_coefficients_rejected():
+    g = build_graph(range(3), [(0, 1, 1e200), (1, 2, 1e200)])  # C = 1e400
+    with pytest.raises(OutOfDomain):
+        z_polynomial(g)
+    with pytest.raises(OutOfDomain):
+        connected_gen_poly(g)
 
 
 def test_zero_weight_edges_do_not_count_for_divisibility():
