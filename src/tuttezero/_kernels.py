@@ -136,6 +136,7 @@ _MUL = 3.0 * _U
 # The float table is kept only if every entry's rounding bound is at most
 # this share of its modulus; otherwise the whole graph is redone exactly.
 CANCEL_TOL = 1e-12
+_TABLE_OVERFLOW = "a connected-subgraph value overflows floating point"
 
 
 class _Gauss:
@@ -223,7 +224,8 @@ def _float_table(n: int, edges, conn: list[bool]) -> list[complex] | None:
     from plus one rounding per product and per subtraction.  The moduli
     in the bound are never subtracted, so cancellation in C(S) shows as a
     bound large against |C(S)|.  A non-finite table (overflow or
-    non-finite weights) is returned as it is: no comparison flags NaN.
+    non-finite weights) is returned as it is, since no comparison flags
+    NaN; connected_by_support rejects it.
     """
     f = _support_products(n, edges, 1.0 + 0j, lambda w: 1.0 + w)
     a_f = [abs(x) for x in f]
@@ -286,13 +288,19 @@ def connected_by_support(n: int, edges) -> np.ndarray:
     the empty mask.  The subtraction can cancel catastrophically when
     heavy and light weights mix, so the float pass carries a rounding
     bound per mask; if any bound exceeds CANCEL_TOL times |C(S)|, the
-    table is recomputed in exact rational arithmetic.
+    table is recomputed in exact rational arithmetic.  Raises OutOfDomain
+    when a value does not fit in floating point.
     """
     conn = _induced_connected(n, edges)
     table = _float_table(n, edges, conn)
     if table is None:
-        table = _exact_table(n, edges, conn)
+        try:
+            table = _exact_table(n, edges, conn)
+        except OverflowError:
+            raise OutOfDomain(_TABLE_OVERFLOW) from None
     out = np.asarray(table, dtype=np.complex128)
     for v in range(n):
         out[1 << v] = 0
+    if not np.isfinite(out).all():
+        raise OutOfDomain(_TABLE_OVERFLOW)
     return out

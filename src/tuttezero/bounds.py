@@ -179,26 +179,26 @@ def _minimize_bounded(func: Callable[[float], float], lo: float, hi: float,
 # ---------------------------------------------------------------------------
 # series route: least L with  inf_alpha  sum / denom(alpha) <= target
 
-def _series_partial_tail(alpha: float, L: float, lam: float, scale: float, N: int):
-    """Partial sum over n = 2..N of e^{alpha n} scale^n a_n / L^{n-1} with
+def _series_partial_tail(alpha: float, L: float, lam: float, N: int):
+    """Partial sum over n = 2..N of e^{alpha n} a_n / L^{n-1} with
     a_n = (1+(n-1)lam)^{n-2} / (n-1)!, plus a certified tail bound.
 
     The coefficient ratio a_{n+1}/a_n never exceeds e*(lam + 1/n), so from
-    N on the term ratio is at most rho = e^{alpha} * scale * e * (lam+1/N) / L
+    N on the term ratio is at most rho = e^{alpha} * e * (lam+1/N) / L
     and the tail beyond N is at most t_N * rho / (1 - rho) when rho < 1.
     """
     from scipy.special import gammaln
 
     n = np.arange(2.0, N + 1.0)
     logt = (
-        n * (alpha + math.log(scale))
+        n * alpha
         + (n - 2.0) * np.log1p((n - 1.0) * lam)
         - gammaln(n)
         - (n - 1.0) * math.log(L)
     )
     t = np.exp(logt)
     partial = float(np.sum(t))
-    rho = math.exp(alpha) * scale * _E * (lam + 1.0 / N) / L
+    rho = math.exp(alpha) * _E * (lam + 1.0 / N) / L
     if rho < 1.0:
         tail = float(t[-1]) * rho / (1.0 - rho)
     else:
@@ -206,8 +206,7 @@ def _series_partial_tail(alpha: float, L: float, lam: float, scale: float, N: in
     return partial, tail
 
 
-def _series_decision(L: float, lam: float, scale: float, denom_kind: str,
-                     target: float, n_cap: int) -> str:
+def _series_decision(L: float, lam: float, denom_kind: str, target: float) -> str:
     """Certified three-way answer to: is inf_alpha sum/denom <= target?
 
     The objective is log-convex in alpha, so Brent's bounded minimizer
@@ -219,46 +218,45 @@ def _series_decision(L: float, lam: float, scale: float, denom_kind: str,
 
     N = 300
     while True:
-        arg = L / (scale * _E * (lam + 1.0 / N))
+        arg = L / (_E * (lam + 1.0 / N))
         alpha_hi = min(50.0, math.log(arg) - 1e-12) if arg > 0 else -math.inf
         if alpha_hi <= 1e-6:
-            if lam > 0.0 and L <= scale * lam * _E:
+            if lam > 0.0 and L <= lam * _E:
                 return "no"  # divergent for every alpha
         else:
             def lower_obj(a: float) -> float:
-                p, _ = _series_partial_tail(a, L, lam, scale, N)
+                p, _ = _series_partial_tail(a, L, lam, N)
                 return p / denom(a)
 
             a_star, _ = _minimize_bounded(lower_obj, 1e-6, alpha_hi, 1e-12, 300)
-            p, tail = _series_partial_tail(a_star, L, lam, scale, N)
+            p, tail = _series_partial_tail(a_star, L, lam, N)
             d = denom(a_star)
             if (p + tail) / d <= target:
                 return "yes"
             if p / d > target * (1.0 + 1e-12):
                 return "no"
-        if N >= n_cap:
+        if N >= _SERIES_CAP:
             return "ambiguous"
-        N = min(n_cap, 3 * N)
+        N = min(_SERIES_CAP, 3 * N)
 
 
-def _series_threshold(lam: float, scale: float, denom_kind: str,
-                      target: float, n_cap: int = _SERIES_CAP) -> float:
+def _series_threshold(lam: float, denom_kind: str, target: float) -> float:
     """Bisection on L down to relative width 1e-13 (at most 80 steps)."""
-    lo = max(1e-9, scale * lam * _E * (1.0 + 1e-12))
-    hi = (4.0 / target + 2.0 + 2.0 * lam) * max(1.0, scale) ** 2
+    lo = max(1e-9, lam * _E * (1.0 + 1e-12))
+    hi = 4.0 / target + 2.0 + 2.0 * lam
     for _ in range(60):
-        if _series_decision(hi, lam, scale, denom_kind, target, n_cap) == "yes":
+        if _series_decision(hi, lam, denom_kind, target) == "yes":
             break
         hi *= 2.0
     else:
         raise NoConvergence("series threshold: no upper bracket found")
-    if _series_decision(lo, lam, scale, denom_kind, target, n_cap) == "yes":
+    if _series_decision(lo, lam, denom_kind, target) == "yes":
         raise NoConvergence("series threshold: lower bracket already satisfies")
     for _ in range(80):
         if hi - lo <= 1e-11 * max(1.0, hi):
             break
         mid = 0.5 * (lo + hi)
-        d = _series_decision(mid, lam, scale, denom_kind, target, n_cap)
+        d = _series_decision(mid, lam, denom_kind, target)
         if d == "yes":
             hi = mid
         elif d == "no":
@@ -269,9 +267,8 @@ def _series_threshold(lam: float, scale: float, denom_kind: str,
             # mid sits within the decision margin of the threshold; two
             # points just beside it can still bracket the threshold tightly
             below, above = mid * (1.0 - 1e-10), mid * (1.0 + 1e-10)
-            if (_series_decision(below, lam, scale, denom_kind, target, n_cap) != "no"
-                    or _series_decision(above, lam, scale, denom_kind, target, n_cap)
-                    != "yes"):
+            if (_series_decision(below, lam, denom_kind, target) != "no"
+                    or _series_decision(above, lam, denom_kind, target) != "yes"):
                 raise NoConvergence(
                     f"series threshold: tail bound cannot certify at L = {mid}"
                 )
@@ -290,7 +287,7 @@ def f_lambda_series(lam: float, beta: float) -> float:
         raise OutOfDomain(f"lambda must be >= 0, got {lam}")
     if beta <= 0.0:
         raise OutOfDomain(f"beta must be > 0, got {beta}")
-    return _series_threshold(lam, 1.0, "expm1", beta)
+    return _series_threshold(lam, "expm1", beta)
 
 
 # ---------------------------------------------------------------------------
@@ -376,29 +373,21 @@ def _neg_log_w(b: float) -> float:
     raise NoConvergence(f"kstar_psi failed to converge at b = {b}")
 
 
-def kstar_psi(psi: float, route: str = "lambert") -> float:
+def kstar_psi(psi: float) -> float:
     """Kstar(psi), the disc constant multiplying Delta' for vertex factor psi.
 
-    Routes: "lambert" (default) evaluates W / (1-W)^2 at
-    W = W(e/(1+psi^{-1/2})), solving for s = -log W (_neg_log_w) so that
-    neither cancellation in 1 - W at large psi nor rounding of W at small
-    psi limits it;
-    "variational" minimizes y/((1+psi^{-1/2}-y) log y); "series" solves the
-    defining threshold with coefficients psi^{n/2} n^{n-1}/n!.  All agree
-    to 1e-9, and Kstar(psi) <= 4 psi + 3 sqrt(psi).
+    Kstar(psi) = sqrt(psi) F_1(psi^{-1/2}) = W / (1-W)^2 at
+    W = W(e/(1+psi^{-1/2})), evaluated by solving for s = -log W
+    (_neg_log_w) so that neither cancellation in 1 - W at large psi nor
+    rounding of W at small psi limits it.  The variational and series
+    routes for F_1 agree with it to 1e-9, and
+    Kstar(psi) <= 4 psi + 3 sqrt(psi).
     """
     if not (0.0 < psi < math.inf):
         raise OutOfDomain(f"psi must be finite and > 0, got {psi}")
-    b = psi ** -0.5
-    if route == "lambert":
-        s = _neg_log_w(b)
-        m = -math.expm1(-s)
-        return math.exp(-s) / m / m
-    if route == "variational":
-        return math.sqrt(psi) * f_lambda_variational(1.0, b)
-    if route == "series":
-        return _series_threshold(1.0, math.sqrt(psi), "expm1", 1.0)
-    raise OutOfDomain(f"unknown route {route!r}")
+    s = _neg_log_w(psi ** -0.5)
+    m = -math.expm1(-s)
+    return math.exp(-s) / m / m
 
 
 def kstar_lambda(lam: float) -> float:
@@ -428,7 +417,7 @@ def sokal_K(route: str = "variational") -> float:
         _, fmin = _minimize_bounded(obj, 1e-8, 10.0, 1e-12, 500)
         return fmin
     if route == "series":
-        return _series_threshold(1.0, 1.0, "alpha", 1.0)
+        return _series_threshold(1.0, "alpha", 1.0)
     raise OutOfDomain(f"unknown route {route!r}")
 
 

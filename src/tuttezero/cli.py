@@ -20,6 +20,8 @@ import sys
 from .bounds import f_lambda_variational, g_ratio, kstar_lambda, kstar_psi, sokal_K
 from .errors import TutteZeroError
 from .graph import load_graph
+from .tutte import MAX_ENUM_EDGES as HARD_MAX_EDGES
+from .tutte import MAX_SUPPORT_VERTICES as HARD_MAX_VERTICES
 from .verify import (
     verify_constants,
     verify_counting,
@@ -32,9 +34,6 @@ from .verify import (
     verify_polymer_identity,
 )
 from .zeros import analyze, example_suite
-
-HARD_MAX_VERTICES = 12
-HARD_MAX_EDGES = 24
 
 
 def _strip_timing(obj):

@@ -12,13 +12,12 @@ the tree function T(x) = sum n^{n-1}/n! x^n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from .errors import BadIndex, OutOfDomain, TooLarge
-from .graph import WeightedGraph, degree_quantities, induced_subgraph
+from .graph import WeightedGraph, induced_subgraph
 from .tutte import MAX_ENUM_EDGES
 
 _E = math.e
@@ -159,53 +158,6 @@ def tree_function_u(z: float, n_terms: int = 200_000) -> float:
     if z == 0.0:
         return 1.0
     return tree_function(z, n_terms) / z
-
-
-@dataclass(frozen=True)
-class CountingRecord:
-    """c_m at one root next to both of its closed-form ceilings."""
-
-    x: int
-    m: int
-    value: float
-    bound_rooted: float
-    bound_sokal: float
-
-    @property
-    def ordered(self) -> bool:
-        slack = 1e-9
-        return (
-            self.value <= self.bound_rooted * (1 + slack) + 1e-300
-            and self.bound_rooted <= self.bound_sokal * (1 + slack) + 1e-300
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "x": self.x,
-            "m": self.m,
-            "value": self.value,
-            "bound_rooted": self.bound_rooted,
-            "bound_sokal": self.bound_sokal,
-            "ordered": self.ordered,
-        }
-
-
-def counting_record(g: WeightedGraph, x: int, m: int) -> CountingRecord:
-    """Evaluate c_m and its two bounds at root x."""
-    deg = degree_quantities(g)
-    d = deg.strengths[x]
-    if g.n >= 2:
-        rest = induced_subgraph(g, [v for v in range(g.n) if v != x])
-        big_d = degree_quantities(rest).delta
-    else:
-        big_d = 0.0
-    return CountingRecord(
-        x=x,
-        m=m,
-        value=c_m(g, x, m),
-        bound_rooted=counting_bound_rooted(d, big_d, m),
-        bound_sokal=counting_bound_sokal(deg.delta, m),
-    )
 
 
 def _compositions(total: int, parts: int):

@@ -75,6 +75,9 @@ def grid_graph(rows: int, cols: int, w: Weight = 1.0) -> WeightedGraph:
 
 Structure = tuple[int, tuple[tuple[int, int], ...]]
 
+# Largest number of parallel copies of one edge in the multigraph corpus
+MAX_MULTIPLICITY = 3
+
 
 @functools.lru_cache(maxsize=16)
 def connected_simple_structures(max_n: int) -> tuple[Structure, ...]:
@@ -107,11 +110,9 @@ def connected_simple_structures(max_n: int) -> tuple[Structure, ...]:
 
 
 @functools.lru_cache(maxsize=16)
-def connected_multigraph_structures(
-    max_n: int, max_mult: int = 3, max_edges: int | None = None
-) -> tuple[Structure, ...]:
+def connected_multigraph_structures(max_n: int) -> tuple[Structure, ...]:
     """Connected multigraphs up to isomorphism: simple skeletons with edge
-    multiplicities 1..max_mult, deduplicated over vertex relabelings.
+    multiplicities 1..MAX_MULTIPLICITY, deduplicated over vertex relabelings.
 
     The edge list repeats each skeleton pair by its multiplicity.  Only
     structures with at least one repeated edge are returned; the simple
@@ -124,11 +125,8 @@ def connected_multigraph_structures(
     seen = set()
     for n, pairs in connected_simple_structures(max_n):
         perms = list(permutations(range(n)))
-        for mults in product(range(1, max_mult + 1), repeat=len(pairs)):
+        for mults in product(range(1, MAX_MULTIPLICITY + 1), repeat=len(pairs)):
             if all(mu == 1 for mu in mults):
-                continue
-            total = sum(mults)
-            if max_edges is not None and total > max_edges:
                 continue
             canon = min(
                 tuple(

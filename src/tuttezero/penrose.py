@@ -49,18 +49,6 @@ class PartitionReport:
             and sum(self.interval_sizes) == self.connected_count
         )
 
-    def to_json(self) -> dict:
-        return {
-            "root": self.root,
-            "tree_count": self.tree_count,
-            "connected_count": self.connected_count,
-            "interval_sizes": list(self.interval_sizes),
-            "disjoint": self.disjoint,
-            "covering": self.covering,
-            "root_edges_clear": self.root_edges_clear,
-            "passed": self.passed,
-        }
-
 
 def _require_connected(g: WeightedGraph) -> None:
     pairs = [(u, v) for u, v, _ in g.edges]
@@ -148,9 +136,8 @@ def verify_partition(g: WeightedGraph, root: int = 0) -> PartitionReport:
     """
     if not g.is_simple:
         raise NotSimple("interval construction needs a simple graph")
-    _require_connected(g)
+    trees = enumerate_spanning_trees(g)
     connected_count = int(connected_gen_poly(g.with_weights([1.0] * g.m)).real)
-    trees = spanning_tree_masks(g.n, [(u, v) for u, v, _ in g.edges])
     seen: set[int] = set()
     sizes = []
     clear = True
@@ -188,10 +175,8 @@ def penrose_identity_eval(g: WeightedGraph, root: int = 0) -> complex:
     """
     if not g.is_simple:
         raise NotSimple("interval construction needs a simple graph")
-    _require_connected(g)
-    pairs = [(u, v) for u, v, _ in g.edges]
     total = 0j
-    for t in spanning_tree_masks(g.n, pairs):
+    for t in enumerate_spanning_trees(g):
         r = penrose_map(g, t, root)
         term = 1 + 0j
         for i, (_, _, w) in enumerate(g.edges):

@@ -15,7 +15,6 @@ guarantees Xi does not vanish.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -31,9 +30,7 @@ from .errors import (
     ZeroQ,
 )
 from .graph import WeightedGraph
-from .tutte import connected_by_support
-
-MAX_POLYMER_VERTICES = 12
+from .tutte import MAX_SUPPORT_VERTICES as MAX_POLYMER_VERTICES, connected_by_support
 
 
 @dataclass(frozen=True)
@@ -76,28 +73,6 @@ class PolymerWeights:
                 mask |= 1 << v
             entries.append((mask, complex(rho)))
         return cls(n, tuple(entries))
-
-    def sets(self) -> list[tuple[tuple[int, ...], complex]]:
-        out = []
-        for mask, rho in self.entries:
-            s = tuple(v for v in range(self.host_vertex_count) if mask >> v & 1)
-            out.append((s, rho))
-        return out
-
-    def to_json(self) -> list[dict]:
-        return [
-            {"S": list(s), "rho": [rho.real, rho.imag]} for s, rho in self.sets()
-        ]
-
-    @classmethod
-    def from_json(cls, n: int, data) -> "PolymerWeights":
-        if isinstance(data, str):
-            data = json.loads(data)
-        pairs = []
-        for item in data:
-            re, im = item["rho"]
-            pairs.append((item["S"], complex(re, im)))
-        return cls.from_sets(n, pairs)
 
 
 def tutte_polymer_weights(

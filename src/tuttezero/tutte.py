@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 from dataclasses import dataclass
 
 from . import _kernels
@@ -33,6 +32,8 @@ from .errors import TooLarge
 from .graph import WeightedGraph
 
 MAX_ENUM_EDGES = 24
+# connected_by_support takes O(3^n) time whatever the edge count
+MAX_SUPPORT_VERTICES = 12
 
 
 @dataclass(frozen=True)
@@ -40,33 +41,6 @@ class QPolynomial:
     """Polynomial in q with complex coefficients, ascending by power."""
 
     coeffs: tuple[complex, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def eval(self, q: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * q + c
-        return acc
-
-    def __mul__(self, other: "QPolynomial") -> "QPolynomial":
-        a, b = self.coeffs, other.coeffs
-        out = [0j] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return QPolynomial(tuple(out))
-
-    def to_json(self) -> list[list[float]]:
-        return [[c.real, c.imag] for c in self.coeffs]
-
-    @staticmethod
-    def from_json(obj) -> "QPolynomial":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        return QPolynomial(tuple(complex(re, im) for re, im in obj))
 
 
 def _check_size(g: WeightedGraph) -> None:
@@ -85,11 +59,6 @@ def z_polynomial(g: WeightedGraph) -> QPolynomial:
     _check_size(g)
     coeffs = _kernels.z_coefficients(g.n, g.edges)
     return QPolynomial(tuple(complex(c) for c in coeffs))
-
-
-def z_eval(g: WeightedGraph, q: complex) -> complex:
-    """Z_G at one point, by Horner evaluation of the coefficient vector."""
-    return z_polynomial(g).eval(complex(q))
 
 
 def connected_gen_poly(g: WeightedGraph) -> complex:
@@ -114,14 +83,19 @@ def connected_by_support(g: WeightedGraph) -> dict[int, complex]:
     convention C = 1 for a single vertex is the caller's concern.
 
     The table comes from the set-partition recursion over vertex subsets
-    in _kernels.connected_by_support, in O(3^n) time.  Each entry carries
-    a rounding bound; when any bound exceeds 1e-12 of its entry (heavy
-    and light weights mixed), the whole table is recomputed in exact
-    Gaussian rationals, exact for the float weights as given.  Masks
+    in _kernels.connected_by_support, in O(3^n) time, so n is capped at
+    MAX_SUPPORT_VERTICES as well as m at MAX_ENUM_EDGES.  Each entry
+    carries a rounding bound; when any bound exceeds 1e-12 of its entry
+    (heavy and light weights mixed), the whole table is recomputed in
+    exact Gaussian rationals, exact for the float weights as given.  Masks
     whose induced subgraph is disconnected get an exact zero, which is
-    what drops them here.
+    what drops them here.  A value that overflows floating point raises
+    OutOfDomain.
     """
     _check_size(g)
+    if g.n > MAX_SUPPORT_VERTICES:
+        raise TooLarge(
+            f"{g.n} vertices exceeds the vertex-subset cap of {MAX_SUPPORT_VERTICES}")
     table = _kernels.connected_by_support(g.n, g.edges)
     return {int(s): complex(c) for s, c in enumerate(table) if c != 0}
 

@@ -28,6 +28,10 @@ from . import families
 
 
 _EPS = float(np.finfo(np.float64).eps)
+# Aberth steps before giving up, and the residual a root must meet
+# relative to sum |c_k| |z|^k
+_ABERTH_MAX_ITER = 500
+_RESIDUAL_TOL = 1e-8
 
 
 def _poly_eval_many(c: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -37,17 +41,26 @@ def _poly_eval_many(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     return p
 
 
-def _residual_ok(c: np.ndarray, roots: np.ndarray, tol: float = 1e-8) -> bool:
+def _residual_ok(c: np.ndarray, roots: np.ndarray) -> bool:
     if len(roots) == 0:
         return True
-    scale = np.zeros(len(roots))
-    az = np.abs(roots)
-    for k, ck in enumerate(c):
-        scale += abs(ck) * az ** k
+    scale = _poly_eval_many(np.abs(c), np.abs(roots))
     resid = np.abs(_poly_eval_many(c, roots))
     # an infinite scale bounds nothing, so it fails like a non-finite residual
     return bool(np.all(np.isfinite(scale)) and np.all(np.isfinite(resid))
-                and np.all(resid <= tol * scale))
+                and np.all(resid <= _RESIDUAL_TOL * scale))
+
+
+def _newton(c: np.ndarray, z: np.ndarray, steps: int) -> np.ndarray:
+    """steps Newton steps on every point; a point with p' = 0 stays put."""
+    d = len(c) - 1
+    dc = c[1:] * np.arange(1, d + 1)
+    for _ in range(steps):
+        p = _poly_eval_many(c, z)
+        dp = _poly_eval_many(dc, z) if d > 1 else np.full_like(z, c[1])
+        step = np.where(np.abs(dp) > 1e-300, p / dp, 0.0)
+        z = z - step
+    return z
 
 
 def _start(c: np.ndarray) -> np.ndarray:
@@ -79,15 +92,15 @@ def _start(c: np.ndarray) -> np.ndarray:
     return np.exp(np.array(log_r)) * np.exp(2j * np.pi * np.array(turns) + 0.19j)
 
 
-def _aberth(c: np.ndarray, max_iter: int = 500) -> np.ndarray | None:
+def _aberth(c: np.ndarray) -> np.ndarray | None:
     """Simultaneous iteration on a monic coefficient array, or None.
 
     The points start on the Newton-polygon circles of _start.  The
     iteration stops when the largest correction falls below 1e-14
     relative, or when it stops shrinking while every |p(z)| is within the
     rounding error of evaluating p; then three Newton steps polish the
-    points.  None means no stop within max_iter, or a non-finite p, p'
-    or correction (an overflowing polynomial).
+    points.  None means no stop within _ABERTH_MAX_ITER steps, or a
+    non-finite p, p' or correction (an overflowing polynomial).
     """
     d = len(c) - 1
     dc = c[1:] * np.arange(1, d + 1)
@@ -96,7 +109,7 @@ def _aberth(c: np.ndarray, max_iter: int = 500) -> np.ndarray | None:
     radius = float(np.max(np.abs(z)))
     abs_c = np.abs(c)
     last_step = np.inf
-    for _ in range(max_iter):
+    for _ in range(_ABERTH_MAX_ITER):
         p = _poly_eval_many(c, z)
         dp = _poly_eval_many(dc, z) if d > 1 else np.full_like(z, c[1])
         if not (np.all(np.isfinite(p)) and np.all(np.isfinite(dp))):
@@ -130,12 +143,7 @@ def _aberth(c: np.ndarray, max_iter: int = 500) -> np.ndarray | None:
         last_step = step
     else:
         return None
-    for _ in range(3):  # Newton polish
-        p = _poly_eval_many(c, z)
-        dp = _poly_eval_many(dc, z) if d > 1 else np.full_like(z, c[1])
-        step = np.where(np.abs(dp) > 1e-300, p / dp, 0.0)
-        z = z - step
-    return z
+    return _newton(c, z, 3)
 
 
 def q_roots(g: WeightedGraph) -> tuple[list[complex], int]:
@@ -165,13 +173,7 @@ def q_roots(g: WeightedGraph) -> tuple[list[complex], int]:
             roots = _aberth(c)
             if roots is None or not _residual_ok(c, roots):
                 # companion-matrix eigenvalues, then a touch of Newton
-                alt = np.roots(c[::-1])
-                dc = c[1:] * np.arange(1, d + 1)
-                for _ in range(5):
-                    p = _poly_eval_many(c, alt)
-                    dp = _poly_eval_many(dc, alt)
-                    step = np.where(np.abs(dp) > 1e-300, p / dp, 0.0)
-                    alt = alt - step
+                alt = _newton(c, np.roots(c[::-1]), 5)
                 if not _residual_ok(c, alt):
                     raise NoConvergence("root finder failed the residual check")
                 roots = alt

@@ -155,9 +155,9 @@ def test_kstar_lambda_zero_closed_form():
 
 def test_kstar_psi_routes_agree_spot():
     for psi in (1.0, 2.0, 10.0, 100.0):
-        a = kstar_psi(psi, "lambert")
-        b = kstar_psi(psi, "variational")
-        c = kstar_psi(psi, "series")
+        a = kstar_psi(psi)
+        b = math.sqrt(psi) * f_lambda_variational(1.0, psi ** -0.5)
+        c = math.sqrt(psi) * f_lambda_series(1.0, psi ** -0.5)
         tol = 1e-9 * max(1.0, a)
         assert abs(a - b) < tol and abs(a - c) < tol
 
@@ -194,7 +194,8 @@ def test_kstar_psi_small_psi():
         w = lambert_w(math.e / (1 + psi ** -0.5))
         want = w / (1 - w) ** 2
         assert abs(kstar_psi(psi) / want - 1) < 1e-12
-        assert abs(kstar_psi(psi, "variational") / want - 1) < 1e-12
+        variational = math.sqrt(psi) * f_lambda_variational(1.0, psi ** -0.5)
+        assert abs(variational / want - 1) < 1e-12
 
 
 def test_variational_route_at_large_beta():

@@ -13,13 +13,12 @@ from tuttezero import (
     cmk,
     counting_bound_rooted,
     counting_bound_sokal,
-    counting_record,
     counting_recursion_rhs,
     subset_weight_sum,
     tree_function,
     tree_function_u,
 )
-from tuttezero.families import complete_graph, connected_simple_structures, path_graph
+from tuttezero.families import connected_simple_structures, path_graph
 
 
 def brute_c_m(n, pairs, x, m):
@@ -114,15 +113,6 @@ def test_rooted_bound_formula():
     want = d * (d + m * big_d) ** (m - 1) / math.factorial(m)
     assert abs(counting_bound_rooted(d, big_d, m) - want) < 1e-12 * want
     assert counting_bound_rooted(d, big_d, 0) == 1.0
-
-
-def test_counting_record_ordering_on_k6():
-    g = complete_graph(6, 1.0)
-    for m in range(7):
-        rec = counting_record(g, 0, m)
-        assert rec.ordered
-        assert rec.value <= rec.bound_rooted * (1 + 1e-9)
-        assert rec.bound_rooted <= rec.bound_sokal * (1 + 1e-9)
 
 
 def test_recursion_dominates_path():

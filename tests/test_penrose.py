@@ -6,6 +6,7 @@ from tuttezero import (
     Disconnected,
     NotATree,
     NotSimple,
+    TooLarge,
     build_graph,
     connected_gen_poly,
     enumerate_spanning_trees,
@@ -94,6 +95,11 @@ def test_partition_needs_connected_graph():
         verify_partition(g, 0)
 
 
+def test_identity_rejects_too_many_edges():
+    with pytest.raises(TooLarge):
+        penrose_identity_eval(complete_graph(8, 1.0))  # 28 edges
+
+
 def test_identity_matches_connected_sum(rng):
     for n, pairs in connected_simple_structures(4):
         for _ in range(10):
@@ -131,7 +137,6 @@ def test_bounds_start_at_connected_magnitude(rng):
 
 def test_partition_report_json(triangle):
     rep = verify_partition(triangle, 0)
-    blob = rep.to_json()
-    assert blob["tree_count"] == 3
-    assert blob["connected_count"] == 4
-    assert blob["disjoint"] and blob["covering"]
+    assert rep.tree_count == 3
+    assert rep.connected_count == 4
+    assert rep.disjoint and rep.covering

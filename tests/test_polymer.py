@@ -191,12 +191,6 @@ def test_optimal_needs_entries():
         gkfp_optimal(pw)
 
 
-def test_weights_json_round_trip():
-    pw = PolymerWeights.from_sets(4, [([0, 1], 1.5 + 0.5j), ([1, 2, 3], -2.0j)])
-    back = PolymerWeights.from_json(pw.host_vertex_count, pw.to_json())
-    assert back == pw
-
-
 def test_given_table_matches_built_table():
     g = complete_graph(4, complex(0.3, -1.1))
     table = connected_by_support(g)

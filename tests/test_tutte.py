@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 
 from tuttezero import (
     OutOfDomain,
-    QPolynomial,
     TooLarge,
     build_graph,
     connected_by_support,
     connected_gen_poly,
     nonzero_component_count,
     spanning_tree_gen_poly,
-    z_eval,
     z_polynomial,
 )
 from tuttezero import _kernels
@@ -88,9 +86,9 @@ def test_disjoint_union_multiplies():
     both = build_graph(
         range(5), [(0, 1, 2.0 + 1j), (2, 3, -0.5j), (3, 4, 1.5)]
     )
-    p = z_polynomial(g1) * z_polynomial(g2)
+    p = np.convolve(z_polynomial(g1).coeffs, z_polynomial(g2).coeffs)
     q = z_polynomial(both)
-    assert np.allclose(p.coeffs, q.coeffs, rtol=1e-13, atol=1e-13)
+    assert np.allclose(p, q.coeffs, rtol=1e-13, atol=1e-13)
 
 
 @settings(max_examples=60, deadline=None)
@@ -111,13 +109,6 @@ def test_tree_sum_against_kirchhoff(data):
     mine = spanning_tree_gen_poly(g)
     oracle = kirchhoff_tree_sum(n, edges)
     assert abs(mine - oracle) <= 1e-9 * max(1.0, abs(oracle))
-
-
-def test_z_eval_matches_coefficients(small_weighted):
-    poly = z_polynomial(small_weighted)
-    for q in (0.3 + 1.1j, -2.0 + 0j, 1j):
-        direct = sum(c * q ** i for i, c in enumerate(poly.coeffs))
-        assert abs(z_eval(small_weighted, q) - direct) < 1e-10 * max(1.0, abs(direct))
 
 
 def test_connected_by_support_triangle(triangle):
@@ -251,13 +242,6 @@ def test_spanning_tree_masks_count():
     assert connected_gen_poly(k4) == 38
 
 
-def test_qpolynomial_round_trip(small_weighted):
-    poly = z_polynomial(small_weighted)
-    back = QPolynomial.from_json(poly.to_json())
-    assert back.coeffs == poly.coeffs
-    assert back.degree == small_weighted.n
-
-
 def test_too_many_edges_rejected():
     edges = []
     for u in range(8):
@@ -274,6 +258,26 @@ def test_overflowing_coefficients_rejected():
         z_polynomial(g)
     with pytest.raises(OutOfDomain):
         connected_gen_poly(g)
+
+
+def test_too_many_vertices_for_support_table_rejected():
+    # the vertex-subset recursion is O(3^n) whatever the edge count
+    g = build_graph(range(13), [(i, i + 1, 1.0) for i in range(12)])
+    with pytest.raises(TooLarge):
+        connected_by_support(g)
+
+
+def test_overflowing_support_table_rejected():
+    g = build_graph(range(3), [(0, 1, 1e200), (1, 2, 1e200)])  # C(V) = 1e400
+    with pytest.raises(OutOfDomain):
+        connected_by_support(g)
+    with pytest.raises(OutOfDomain):
+        polymer_profile(g)
+    # heavy and light weights send the table to the exact route, whose
+    # rounding to floats overflows
+    g = build_graph(range(3), [(0, 1, 1e300 + 1e300j), (1, 2, 1e300), (0, 2, 1e-300)])
+    with pytest.raises(OutOfDomain):
+        connected_by_support(g)
 
 
 def test_zero_weight_edges_do_not_count_for_divisibility():
