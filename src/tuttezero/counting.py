@@ -16,9 +16,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import BadIndex, OutOfDomain, TooLarge
+from .errors import BadIndex, OutOfDomain
 from .graph import WeightedGraph, induced_subgraph
-from .tutte import MAX_ENUM_EDGES
+from .tutte import _check_size
 
 _E = math.e
 
@@ -70,8 +70,7 @@ def c_m_table(g: WeightedGraph, x: int, m_max: int) -> list[float]:
     """c_m(g, x, m) for every m = 0..m_max in one frontier sweep."""
     if not (0 <= x < g.n):
         raise BadIndex(f"vertex {x} outside 0..{g.n - 1}")
-    if g.m > MAX_ENUM_EDGES:
-        raise TooLarge(f"{g.m} edges exceeds enumeration limit {MAX_ENUM_EDGES}")
+    _check_size(g)
     absw = [abs(w) for w in g.weights()]
     levels = _connected_mask_levels(g, x, min(m_max, g.m))
     out = []

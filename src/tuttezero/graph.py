@@ -12,8 +12,8 @@ a new graph.  Beyond construction and serialization this module provides
 
 from __future__ import annotations
 
-import cmath
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -26,12 +26,17 @@ from .errors import (
     NonFiniteWeight,
     OutOfDomain,
     SingularDual,
+    TooLarge,
 )
 
 Edge = tuple[int, int, complex]
 
 VIEW_MODES = ("raw", "prime", "tilde", "double_prime", "interpolated", "dual")
 _ROOTED_MODES = ("tilde", "double_prime", "interpolated")
+
+MAX_ENUM_EDGES = 24
+# connected_by_support takes O(3^n) time whatever the edge count
+MAX_SUPPORT_VERTICES = 12
 
 
 @dataclass(frozen=True)
@@ -95,12 +100,14 @@ def build_graph(vertex_labels: Sequence, edge_list: Iterable[tuple]) -> Weighted
 
     edge_list items are (u, v, w) with integer endpoints and a weight
     convertible to complex.  Loops raise LoopEdge, bad endpoints BadIndex,
-    and a NaN or infinite part of a weight NonFiniteWeight.
+    and a weight whose modulus is not finite (a NaN or infinite part, or
+    finite parts whose modulus overflows) NonFiniteWeight.
     """
     edges = tuple((int(u), int(v), complex(w)) for u, v, w in edge_list)
     for i, (_, _, w) in enumerate(edges):
-        if not cmath.isfinite(w):
-            raise NonFiniteWeight(f"edge {i} has non-finite weight {w}")
+        # hypot, unlike abs, gives inf rather than raising on overflow
+        if not math.isfinite(math.hypot(w.real, w.imag)):
+            raise NonFiniteWeight(f"edge {i} has weight {w} of non-finite modulus")
     return WeightedGraph(tuple(vertex_labels), edges)
 
 
@@ -322,7 +329,8 @@ def parse_edge_lines(text: str) -> WeightedGraph:
     """Parse the line format: one "u v re im" per line, # starts a comment.
 
     Vertex count is inferred as 1 + the largest endpoint index, with the
-    indices themselves used as labels.
+    indices themselves used as labels; a count above MAX_SUPPORT_VERTICES
+    raises TooLarge before any label is built.
     """
     edges = []
     top = -1
@@ -337,6 +345,8 @@ def parse_edge_lines(text: str) -> WeightedGraph:
         w = complex(float(parts[2]), float(parts[3]))
         edges.append((u, v, w))
         top = max(top, u, v)
+    if top + 1 > MAX_SUPPORT_VERTICES:
+        raise TooLarge(f"vertex index {top} exceeds the vertex cap of {MAX_SUPPORT_VERTICES}")
     labels = tuple(range(top + 1))
     return build_graph(labels, edges)
 

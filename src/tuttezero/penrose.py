@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadIndex, Disconnected, NotATree, NotSimple, TooLarge
+from .errors import BadIndex, Disconnected, NotATree, NotSimple
 from .graph import EdgeWeightView, WeightedGraph, degree_quantities, transform_weights
 from .tutte import (
-    MAX_ENUM_EDGES,
+    _check_size,
     component_count,
     connected_gen_poly,
     spanning_tree_gen_poly,
@@ -58,8 +58,7 @@ def _require_connected(g: WeightedGraph) -> None:
 
 def enumerate_spanning_trees(g: WeightedGraph) -> list[int]:
     """All spanning trees as edge bitmasks; the graph must be connected."""
-    if g.m > MAX_ENUM_EDGES:
-        raise TooLarge(f"{g.m} edges exceeds enumeration limit {MAX_ENUM_EDGES}")
+    _check_size(g)
     _require_connected(g)
     return spanning_tree_masks(g.n, [(u, v) for u, v, _ in g.edges])
 

@@ -29,11 +29,7 @@ from dataclasses import dataclass
 
 from . import _kernels
 from .errors import TooLarge
-from .graph import WeightedGraph
-
-MAX_ENUM_EDGES = 24
-# connected_by_support takes O(3^n) time whatever the edge count
-MAX_SUPPORT_VERTICES = 12
+from .graph import MAX_ENUM_EDGES, MAX_SUPPORT_VERTICES, WeightedGraph
 
 
 @dataclass(frozen=True)

@@ -3,15 +3,13 @@
 The polynomial is monic of degree |V| with a zero of known multiplicity
 at q = 0 (one per component left by the nonzero-weight edges); that
 factor, and any further zero root left by exact cancellation of weights,
-is stripped exactly before handing the rest to a simultaneous
-Aberth iteration.  The iteration starts from the Newton polygon of the
-coefficient moduli, one circle of points per edge of the upper convex
-hull of (k, log|c_k|) (Bini, Numer. Algorithms 13, 1996), so the start
-radii follow the root moduli even when they span many decades.  Roots
-that fail a scaled residual check are recomputed as companion-matrix
-eigenvalues.  An analysis report places every nonzero root against the
-disc radii of graph_bounds, and the example suite reproduces the named
-small-graph phenomena end to end.
+is stripped exactly.  The roots of the rest are the eigenvalues of its
+companion matrix, which are backward stable and which LAPACK balances
+against badly scaled coefficients (Edelman and Murakami, Math. Comp. 64,
+1995); a few Newton steps polish them, and a scaled residual check
+rejects any set that still misses.  An analysis report places every
+nonzero root against the disc radii of graph_bounds, and the example
+suite reproduces the named small-graph phenomena end to end.
 """
 
 from __future__ import annotations
@@ -27,10 +25,9 @@ from .tutte import nonzero_component_count, z_polynomial
 from . import families
 
 
-_EPS = float(np.finfo(np.float64).eps)
-# Aberth steps before giving up, and the residual a root must meet
-# relative to sum |c_k| |z|^k
-_ABERTH_MAX_ITER = 500
+# Newton steps after the eigenvalue solve, and the residual a root must
+# meet relative to sum |c_k| |z|^k
+_NEWTON_STEPS = 3
 _RESIDUAL_TOL = 1e-8
 
 
@@ -51,99 +48,16 @@ def _residual_ok(c: np.ndarray, roots: np.ndarray) -> bool:
                 and np.all(resid <= _RESIDUAL_TOL * scale))
 
 
-def _newton(c: np.ndarray, z: np.ndarray, steps: int) -> np.ndarray:
-    """steps Newton steps on every point; a point with p' = 0 stays put."""
+def _newton(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Newton steps on every point; a point with p' = 0 stays put."""
     d = len(c) - 1
     dc = c[1:] * np.arange(1, d + 1)
-    for _ in range(steps):
+    for _ in range(_NEWTON_STEPS):
         p = _poly_eval_many(c, z)
         dp = _poly_eval_many(dc, z) if d > 1 else np.full_like(z, c[1])
         step = np.where(np.abs(dp) > 1e-300, p / dp, 0.0)
         z = z - step
     return z
-
-
-def _start(c: np.ndarray) -> np.ndarray:
-    """Aberth start points from the Newton polygon of the coefficients.
-
-    Each edge (a, b) of the upper convex hull of the points (k, log|c_k|)
-    puts b - a points on the circle of radius (|c_a|/|c_b|)^{1/(b-a)}, a
-    good guess at the moduli of that many roots (Bini 1996).  Zero
-    coefficients are skipped; c_0 and c_d are nonzero.
-    """
-    d = len(c) - 1
-    ks = np.flatnonzero(c).tolist()
-    logs = np.log(np.abs(c[ks])).tolist()
-    hull: list[tuple[int, float]] = []
-    for k, y in zip(ks, logs):
-        # drop the last vertex while it lies on or below the chord to (k, y)
-        while len(hull) >= 2 and (
-                (hull[-1][1] - hull[-2][1]) * (k - hull[-2][0])
-                <= (y - hull[-2][1]) * (hull[-1][0] - hull[-2][0])):
-            hull.pop()
-        hull.append((k, y))
-    log_r: list[float] = []
-    turns: list[float] = []
-    for (a, ya), (b, yb) in zip(hull, hull[1:]):
-        log_r += [(ya - yb) / (b - a)] * (b - a)
-        # fixed phase offset, irrational spacing against symmetric stalls;
-        # each circle is turned by a/d of a turn so the circles do not line up
-        turns += [(j + 0.400137) / (b - a) + a / d for j in range(b - a)]
-    return np.exp(np.array(log_r)) * np.exp(2j * np.pi * np.array(turns) + 0.19j)
-
-
-def _aberth(c: np.ndarray) -> np.ndarray | None:
-    """Simultaneous iteration on a monic coefficient array, or None.
-
-    The points start on the Newton-polygon circles of _start.  The
-    iteration stops when the largest correction falls below 1e-14
-    relative, or when it stops shrinking while every |p(z)| is within the
-    rounding error of evaluating p; then three Newton steps polish the
-    points.  None means no stop within _ABERTH_MAX_ITER steps, or a
-    non-finite p, p' or correction (an overflowing polynomial).
-    """
-    d = len(c) - 1
-    dc = c[1:] * np.arange(1, d + 1)
-    z = _start(c)
-    # the largest start radius scales the nudges off a vanishing denominator
-    radius = float(np.max(np.abs(z)))
-    abs_c = np.abs(c)
-    last_step = np.inf
-    for _ in range(_ABERTH_MAX_ITER):
-        p = _poly_eval_many(c, z)
-        dp = _poly_eval_many(dc, z) if d > 1 else np.full_like(z, c[1])
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(dp))):
-            return None
-        bad = np.abs(dp) < 1e-300
-        if np.any(bad):
-            z = z + 1e-6 * radius * (1 + 1j) * bad
-            continue
-        w = p / dp
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        s = np.sum(1.0 / diff, axis=1)
-        denom = 1.0 - w * s
-        if np.any(np.abs(denom) < 1e-300):
-            z = z + 1e-6 * radius
-            continue
-        corr = w / denom
-        step = float(np.max(np.abs(corr)))
-        if not np.isfinite(step):
-            return None
-        # A step no smaller than the last means the iteration is still
-        # searching or has reached rounding noise, as near a cluster of
-        # roots whose corrections never fall below the test further down.
-        # It is noise when every |p(z)| is within the rounding error of
-        # evaluating p at z; later steps would only move z within it.
-        at_noise = step >= last_step and bool(
-            np.all(np.abs(p) <= 4 * d * _EPS * _poly_eval_many(abs_c, np.abs(z))))
-        z = z - corr
-        if at_noise or step <= 1e-14 * (1.0 + float(np.max(np.abs(z)))):
-            break
-        last_step = step
-    else:
-        return None
-    return _newton(c, z, 3)
 
 
 def q_roots(g: WeightedGraph) -> tuple[list[complex], int]:
@@ -154,8 +68,9 @@ def q_roots(g: WeightedGraph) -> tuple[list[complex], int]:
     can cancel further low coefficients exactly (the triangle with every
     weight -3 has Z = q^3 - 9 q^2); each such coefficient is one more
     root at 0, listed with the others, so the list always has n - mult
-    entries.  The factor left for the root finder is monic with a nonzero
-    constant term.
+    entries.  The factor left is monic with a nonzero constant term; its
+    roots are the companion-matrix eigenvalues after _NEWTON_STEPS Newton
+    steps, and NoConvergence is raised when they fail the residual check.
     """
     zp = z_polynomial(g)
     mult = nonzero_component_count(g)
@@ -166,17 +81,12 @@ def q_roots(g: WeightedGraph) -> tuple[list[complex], int]:
     if d <= 1:
         roots = [-c[0] / c[1]] if d == 1 else []
     else:
-        # overflow shows as a non-finite value, which _aberth and
-        # _residual_ok catch themselves; numpy's warnings would only
-        # repeat it on stderr
+        # overflow shows as a non-finite value, which _residual_ok
+        # catches; numpy's warnings would only repeat it on stderr
         with np.errstate(all="ignore"):
-            roots = _aberth(c)
-            if roots is None or not _residual_ok(c, roots):
-                # companion-matrix eigenvalues, then a touch of Newton
-                alt = _newton(c, np.roots(c[::-1]), 5)
-                if not _residual_ok(c, alt):
-                    raise NoConvergence("root finder failed the residual check")
-                roots = alt
+            roots = _newton(c, np.roots(c[::-1]))
+            if not _residual_ok(c, roots):
+                raise NoConvergence("root finder failed the residual check")
     found = [0j] * extra + [complex(r) for r in roots]
     return sorted(found, key=lambda r: (r.real, r.imag)), mult
 

@@ -3,11 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tuttezero
+from tuttezero import analyze, families
 from tuttezero.cli import main
 
 
@@ -123,20 +126,27 @@ def test_analyze_cap_exceeded(capsys, tmp_path):
     lines = []
     for u in range(13):
         lines.append(f"{u} {(u + 1) % 14} 1 0")
-    p = tmp_path / "big.txt"
-    p.write_text("\n".join(lines) + "\n")
-    code, _, err = run_cli(capsys, "analyze", "--input", str(p))
-    assert code == 2
-    assert "cap" in err
+    # one huge index: rejected before a label per vertex is built
+    for text in ("\n".join(lines) + "\n", f"0 {10**12} 1 0\n"):
+        p = tmp_path / "big.txt"
+        p.write_text(text)
+        t0 = time.perf_counter()
+        code, _, err = run_cli(capsys, "analyze", "--input", str(p))
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2
+        assert "cap" in err
 
 
 NON_FINITE = ["nan", "inf", "-inf"]
+# (re, im) parts of the first edge's weight: one part non-finite, or
+# both finite with a modulus that overflows
+BAD_EDGE_WEIGHTS = ([pytest.param(bad, "0", id=f"{bad}-real") for bad in NON_FINITE]
+                    + [pytest.param("1", bad, id=f"{bad}-imag") for bad in NON_FINITE]
+                    + [pytest.param("1.7e308", "1.7e308", id="overflowing-modulus")])
 
 
-@pytest.mark.parametrize("part", ["real", "imag"])
-@pytest.mark.parametrize("bad", NON_FINITE)
-def test_analyze_rejects_non_finite_edge_list(capsys, tmp_path, bad, part):
-    re, im = (bad, "0") if part == "real" else ("1", bad)
+@pytest.mark.parametrize("re, im", BAD_EDGE_WEIGHTS)
+def test_analyze_rejects_non_finite_edge_list(capsys, tmp_path, re, im):
     p = tmp_path / "bad.txt"
     p.write_text(f"0 1 {re} {im}\n1 2 1 0\n")
     code, _, err = run_cli(capsys, "analyze", "--input", str(p))
@@ -291,10 +301,26 @@ def test_unknown_command_is_usage_error():
     assert proc.returncode == 2
 
 
-def test_console_entry_end_to_end(k2_file):
+def test_console_entry_end_to_end(k2_file, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "tuttezero.cli", "analyze", "--input", k2_file],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["q_max"] == 1000.0
+    # in a fresh interpreter the roots and q_max equal in-process
+    # analyze's exactly, after a JSON round trip
+    rng = np.random.default_rng(7)
+    for n, chords in ((8, 3), (9, 0), (10, 2), (12, 1)):
+        pairs = [(int(rng.integers(k)), k) for k in range(1, n)]
+        absent = [(u, v) for u in range(n) for v in range(u + 1, n)
+                  if (u, v) not in pairs]
+        pairs += [absent[i] for i in rng.choice(len(absent), chords, replace=False)]
+        g = families.weighted((n, pairs), families.sample_weights(len(pairs), "mixed", rng))
+        p = tmp_path / f"mixed{n}.txt"
+        p.write_text("".join(f"{u} {v} {w.real!r} {w.imag!r}\n" for u, v, w in g.edges))
+        proc = run_cli_process("analyze", "--input", str(p))
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout)
+        want = json.loads(json.dumps(analyze(g).to_json()))
+        assert (got["roots"], got["q_max"]) == (want["roots"], want["q_max"]), n

@@ -42,6 +42,8 @@ def test_build_rejects_bad_endpoint():
 @pytest.mark.parametrize("w", [
     complex(float("nan"), 0.0), complex(0.0, float("nan")),
     complex(float("inf"), 0.0), complex(1.0, -float("inf")),
+    # finite parts, but the modulus overflows
+    complex(1.7e308, 1.7e308),
 ])
 def test_build_rejects_non_finite_weight(w):
     with pytest.raises(NonFiniteWeight):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import tuttezero.zeros as zeros
 from tuttezero import analyze, build_graph, example_suite, families, q_max, q_roots, z_polynomial
 from tuttezero.families import (
     complete_graph,
@@ -20,14 +19,21 @@ def test_single_edge_root():
 
 
 def test_path_roots_are_negated_weights():
-    w1, w2 = complex(2.0, 1.0), complex(-0.5, 0.8)
-    g = build_graph(range(3), [(0, 1, w1), (1, 2, w2)])
-    roots, mult = q_roots(g)
-    assert mult == 1
-    got = sorted(roots, key=lambda z: (z.real, z.imag))
-    want = sorted((-w1, -w2), key=lambda z: (z.real, z.imag))
-    for a, b in zip(got, want):
-        assert abs(a - b) < 1e-9
+    # Z of a tree is q times the product of (q + w_e) over its edges
+    short = [complex(2.0, 1.0), complex(-0.5, 0.8)]
+    # four of these roots lie within 0.25 of 1.4, a close cluster
+    cluster = [-1.451 + 0.209j, -1.04 - 0.885j, -1.365 - 0.036j, -1.471 - 3.122j,
+               -0.855 - 0.777j, -0.063 - 1.862j, -1.312 - 4.078j, -0.035 - 0.854j,
+               -1.228 - 0.14j, -1.506 + 0.094j]
+    for weights in (short, cluster):
+        g = build_graph(range(len(weights) + 1), [(i, i + 1, w) for i, w in enumerate(weights)])
+        roots, mult = q_roots(g)
+        assert mult == 1
+        got = sorted(roots, key=lambda z: (z.real, z.imag))
+        want = sorted((-w for w in weights), key=lambda z: (z.real, z.imag))
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert abs(a - b) < 1e-9
 
 
 def test_cycle_one_heavy_closed_form():
@@ -105,44 +111,23 @@ def test_analyze_edgeless():
     assert rep.q_max == 0.0
 
 
-def test_aberth_agrees_with_numpy_on_dense_polynomials(rng):
-    from tuttezero.zeros import _aberth
+def test_roots_agree_with_mpmath_on_dense_graphs(rng):
+    mpmath = pytest.importorskip("mpmath")
+    from scipy.optimize import linear_sum_assignment
 
-    for _ in range(30):
-        deg = int(rng.integers(2, 11))
-        c = rng.normal(0, 2, deg + 1) + 1j * rng.normal(0, 2, deg + 1)
-        c[-1] = 1.0
-        got = _aberth(c)
-        if got is None:
-            continue
-        want = np.sort_complex(np.roots(c[::-1]))
-        assert np.allclose(np.sort_complex(np.asarray(got)), want, rtol=0, atol=1e-6)
-
-
-def test_aberth_stops_at_rounding_noise_near_a_root_cluster():
-    from tuttezero.zeros import _aberth
-
-    # Z of a tree is q times the product of (q + w_e) over its edges.  With
-    # these ten weights four roots lie within 0.25 of 1.4; there the Aberth
-    # corrections settle near 1e-12 relative, never pass the 1e-14 step
-    # test, and used to run out the iteration budget.
-    w = [-1.451 + 0.209j, -1.04 - 0.885j, -1.365 - 0.036j, -1.471 - 3.122j,
-         -0.855 - 0.777j, -0.063 - 1.862j, -1.312 - 4.078j, -0.035 - 0.854j,
-         -1.228 - 0.14j, -1.506 + 0.094j]
-    roots = -np.array(w)
-    got = _aberth(np.poly(roots)[::-1])
-    assert got is not None
-    assert np.allclose(np.sort_complex(got), np.sort_complex(roots), rtol=0, atol=1e-9)
-
-
-def test_start_puts_points_on_newton_polygon_circles():
-    # two roots at each of three moduli; the hull puts two start points
-    # within a factor sqrt(2) of each modulus
-    roots = [1e-3, 1e-3j, 1.0, -1.0, 1e3, 1e3j]
-    z = zeros._start(np.poly(roots)[::-1])
-    radii = np.sort(np.abs(z))
-    for pair, r in zip(radii.reshape(3, 2), (1e-3, 1.0, 1e3)):
-        assert np.all((r / 2 < pair) & (pair < 2 * r))
+    for n in (5, 6):
+        for _ in range(5):
+            weights = families.sample_weights(n * (n - 1) // 2, "mixed", rng)
+            g = complete_graph(n).with_weights(weights)
+            roots, mult = q_roots(g)
+            coeffs = z_polynomial(g).coeffs[mult:]
+            with mpmath.workdps(50):
+                want = mpmath.polyroots([mpmath.mpc(c) for c in reversed(coeffs)],
+                                        maxsteps=200, extraprec=100)
+            want = np.array([complex(r) for r in want])
+            cost = np.abs(np.asarray(roots)[:, None] - want[None, :])
+            rows, cols = linear_sum_assignment(cost)
+            assert np.all(cost[rows, cols] < 1e-6)
 
 
 def _guard_graphs():
@@ -161,24 +146,19 @@ def _guard_graphs():
 
 
 def test_root_finder_work_stays_small(monkeypatch):
-    # Polynomial evaluations over a fixed set of wide graphs: 406 with the
-    # Newton-polygon start, 1807 with a single start circle of radius
-    # 0.7 (1 + max|c_k|).  The bound leaves 50% headroom over the former.
+    # one eigenvalue solve per analyze call: no retry, no second route
     calls = [0]
-    evaluate = zeros._poly_eval_many
+    roots = np.roots
 
-    def counted(c, z):
+    def counted(p):
         calls[0] += 1
-        return evaluate(c, z)
+        return roots(p)
 
-    def no_fallback(*args):
-        raise AssertionError("the np.roots fallback ran")
-
-    monkeypatch.setattr(zeros, "_poly_eval_many", counted)
-    monkeypatch.setattr(np, "roots", no_fallback)
-    for g in _guard_graphs():
+    monkeypatch.setattr(np, "roots", counted)
+    graphs = _guard_graphs()
+    for g in graphs:
         analyze(g)
-    assert calls[0] <= 600
+    assert calls[0] == len(graphs)
 
 
 def test_example_suite_shape_and_determinism():
