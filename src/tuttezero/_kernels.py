@@ -10,6 +10,11 @@ step, so a block is a fixed set of high edges together with every subset
 of the low ones.  Every product is multiplied in increasing edge order, as
 in a per-mask loop.
 
+What does not depend on the weights (the vertex labels and component
+counts of the first block, and the order that groups its masks by
+component count) is built once per edge structure and kept in a small
+cache, since a sweep draws several weightings of one structure in a row.
+
 The products are summed per component count within each block.  The
 block sums are then reduced pairwise in order of their high edges, which
 keeps the summation order deterministic and the rounding error
@@ -27,6 +32,7 @@ identity compares two independent routes.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -56,29 +62,49 @@ def _join(labels: np.ndarray, u: int, v: int) -> tuple[np.ndarray, np.ndarray]:
     return labels + (labels == b) * (a - b), a != b
 
 
-def _edge_subset_blocks(n: int, pairs, weights):
-    """Yield (high, k, prod) for every block of edge masks.
+@functools.lru_cache(maxsize=4)
+def _layout(n: int, pairs: tuple, b: int):
+    """The weight-free part of the engine for one edge structure.
 
-    A block holds the masks low + (high << B) for every low below 2^B,
-    B = min(BLOCK_BITS, m), in ascending order of low.  k is the number of
-    components of (V, mask), isolated vertices included; prod is the
-    product of the mask's weights in increasing edge order.  Blocks come
-    in depth-first order of the high edges, not in order of high.
+    Returns the endpoint indices eu and ev of every edge, and for the
+    first block (the masks over the first b edges) the vertex labels, the
+    component counts k, the stable order that sorts k and the number of
+    masks at each k.  Cached per structure, since a sweep draws several
+    weightings of one structure in a row; the arrays are read-only.
     """
-    m = len(pairs)
     used = sorted({x for p in pairs for x in p})
     index = {x: i for i, x in enumerate(used)}
-    eu = [index[u] for u, _ in pairs]
-    ev = [index[v] for _, v in pairs]
-    b = min(BLOCK_BITS, m)
-
+    eu = tuple(index[u] for u, _ in pairs)
+    ev = tuple(index[v] for _, v in pairs)
     labels = np.arange(len(used), dtype=np.min_scalar_type(len(used)))[:, None]
     k = np.array([n], dtype=np.min_scalar_type(n))
-    prod = np.ones(1, dtype=np.complex128)
     for j in range(b):
         merged, joined = _join(labels, eu[j], ev[j])
         labels = np.concatenate([labels, merged], axis=1)
         k = np.concatenate([k, k - joined])
+    order = np.argsort(k, kind="stable")
+    sizes = tuple(np.bincount(k, minlength=n + 1).tolist())
+    for a in (labels, k, order):
+        a.flags.writeable = False
+    return eu, ev, labels, k, order, sizes
+
+
+def _edge_subset_blocks(n: int, pairs: tuple, weights):
+    """Yield (high, order, sizes, prod) for every block of edge masks.
+
+    A block holds the masks low + (high << B) for every low below 2^B,
+    B = min(BLOCK_BITS, m), in ascending order of low.  prod is the
+    product of each mask's weights in increasing edge order; order is the
+    stable order that sorts the masks by k, the number of components of
+    (V, mask) with isolated vertices included, and sizes[c] the number of
+    masks with k = c.  Blocks come in depth-first order of the high
+    edges, not in order of high.
+    """
+    m = len(pairs)
+    b = min(BLOCK_BITS, m)
+    eu, ev, labels, k, order, sizes = _layout(n, pairs, b)
+    prod = np.ones(1, dtype=np.complex128)
+    for j in range(b):
         prod = np.concatenate([prod, prod * weights[j]])
 
     def walk(e, high, labels, k, prod):
@@ -89,7 +115,13 @@ def _edge_subset_blocks(n: int, pairs, weights):
         merged, joined = _join(labels, eu[e], ev[e])
         yield from walk(e + 1, high | 1 << (e - b), merged, k - joined, prod * weights[e])
 
-    yield from walk(b, 0, labels, k, prod)
+    for high, block_k, block_prod in walk(b, 0, labels, k, prod):
+        if high:
+            block_sizes = np.bincount(block_k, minlength=n + 1).tolist()
+            yield high, np.argsort(block_k, kind="stable"), block_sizes, block_prod
+        else:
+            # no high edge is in the mask, so the counts are the first block's
+            yield 0, order, sizes, block_prod
 
 
 def _pairwise_reduce(blocks: np.ndarray) -> np.ndarray:
@@ -110,17 +142,17 @@ def z_coefficients(n: int, edges) -> np.ndarray:
     Raises OutOfDomain when a coefficient is not finite, which happens
     when the products of finite weights overflow.
     """
-    pairs = [(u, v) for u, v, _ in edges]
+    pairs = tuple((u, v) for u, v, _ in edges)
     w = np.array([complex(x) for _, _, x in edges], dtype=np.complex128)
     nhigh = max(0, len(pairs) - BLOCK_BITS)
     blocks = np.zeros((1 << nhigh, n + 1), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        for high, k, prod in _edge_subset_blocks(n, pairs, w):
+        for high, order, sizes, prod in _edge_subset_blocks(n, pairs, w):
             # group the products by k, keeping mask order, and sum each
             # group with numpy's pairwise summation
-            grouped = prod[np.argsort(k, kind="stable")]
+            grouped = prod[order]
             start = 0
-            for c, size in enumerate(np.bincount(k, minlength=n + 1).tolist()):
+            for c, size in enumerate(sizes):
                 blocks[high, c] = grouped[start:start + size].sum()
                 start += size
         out = _pairwise_reduce(blocks)

@@ -3,17 +3,22 @@
 The polynomial is monic of degree |V| with a zero of known multiplicity
 at q = 0 (one per component left by the nonzero-weight edges); that
 factor, and any further zero root left by exact cancellation of weights,
-is stripped exactly.  The roots of the rest are the eigenvalues of its
-companion matrix, which are backward stable and which LAPACK balances
+is stripped exactly.  The roots of the rest start as the eigenvalues of
+its companion matrix, which are backward stable and which LAPACK balances
 against badly scaled coefficients (Edelman and Murakami, Math. Comp. 64,
-1995); a few Newton steps polish them, and a scaled residual check
-rejects any set that still misses.  An analysis report places every
-nonzero root against the disc radii of graph_bounds, and the example
-suite reproduces the named small-graph phenomena end to end.
+1995).  A few Newton steps in scalar complex arithmetic polish each one,
+since numpy's per-call cost dominates at these degrees.  Two checks
+reject a root set that still misses: a scaled residual per root, and the
+product of (q - r) over all roots against the coefficients, which
+catches two roots on one root of the polynomial while another is lost.
+An analysis report places every nonzero root against the disc radii of
+graph_bounds, and the example suite reproduces the named small-graph
+phenomena end to end.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,39 +30,87 @@ from .tutte import nonzero_component_count, z_polynomial
 from . import families
 
 
-# Newton steps after the eigenvalue solve, and the residual a root must
-# meet relative to sum |c_k| |z|^k
+# the most Newton steps after the eigenvalue solve, and the residual a
+# root must meet relative to sum |c_k| |z|^k
 _NEWTON_STEPS = 3
 _RESIDUAL_TOL = 1e-8
+# the rounding error of a complex Horner pass of degree d is at most
+# d * _HORNER_ERR * sum |c_k| |z|^k (Higham, Accuracy and Stability of
+# Numerical Algorithms, 2nd ed., ch. 5, with complex products)
+_HORNER_ERR = 4 * 2.0 ** -53
 
 
-def _poly_eval_many(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    p = np.full_like(z, c[-1])
-    for k in range(len(c) - 2, -1, -1):
-        p = p * z + c[k]
-    return p
+def _eigenvalues(c: list[complex]) -> list[complex]:
+    """Eigenvalues of the companion matrix np.roots builds for c."""
+    p = np.array(c[::-1])
+    a = np.diag(np.ones(len(c) - 2, dtype=p.dtype), -1)
+    a[0, :] = -p[1:] / p[0]
+    return np.linalg.eigvals(a).tolist()
 
 
-def _residual_ok(c: np.ndarray, roots: np.ndarray) -> bool:
-    if len(roots) == 0:
-        return True
-    scale = _poly_eval_many(np.abs(c), np.abs(roots))
-    resid = np.abs(_poly_eval_many(c, roots))
-    # an infinite scale bounds nothing, so it fails like a non-finite residual
-    return bool(np.all(np.isfinite(scale)) and np.all(np.isfinite(resid))
-                and np.all(resid <= _RESIDUAL_TOL * scale))
+def _polish(c: list[complex], ac: list[float], z: complex) -> tuple[complex, float] | None:
+    """Newton steps from z; then z and a bound on its error, or None.
 
+    ac holds the moduli |c_k|.  Each pass of Horner's rule gives p, p'
+    and sum |c_k| |z|^k.  A step that does not lower |p| is undone and
+    ends the polish: close to a root |p| is rounding noise, and near a
+    multiple root a step driven by that noise can throw the point far
+    off.  A point with p' = 0 stays put.  None means z fails the residual
+    check: |p(z)| against sum |c_k| |z|^k, which cannot cancel, and which
+    bounds nothing when it is infinite.
 
-def _newton(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Newton steps on every point; a point with p' = 0 stays put."""
+    The error bound holds for the nearest root of c: since p'/p is the
+    sum of 1/(z - root), some root lies within d |p/p'|, and since c is
+    monic, some root lies within |p|^(1/d).  |p| counts its rounding
+    error in both.
+    """
     d = len(c) - 1
-    dc = c[1:] * np.arange(1, d + 1)
-    for _ in range(_NEWTON_STEPS):
-        p = _poly_eval_many(c, z)
-        dp = _poly_eval_many(dc, z) if d > 1 else np.full_like(z, c[1])
-        step = np.where(np.abs(dp) > 1e-300, p / dp, 0.0)
-        z = z - step
-    return z
+    last = None
+    for step in range(_NEWTON_STEPS + 1):
+        r = math.hypot(z.real, z.imag)
+        p, dp, scale = c[d], 0j, ac[d]
+        for k in range(d - 1, -1, -1):
+            dp = dp * z + p
+            p = p * z + c[k]
+            scale = scale * r + ac[k]
+        resid = math.hypot(p.real, p.imag)
+        slope = math.hypot(dp.real, dp.imag)
+        if last and not resid <= last[1]:
+            z, resid, scale, slope = last
+            break
+        if step == _NEWTON_STEPS or not slope > 1e-300:
+            break
+        last = z, resid, scale, slope
+        z -= p / dp
+    if not (math.isfinite(scale) and resid <= _RESIDUAL_TOL * scale):
+        return None
+    bound = resid + _HORNER_ERR * d * scale
+    return z, min(bound ** (1 / d), d * bound / slope if slope else math.inf)
+
+
+def _expansion_ok(c: list[complex], polished: list[tuple[complex, float]]) -> bool:
+    """Whether prod (q - r) over the roots gives back c.
+
+    Each root can pass its own residual check while two of them sit on
+    one simple root of c and another root of c has none; the product
+    then misses c.  If the roots match those of c one to one, each within
+    its error bound rho, coefficient k of the product moves by at most
+    hi_k - lo_k, where lo and hi are the same product over -|r| and over
+    -(|r| + rho), which cannot cancel.  Each coefficient must match c to
+    within that plus _RESIDUAL_TOL lo_k.
+    """
+    d = len(polished)
+    e, lo, hi = [0j] * d + [1 + 0j], [0.0] * d + [1.0], [0.0] * d + [1.0]
+    # after j roots, each product's coefficients fill positions d - j to d
+    for j, (r, rho) in enumerate(polished):
+        a = math.hypot(r.real, r.imag)
+        b = a + rho
+        for k in range(d - j - 1, d):
+            e[k] -= r * e[k + 1]
+            lo[k] += a * lo[k + 1]
+            hi[k] += b * hi[k + 1]
+    return all(math.isfinite(h) and math.hypot((x - y).real, (x - y).imag) <= _RESIDUAL_TOL * l + (h - l)
+               for x, y, l, h in zip(e, c, lo, hi))
 
 
 def q_roots(g: WeightedGraph) -> tuple[list[complex], int]:
@@ -68,26 +121,34 @@ def q_roots(g: WeightedGraph) -> tuple[list[complex], int]:
     can cancel further low coefficients exactly (the triangle with every
     weight -3 has Z = q^3 - 9 q^2); each such coefficient is one more
     root at 0, listed with the others, so the list always has n - mult
-    entries.  The factor left is monic with a nonzero constant term; its
-    roots are the companion-matrix eigenvalues after _NEWTON_STEPS Newton
-    steps, and NoConvergence is raised when they fail the residual check.
+    entries.  The factor c left is monic with a nonzero constant term; its
+    roots are the eigenvalues of its companion matrix, each polished by
+    up to _NEWTON_STEPS Newton steps in scalar complex arithmetic.
+    NoConvergence is raised when a root fails its residual check, or when
+    the product of (q - r) over the roots misses c.
     """
     zp = z_polynomial(g)
     mult = nonzero_component_count(g)
-    c = np.asarray(zp.coeffs, dtype=np.complex128)[mult:]
-    extra = int(np.flatnonzero(c)[0])
+    c = list(zp.coeffs[mult:])
+    extra = next(i for i, x in enumerate(c) if x)
     c = c[extra:]
     d = len(c) - 1
     if d <= 1:
         roots = [-c[0] / c[1]] if d == 1 else []
     else:
-        # overflow shows as a non-finite value, which _residual_ok
-        # catches; numpy's warnings would only repeat it on stderr
+        # an eigenvalue solve that overflows returns non-finite points,
+        # which fail the residual check; numpy's warnings would only
+        # repeat that on stderr
         with np.errstate(all="ignore"):
-            roots = _newton(c, np.roots(c[::-1]))
-            if not _residual_ok(c, roots):
-                raise NoConvergence("root finder failed the residual check")
-    found = [0j] * extra + [complex(r) for r in roots]
+            start = _eigenvalues(c)
+        ac = [math.hypot(x.real, x.imag) for x in c]
+        polished = [_polish(c, ac, z) for z in start]
+        if None in polished:
+            raise NoConvergence("root finder failed the residual check")
+        if not _expansion_ok(c, polished):
+            raise NoConvergence("root finder lost a root: the roots' product misses the coefficients")
+        roots = [r for r, _ in polished]
+    found = [0j] * extra + roots
     return sorted(found, key=lambda r: (r.real, r.imag)), mult
 
 

@@ -230,6 +230,17 @@ def test_analyze_weight_1e40_has_finite_radii(capsys, tmp_path):
     assert sorted(r[0] for r in blob["roots"]) == [-1e40, -1.0]
 
 
+def test_analyze_lost_root_is_input_error(capsys, tmp_path):
+    # a path's roots are its negated weights; over this spread of weights
+    # the eigenvalue solve loses one, which the coefficient check catches
+    p = tmp_path / "spread.txt"
+    p.write_text("0 1 8.6e29 0\n1 2 1.9e5 0\n2 3 1.5e-18 0\n3 4 2.2e-25 0\n")
+    code, out, err = run_cli(capsys, "analyze", "--input", str(p))
+    assert code == 2
+    assert out == ""
+    assert "tuttezero: error:" in err and "Traceback" not in err
+
+
 def test_analyze_weight_1e300_fails_cleanly(capsys, tmp_path):
     p = tmp_path / "huge.txt"
     p.write_text("0 1 1e300 0\n1 2 1 0\n")

@@ -16,10 +16,11 @@ from tuttezero import (
     spanning_tree_gen_poly,
     z_polynomial,
 )
-from tuttezero import _kernels
+from tuttezero import _kernels, families
 from tuttezero.families import cycle_one_heavy
 from tuttezero.polymer import polymer_profile
 from tuttezero.tutte import spanning_tree_masks
+from tuttezero.verify import verify_polymer_identity
 
 from conftest import brute_connected_sum, dc_z_coeffs, kirchhoff_tree_sum
 
@@ -188,6 +189,43 @@ def test_z_coefficients_against_deletion_contraction(block_bits, data):
     scale = dc_z_coeffs(n, [(u, v, abs(w)) for u, v, w in edges]).real
     assert mine.shape == (n + 1,)
     assert np.all(np.abs(mine - oracle) <= 1e-12 * np.maximum(1.0, scale))
+
+
+def _layout_corpus():
+    """Interleaved structures: a triangle, an 18-edge multigraph on 4
+    vertices (so high blocks run) and a path with a zero-weight edge."""
+    rng = np.random.default_rng(11)
+    k4 = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    shapes = [(3, [(0, 1), (1, 2), (0, 2)]), (4, k4 * 3), (4, [(0, 1), (1, 2), (2, 3)])]
+    out = []
+    for _ in range(3):
+        for n, pairs in shapes:
+            ws = families.sample_weights(len(pairs), "mixed", rng)
+            if n == 4 and len(pairs) == 3:
+                ws[1] = 0j
+            out.append((n, [(u, v, w) for (u, v), w in zip(pairs, ws)]))
+    return out
+
+
+def test_z_coefficients_same_bits_with_warm_and_cold_layout_cache():
+    corpus = _layout_corpus()
+    assert max(len(e) for _, e in corpus) > _kernels.BLOCK_BITS
+    cold = []
+    for n, edges in corpus:
+        _kernels._layout.cache_clear()
+        cold.append(_kernels.z_coefficients(n, edges).tobytes())
+    _kernels._layout.cache_clear()
+    for _ in range(2):
+        warm = [_kernels.z_coefficients(n, edges).tobytes() for n, edges in corpus]
+        assert warm == cold
+    assert _kernels._layout.cache_info().hits > 0
+
+
+def test_layout_cache_stays_bounded():
+    verify_polymer_identity(5, 4, n_q=2)
+    info = _kernels._layout.cache_info()
+    assert info.maxsize is not None
+    assert info.currsize <= info.maxsize
 
 
 def _spanning_by_union_find(n, pairs):

@@ -1,7 +1,22 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tuttezero import analyze, build_graph, example_suite, families, q_max, q_roots, z_polynomial
+from tuttezero import (
+    NoConvergence,
+    TutteZeroError,
+    analyze,
+    build_graph,
+    example_suite,
+    families,
+    q_max,
+    q_roots,
+    z_polynomial,
+)
 from tuttezero.families import (
     complete_graph,
     cycle_graph,
@@ -43,6 +58,74 @@ def test_aberth_stops_at_rounding_noise_near_a_root_cluster():
     _assert_path_roots([-1.451 + 0.209j, -1.04 - 0.885j, -1.365 - 0.036j, -1.471 - 3.122j,
                         -0.855 - 0.777j, -0.063 - 1.862j, -1.312 - 4.078j, -0.035 - 0.854j,
                         -1.228 - 0.14j, -1.506 + 0.094j])
+
+
+# Z of this path is q (q + w_1) ... (q + w_4). Against the spread of its
+# weights the eigenvalue solve returns 0 for both small roots, and Newton
+# takes both points to -2.2e-25, where each passes its residual check.
+WIDELY_SCALED_PATH = [8.6e29, 1.9e5, 1.5e-18, 2.2e-25]
+
+
+def test_root_lost_to_scaling_raises_no_convergence():
+    g = build_graph(range(5), [(i, i + 1, w) for i, w in enumerate(WIDELY_SCALED_PATH)])
+    with pytest.raises(NoConvergence):
+        q_roots(g)
+
+
+@pytest.mark.parametrize("edges, root", [
+    ([(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (0, 4, 1.0)], -1.0),
+    ([(0, 1, -1e-3), (0, 2, -1e-3), (0, 3, -1e-3), (0, 4, -1e-3)], 1e-3),
+    ([(0, 1, 0.1), (0, 1, 0.1), (0, 2, 0.1), (0, 2, 0.1)], -0.21),
+], ids=["star_unit", "star_small_negative", "doubled_path"])
+def test_multiple_roots_pass_the_root_checks(edges, root):
+    # Z of a tree is q prod (q + w_e), and a parallel pair acts as one edge
+    # of weight (1 + w)^2 - 1, so equal weights give one root of order m.
+    # Its computed copies spread by about 1e-16^(1/m), 1e-4 at m = 4.
+    roots, mult = q_roots(build_graph(range(1 + max(v for _, v, _ in edges)), edges))
+    assert mult == 1
+    assert all(abs(r - root) <= 1e-3 * abs(root) for r in roots)
+
+
+def _log_modulus(z):
+    return math.log(math.hypot(z.real, z.imag))
+
+
+@st.composite
+def widely_weighted_graphs(draw):
+    """Connected graphs of at most 5 vertices, a random tree plus up to 3
+    chords, with weights of modulus 10^U(-300, 300) and uniform phase."""
+    n = draw(st.integers(2, 5))
+    pairs = [(draw(st.integers(0, k - 1)), k) for k in range(1, n)]
+    absent = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in pairs]
+    if absent:
+        pairs += draw(st.lists(st.sampled_from(absent), unique=True, max_size=3))
+    edges = []
+    for u, v in pairs:
+        modulus = 10.0 ** draw(st.floats(-300, 300))
+        edges.append((u, v, cmath.rect(modulus, draw(st.floats(0, 2 * math.pi)))))
+    return build_graph(range(n), edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(widely_weighted_graphs())
+def test_widely_scaled_weights_give_whole_root_sets_or_typed_errors(g):
+    # any other exception fails the test
+    try:
+        rep = analyze(g)
+    except TutteZeroError:
+        return
+    c = z_polynomial(g).coeffs[rep.q_zero_multiplicity:]
+    low = next(i for i, x in enumerate(c) if x)
+    nonzero = [r for r in rep.roots if r != 0]
+    assert len(nonzero) == g.n - rep.q_zero_multiplicity - low
+    # Vieta: the nonzero roots multiply to the lowest nonzero coefficient.
+    # A lost root moves the product by the ratio of two distinct roots.
+    # The computed copies of a root of order m spread by about
+    # 1e-16^(1/m), 1e-4 at m = 4, and a subnormal coefficient carries an
+    # absolute error of a few 2^-1074.
+    got = sum(_log_modulus(r) for r in nonzero)
+    slack = 1e-3 + 1e-321 / math.hypot(c[low].real, c[low].imag)
+    assert abs(got - _log_modulus(c[low])) <= slack
 
 
 def test_cycle_one_heavy_closed_form():
@@ -157,13 +240,13 @@ def _guard_graphs():
 def test_root_finder_work_stays_small(monkeypatch):
     # one eigenvalue solve per analyze call: no retry, no second route
     calls = [0]
-    roots = np.roots
+    eigvals = np.linalg.eigvals
 
-    def counted(p):
+    def counted(a):
         calls[0] += 1
-        return roots(p)
+        return eigvals(a)
 
-    monkeypatch.setattr(np, "roots", counted)
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
     graphs = _guard_graphs()
     for g in graphs:
         analyze(g)
