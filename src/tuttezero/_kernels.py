@@ -89,6 +89,22 @@ def _layout(n: int, pairs: tuple, b: int):
     return eu, ev, labels, k, order, sizes
 
 
+def _walk(e, high, labels, k, prod, b, eu, ev, weights):
+    """Yield (high, k, prod) for every choice of the edges from e on.
+
+    Depth first, without edge e before with it.  A module-level generator
+    that takes its arrays as arguments, so a call leaves no reference
+    cycle behind for the cyclic garbage collector.
+    """
+    if e == len(eu):
+        yield high, k, prod
+        return
+    yield from _walk(e + 1, high, labels, k, prod, b, eu, ev, weights)
+    merged, joined = _join(labels, eu[e], ev[e])
+    yield from _walk(e + 1, high | 1 << (e - b), merged, k - joined, prod * weights[e],
+                     b, eu, ev, weights)
+
+
 def _edge_subset_blocks(n: int, pairs: tuple, weights):
     """Yield (high, order, sizes, prod) for every block of edge masks.
 
@@ -100,22 +116,13 @@ def _edge_subset_blocks(n: int, pairs: tuple, weights):
     masks with k = c.  Blocks come in depth-first order of the high
     edges, not in order of high.
     """
-    m = len(pairs)
-    b = min(BLOCK_BITS, m)
+    b = min(BLOCK_BITS, len(pairs))
     eu, ev, labels, k, order, sizes = _layout(n, pairs, b)
     prod = np.ones(1, dtype=np.complex128)
     for j in range(b):
         prod = np.concatenate([prod, prod * weights[j]])
 
-    def walk(e, high, labels, k, prod):
-        if e == m:
-            yield high, k, prod
-            return
-        yield from walk(e + 1, high, labels, k, prod)
-        merged, joined = _join(labels, eu[e], ev[e])
-        yield from walk(e + 1, high | 1 << (e - b), merged, k - joined, prod * weights[e])
-
-    for high, block_k, block_prod in walk(b, 0, labels, k, prod):
+    for high, block_k, block_prod in _walk(b, 0, labels, k, prod, b, eu, ev, weights):
         if high:
             block_sizes = np.bincount(block_k, minlength=n + 1).tolist()
             yield high, np.argsort(block_k, kind="stable"), block_sizes, block_prod

@@ -15,9 +15,13 @@ Each constant is the least L for which an inner infimum over a free
 parameter alpha of a weighted exponential series drops below a target.
 The series route evaluates that definition directly with a certified
 geometric tail bound.  The variational route reduces the infimum to a
-one-dimensional minimization in y = closed-form change of variable, and
-at lambda in {0, 1} the minimum collapses to an expression in the real
-Lambert W function.  All routes agree to 1e-9 and the tests insist on it.
+one-dimensional minimization in y, whose logarithm is convex in
+v = log y, so Newton's method on its derivative finds the minimum with
+no tolerance to tune; at lambda in {0, 1} the minimum collapses to an
+expression in the real Lambert W function.  All routes agree to 1e-9
+and the tests insist on it.  Brent's bounded minimizer remains for K's
+objective, the series route, the polymer margin and the g_ratio
+minimum, none of which is evaluated per graph.
 """
 
 from __future__ import annotations
@@ -30,10 +34,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import BadLambda, NoConvergence, OutOfDomain
-from .graph import WeightedGraph, degree_quantities, delta_prime_a
+from .graph import WeightedGraph, degree_quantities, delta_prime_a, edge_moduli
 
 _E = math.e
 _SERIES_CAP = 5000
+_NEWTON_CAP = 100
 
 
 # ---------------------------------------------------------------------------
@@ -296,31 +301,82 @@ def f_lambda_series(lam: float, beta: float) -> float:
 def f_lambda_variational(lam: float, beta: float) -> float:
     """F_lambda(beta) = min over 1 < y < 1+beta of beta y^lam / ((1+beta-y) log y).
 
-    Minimized in v = log y on (0, log1p(beta)), where the objective reads
-    e^{lam v} / ((1 - expm1(v)/beta) v) and stays finite and accurate for
-    beta from 1e-300 to 1e300.  The minimum sits near v = beta/2 as
-    beta -> 0 and, for lam > 0, near v = 1/lam as beta grows.  The
-    minimizer's tolerance, 1e-13 min(1, log1p(beta)) plus sqrt(eps) |v|,
-    is relative to v at every beta (in y it swamps the interval at small
-    beta, and 1 + beta rounds to 1 below 1e-16).  The ends are
-    y - 1 = 1e-12 min(1, beta) and 1 + beta - y = 1e-12 beta.  The
-    objective blows up at both ends and is unimodal inside; Brent's
-    bounded golden-section/parabolic minimizer (_minimize_bounded) pins
-    the value to machine accuracy.
+    In v = log y on (0, log1p(beta)) the objective's logarithm is
+
+        g(v) = lam v - log(1 - expm1(v)/beta) - log v,
+
+    the sum of a linear term, -log of a positive concave function and
+    -log v, so g is strictly convex and its minimizer is the one root of
+
+        g'(v) = lam - 1/v + e^v / (beta - expm1(v)),
+
+    found by Newton's method (_log_convex_argmin).  Only the minimizer is
+    exponentiated: e^{lam v} / ((1 - expm1(v)/beta) v) is taken once
+    there, where lam v < 1, so nothing overflows for beta from 1e-300 to
+    1e300.  The minimum sits near v = beta/2 as beta -> 0 and, for
+    lam > 0, near v = 1/lam as beta grows.
     """
-    if lam < 0.0:
-        raise OutOfDomain(f"lambda must be >= 0, got {lam}")
-    if beta <= 0.0:
-        raise OutOfDomain(f"beta must be > 0, got {beta}")
+    if not (0.0 <= lam < math.inf):
+        raise OutOfDomain(f"lambda must be finite and >= 0, got {lam}")
+    if not (0.0 < beta < math.inf):
+        raise OutOfDomain(f"beta must be finite and > 0, got {beta}")
+    v = _log_convex_argmin(lam, beta)
+    return math.exp(lam * v) / ((1.0 - math.expm1(v) / beta) * v)
 
-    def obj(v: float) -> float:
-        return math.exp(lam * v) / ((1.0 - math.expm1(v) / beta) * v)
 
-    lo = math.log1p(1e-12 * min(1.0, beta))
-    hi = math.log1p(beta * (1.0 - 1e-12))
-    tol = 1e-13 * min(1.0, math.log1p(beta))
-    _, fmin = _minimize_bounded(obj, lo, hi, tol, 500)
-    return fmin
+def _log_convex_argmin(lam: float, beta: float) -> float:
+    """The root v of g'(v) in (0, log1p(beta)), for f_lambda_variational.
+
+    Works in t = v / L in (0, 1), L = log1p(beta), on
+
+        f(t) = t L g'(v) = lam L t - 1 + t e^v r,   r = L / (beta - expm1(v)),
+
+    which has the same root.  e^v r = L x/(1-x) with x = e^v/(1+beta) is
+    positive, increasing and convex in t, so f is increasing and convex,
+    with derivative f'(t) = lam L + e^v r + t (e^v r) ((1+beta) r).  These
+    factors neither overflow nor underflow from beta = 1e-300 to 1e300
+    (a squared denominator would underflow near beta = 1e-200).
+
+    Newton's method on a convex increasing function falls monotonically
+    onto the root from any start right of it, so the iteration starts
+    there and never nears the pole of f at t = 1, where the steps would
+    shrink with the distance to the pole rather than to the root.  The
+    root of f at lam = 0 solves v + log1p(v) = L, and lam > 0 moves the
+    root left of it and left of 1/lam.  Both sqrt(1+beta) - 1 and
+    L - log1p(L - log1p(L)) lie right of that solution, so the start is
+    the least of the three points.  The signs of f keep a bracket; a step
+    that leaves it, or a point where rounding makes beta - expm1(v)
+    nonpositive, falls back to bisection.  Stops once a step is below
+    1e-9 t, after taking it; the convergence is quadratic there.
+    """
+    L = math.log1p(beta)
+    lam_l = lam * L
+    v0 = min(beta / (1.0 + math.sqrt(1.0 + beta)), L - math.log1p(L - math.log1p(L)))
+    t = v0 / L
+    if lam_l > 1.0:
+        t = min(t, 1.0 / lam / L)
+    lo, hi = 0.0, 1.0
+    for _ in range(_NEWTON_CAP):
+        em = math.expm1(t * L)
+        den = beta - em
+        if den > 0.0:
+            r = L / den
+            ev_r = (em + 1.0) * r
+            f = lam_l * t - 1.0 + t * ev_r
+            if f < 0.0:
+                lo = t
+            else:
+                hi = t
+            step = f / (lam_l + ev_r + t * ev_r * ((1.0 + beta) * r))
+            if abs(step) <= 1e-9 * t:
+                return (t - step) * L
+            t -= step
+            if lo < t < hi:
+                continue
+        else:
+            hi = t
+        t = 0.5 * (lo + hi)
+    raise NoConvergence(f"F_lambda failed to converge at lambda = {lam}, beta = {beta}")
 
 
 def f_closed(lam: float, beta: float) -> float:
@@ -483,8 +539,15 @@ class BoundSet:
 
 
 def graph_bounds(g: WeightedGraph) -> BoundSet:
-    """Evaluate every applicable zero-free disc radius for g."""
-    deg = degree_quantities(g)
+    """Evaluate every applicable zero-free disc radius for g.
+
+    The edge moduli |w| and |1+w| are taken once and shared by the degree
+    quantities, the subcritical test and the interpolated radii.  Raises
+    OutOfDomain when Kstar(psi) or a radius is not finite, where a disc
+    check would hold vacuously.
+    """
+    mods = edge_moduli(g)
+    deg = degree_quantities(g, mods)
     K = sokal_K()
     kpsi = kstar_psi(deg.psi)
     r_general = kpsi * deg.delta_prime
@@ -502,17 +565,22 @@ def graph_bounds(g: WeightedGraph) -> BoundSet:
         dprime = deg.delta_prime
 
         def radius_interpolated(a: float) -> float:
-            da = delta_prime_a(g, a)
+            da = delta_prime_a(g, a, mods)
             if da <= 0.0:
                 return 0.0
             lam_a = dprime / da
             beta_a = psi ** (-(1.0 - a) / 2.0)
-            return da * math.sqrt(psi) * f_lambda_variational(lam_a, beta_a)
+            return _finite(f"radius_interpolated({a})",
+                           da * math.sqrt(psi) * f_lambda_variational(lam_a, beta_a))
 
         interp = radius_interpolated
 
-    subcrit = all(abs(1 + w) <= 1.0 + 1e-12 for w in g.weights())
+    subcrit = all(a1 <= 1.0 + 1e-12 for _, _, _, a1 in mods)
     r_subcritical = K * deg.delta if subcrit else None
+    for name, x in (("kstar_psi", kpsi), ("radius_general", r_general),
+                    ("radius_simple", r_simple), ("radius_subcritical", r_subcritical)):
+        if x is not None:
+            _finite(name, x)
 
     return BoundSet(
         K=K,
@@ -531,9 +599,8 @@ def graph_bounds(g: WeightedGraph) -> BoundSet:
     )
 
 
-def variational_objective(lam: float, beta: float, y: float) -> float:
-    """The inner objective of the variational route, for profile scans."""
-    if not (1.0 < y < 1.0 + beta):
-        raise OutOfDomain(f"y must lie in (1, 1+beta), got {y}")
-    return beta * y ** lam / ((1.0 + beta - y) * math.log(y))
-
+def _finite(name: str, x: float) -> float:
+    """x itself, or OutOfDomain when it is not finite."""
+    if not math.isfinite(x):
+        raise OutOfDomain(f"{name} = {x} does not fit in floating point")
+    return x

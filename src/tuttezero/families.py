@@ -157,19 +157,23 @@ def sample_weights(m: int, regime: str, rng: np.random.Generator) -> list[comple
     contractive: 1 + w uniform on the closed unit disc, so |1+w| <= 1.
     expansive: |1+w| log-uniform on [1, 10] with uniform phase.
     mixed: an independent fair coin per edge between the two.
+
+    All uniforms come from one rng.random call, per edge in the order
+    coin (mixed only), phase, modulus; these are the values, in the same
+    order, that one scalar rng call per uniform would draw.
     """
     if regime not in WEIGHT_REGIMES:
         raise OutOfDomain(f"unknown regime {regime!r}")
+    per = 3 if regime == "mixed" else 2
+    u = rng.random(per * m).tolist()
     out = []
-    for _ in range(m):
+    for i in range(0, per * m, per):
         kind = regime
-        if kind == "mixed":
-            kind = "contractive" if rng.random() < 0.5 else "expansive"
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        if kind == "contractive":
-            r = math.sqrt(rng.random())
-        else:
-            r = 10.0 ** rng.random()
+        if per == 3:
+            kind = "contractive" if u[i] < 0.5 else "expansive"
+        theta = math.tau * u[i + per - 2]
+        s = u[i + per - 1]
+        r = math.sqrt(s) if kind == "contractive" else 10.0 ** s
         out.append(-1.0 + r * complex(math.cos(theta), math.sin(theta)))
     return out
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -67,9 +68,12 @@ class WeightedGraph:
     def m(self) -> int:
         return len(self.edges)
 
-    @property
+    @cached_property
     def is_simple(self) -> bool:
-        """True when no unordered vertex pair carries more than one edge."""
+        """True when no unordered vertex pair carries more than one edge.
+
+        Computed once per graph; the graph is immutable.
+        """
         seen = set()
         for u, v, _ in self.edges:
             key = (u, v) if u < v else (v, u)
@@ -161,13 +165,25 @@ class EdgeWeightView:
                 raise OutOfDomain("interpolated mode requires a in [0, 1]")
 
 
-def _damped(w: complex, exponent: float) -> float:
-    """min(|w|, |w| / |1+w|^exponent) without dividing by zero."""
-    aw = abs(w)
-    a1 = abs(1 + w) ** exponent
-    if a1 <= 1.0:
+def _damped(aw: float, a1: float, exponent: float) -> float:
+    """min(|w|, |w| / |1+w|^exponent) from aw = |w| and a1 = |1+w|,
+    without dividing by zero."""
+    d = a1 ** exponent
+    if d <= 1.0:
         return aw
-    return aw / a1
+    return aw / d
+
+
+EdgeModuli = list[tuple[int, int, float, float]]
+
+
+def edge_moduli(g: WeightedGraph) -> EdgeModuli:
+    """(u, v, |w|, |1+w|) for every edge, in edge order.
+
+    Every degree-style quantity below is a function of these two moduli,
+    so a caller that needs several of them takes the moduli once.
+    """
+    return [(u, v, abs(w), abs(1 + w)) for u, v, w in g.edges]
 
 
 def transform_weights(g: WeightedGraph, view: EdgeWeightView) -> WeightedGraph:
@@ -189,19 +205,20 @@ def transform_weights(g: WeightedGraph, view: EdgeWeightView) -> WeightedGraph:
         if mode == "raw":
             out.append(complex(abs(w)))
         elif mode == "prime":
-            out.append(complex(_damped(w, 1.0)))
+            out.append(complex(_damped(abs(w), abs(1 + w), 1.0)))
         elif mode == "dual":
             if w == -1:
                 raise SingularDual(f"edge {i} has weight -1; dual transform undefined")
             out.append(-w / (1 + w))
         elif mode == "tilde":
             expo = 0.5 if i in at_root else 1.0
-            out.append(complex(_damped(w, expo)))
+            out.append(complex(_damped(abs(w), abs(1 + w), expo)))
         elif mode == "double_prime":
-            out.append(complex(abs(w)) if i in at_root else complex(_damped(w, 1.0)))
+            out.append(complex(abs(w)) if i in at_root
+                       else complex(_damped(abs(w), abs(1 + w), 1.0)))
         else:  # interpolated
             expo = 1.0 - view.a / 2.0 if i in at_root else 1.0
-            out.append(complex(_damped(w, expo)))
+            out.append(complex(_damped(abs(w), abs(1 + w), expo)))
     return g.with_weights(out)
 
 
@@ -230,27 +247,30 @@ class DegreeReport:
         return self._lam
 
 
-def degree_quantities(g: WeightedGraph) -> DegreeReport:
+def degree_quantities(g: WeightedGraph, moduli: EdgeModuli | None = None) -> DegreeReport:
     """Compute Delta, Delta', Delta~, Psi and per-vertex strengths.
 
-    An edgeless graph reports zeros with Psi = 1 and an undefined lambda.
-    Always 1/sqrt(psi) <= lam <= 1 when lam is defined.
+    moduli, if given, is edge_moduli(g).  An edgeless graph reports zeros
+    with Psi = 1 and an undefined lambda.  Always 1/sqrt(psi) <= lam <= 1
+    when lam is defined.
     """
     n = g.n
     s_raw = [0.0] * n
     s_prime = [0.0] * n
     s_tilde = [0.0] * n
     p_psi = [1.0] * n
-    for u, v, w in g.edges:
-        aw = abs(w)
-        dp = _damped(w, 1.0)
-        dt = _damped(w, 0.5)
-        mx = max(1.0, abs(1 + w))
-        for x in (u, v):
-            s_raw[x] += aw
-            s_prime[x] += dp
-            s_tilde[x] += dt
-            p_psi[x] *= mx
+    for u, v, aw, a1 in edge_moduli(g) if moduli is None else moduli:
+        dp = _damped(aw, a1, 1.0)
+        dt = _damped(aw, a1, 0.5)
+        mx = a1 if a1 > 1.0 else 1.0
+        s_raw[u] += aw
+        s_raw[v] += aw
+        s_prime[u] += dp
+        s_prime[v] += dp
+        s_tilde[u] += dt
+        s_tilde[v] += dt
+        p_psi[u] *= mx
+        p_psi[v] *= mx
     delta = max(s_raw, default=0.0) if n else 0.0
     dprime = max(s_prime, default=0.0) if n else 0.0
     dtilde = max(s_tilde, default=0.0) if n else 0.0
@@ -259,18 +279,18 @@ def degree_quantities(g: WeightedGraph) -> DegreeReport:
     return DegreeReport(delta, dprime, dtilde, psi, tuple(s_raw), lam)
 
 
-def delta_prime_a(g: WeightedGraph, a: float) -> float:
+def delta_prime_a(g: WeightedGraph, a: float, moduli: EdgeModuli | None = None) -> float:
     """Max vertex sum of min(|w|, |w|/|1+w|^(1-a/2)) over all edges.
 
     Interpolates between Delta' at a = 0 and Delta~ at a = 1, and is
-    nondecreasing in a.
+    nondecreasing in a.  moduli, if given, is edge_moduli(g).
     """
     if not (0.0 <= a <= 1.0):
         raise OutOfDomain(f"a must lie in [0, 1], got {a}")
     expo = 1.0 - a / 2.0
     s = [0.0] * g.n
-    for u, v, w in g.edges:
-        d = _damped(w, expo)
+    for u, v, aw, a1 in edge_moduli(g) if moduli is None else moduli:
+        d = _damped(aw, a1, expo)
         s[u] += d
         s[v] += d
     return max(s, default=0.0)

@@ -10,6 +10,7 @@ from tuttezero import (
     BadLambda,
     NoConvergence,
     OutOfDomain,
+    analyze,
     build_graph,
     f_closed,
     f_lambda_series,
@@ -21,9 +22,35 @@ from tuttezero import (
     lambert_w,
     sokal_K,
 )
-from tuttezero.bounds import _minimize_bounded, variational_objective
+from tuttezero import bounds, families
+from tuttezero.bounds import _minimize_bounded
 from tuttezero.families import cycle_graph, path_graph
 from tuttezero.verify import BETA_GRID, LAMBDA_GRID
+
+
+def variational_objective(lam: float, beta: float, y: float) -> float:
+    """The inner objective of the variational route, in y."""
+    if not (1.0 < y < 1.0 + beta):
+        raise OutOfDomain(f"y must lie in (1, 1+beta), got {y}")
+    return beta * y ** lam / ((1.0 + beta - y) * math.log(y))
+
+
+def brent_f_lambda(lam: float, beta: float) -> float:
+    """F_lambda(beta) by Brent's bounded minimizer on the objective in
+    v = log y, with the ends and tolerance of the former Brent route.
+
+    The upper end is cut to v = 700/lam where it lies beyond, so that
+    e^{lam v} stays finite; the minimizer lies below 1/lam.
+    """
+    def obj(v: float) -> float:
+        return math.exp(lam * v) / ((1.0 - math.expm1(v) / beta) * v)
+
+    lo = math.log1p(1e-12 * min(1.0, beta))
+    hi = math.log1p(beta * (1.0 - 1e-12))
+    if lam * hi > 700.0:
+        hi = 700.0 / lam
+    _, fmin = _minimize_bounded(obj, lo, hi, 1e-13 * min(1.0, math.log1p(beta)), 500)
+    return fmin
 
 
 # ---------------------------------------------------------------------------
@@ -45,13 +72,12 @@ def test_minimizer_matches_scipy_on_variational_objective():
                 lambda y: variational_objective(lam, beta, y),
                 1.0 + eps, 1.0 + beta - eps, 1e-13, 500,
             )
-            # f_lambda_variational minimizes the same objective in v = log y
-            _, fx = assert_matches_scipy(
+            # the same objective in v = log y, as brent_f_lambda runs it
+            assert_matches_scipy(
                 lambda v: math.exp(lam * v) / ((1.0 - math.expm1(v) / beta) * v),
                 math.log1p(eps), math.log1p(beta * (1.0 - 1e-12)),
                 1e-13 * min(1.0, math.log1p(beta)), 500,
             )
-            assert f_lambda_variational(lam, beta) == fx
 
 
 def test_minimizer_matches_scipy_on_sokal_objective():
@@ -207,6 +233,52 @@ def test_variational_route_at_large_beta():
     assert abs(f_lambda_variational(1.0, 1e20) - math.e) < 1e-12
 
 
+@settings(max_examples=300, deadline=None)
+@given(lam=st.floats(0, 3), decade=st.floats(-300, 300))
+@example(lam=2.0, decade=300.0)
+@example(lam=0.0, decade=-300.0)
+def test_newton_route_matches_brent(lam, decade):
+    # Newton finds the minimizer of a convex function, so it never lies
+    # above Brent's minimum beyond rounding; where it lies below, by
+    # Brent's stopping tolerance, the gap stays small
+    beta = 10.0 ** decade
+    newton = f_lambda_variational(lam, beta)
+    brent = brent_f_lambda(lam, beta)
+    assert newton <= brent * (1.0 + 1e-13)
+    assert newton >= brent * (1.0 - 1e-12)
+
+
+def test_variational_route_large_beta_limit():
+    # F_lambda(beta) -> min over v of e^{lam v}/v = lam e; Brent's first
+    # golden point overflowed exp(lam v) at lam >= 2 here
+    for lam in (1.5, 2.0, 3.0):
+        assert abs(f_lambda_variational(lam, 1e300) / (lam * math.e) - 1) < 1e-12
+
+
+@pytest.mark.parametrize("lam, beta", [
+    (-0.1, 1.0), (math.inf, 1.0), (math.nan, 1.0),
+    (1.0, 0.0), (1.0, -1.0), (1.0, math.inf), (1.0, math.nan),
+])
+def test_variational_route_domain(lam, beta):
+    with pytest.raises(OutOfDomain):
+        f_lambda_variational(lam, beta)
+
+
+def test_analyze_path_does_not_run_brent(monkeypatch):
+    # K is computed once per process (sokal_K is cached); every per-graph
+    # radius after that comes from the Newton route
+    sokal_K()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("_minimize_bounded called on the analyze path")
+
+    monkeypatch.setattr(bounds, "_minimize_bounded", forbidden)
+    for g in (path_graph(2, 10.0), cycle_graph(4, 2.0 + 1.5j), cycle_graph(5, -0.5 + 0.2j),
+              build_graph(range(2), [(0, 1, 1.0), (0, 1, 2.0)])):
+        rep = analyze(g)
+        rep.to_json()
+
+
 def test_variational_route_at_tiny_beta():
     # F_1(beta) = beta Kstar(beta^-2), and F_1(beta) -> 4/beta as beta -> 0
     for beta in (1e-7, 1e-10, 1e-20, 1e-100):
@@ -335,6 +407,49 @@ def test_interpolated_radius_profile_smooth():
     vals = [b.radius_interpolated(a) for a in np.linspace(0, 1, 11)]
     assert all(v > 0 for v in vals)
     assert all(abs(x - y) < 0.2 * max(x, y) for x, y in zip(vals, vals[1:]))
+
+
+def _contractive_corpus(seed=0, draws=30):
+    rng = np.random.default_rng(seed)
+    for corpus in (families.connected_simple_structures(5),
+                   families.connected_multigraph_structures(3)):
+        for n, pairs in corpus:
+            for _ in range(draws):
+                ws = families.sample_weights(len(pairs), "contractive", rng)
+                yield families.weighted((n, pairs), ws)
+
+
+def test_subcritical_disc_holds_on_contractive_draws():
+    # Sokal's regime |1 + w_e| <= 1: no nonzero root lies outside K Delta,
+    # and the general disc lies inside it
+    seen = 0
+    for g in _contractive_corpus():
+        rep = analyze(g)
+        b = rep.bounds
+        assert b.all_subcritical
+        assert all(abs(r) < b.radius_subcritical for r in rep.roots)
+        if b.delta > 0.0:
+            assert b.radius_general <= b.radius_subcritical
+            seen += 1
+    assert seen > 1000
+
+
+def test_radius_general_inside_subcritical_ratio():
+    # with every |1 + w_e| <= 1, psi = 1 and Delta' = Delta, so the ratio
+    # of the general radius to the subcritical one is Kstar(1)/K
+    g = cycle_graph(4, -0.5 + 0.2j)
+    b = graph_bounds(g)
+    assert b.all_subcritical and b.psi == 1.0
+    ratio = b.radius_general / b.radius_subcritical
+    assert abs(ratio - kstar_psi(1.0) / sokal_K()) < 1e-12
+    assert abs(ratio - 0.867) < 1e-3
+
+
+def test_graph_bounds_rejects_non_finite_radius():
+    # psi is finite, Kstar(psi) is not
+    g = build_graph(range(2), [(0, 1, 1e154), (0, 1, complex(1.2e154, 1.2e154))])
+    with pytest.raises(OutOfDomain):
+        graph_bounds(g)
 
 
 def test_multigraph_has_no_simple_radius():

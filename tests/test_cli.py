@@ -230,6 +230,22 @@ def test_analyze_weight_1e40_has_finite_radii(capsys, tmp_path):
     assert sorted(r[0] for r in blob["roots"]) == [-1e40, -1.0]
 
 
+def test_analyze_non_finite_radius_is_input_error(capsys, tmp_path):
+    # psi is finite here but Kstar(psi) and the general radius overflow;
+    # a disc check against an infinite radius would hold vacuously
+    p = tmp_path / "radius.txt"
+    p.write_text("0 1 1e154 0\n0 1 1.2e154 1.2e154\n")
+    code, out, err = run_cli(capsys, "analyze", "--input", str(p))
+    assert code == 2
+    assert out == ""
+    assert "tuttezero: error:" in err and "Traceback" not in err
+    proc = run_cli_process("analyze", "--input", str(p))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("tuttezero: error:")
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
 def test_analyze_lost_root_is_input_error(capsys, tmp_path):
     # a path's roots are its negated weights; over this spread of weights
     # the eigenvalue solve loses one, which the coefficient check catches

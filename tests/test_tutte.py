@@ -1,4 +1,5 @@
 import cmath
+import gc
 import math
 
 import numpy as np
@@ -219,6 +220,21 @@ def test_z_coefficients_same_bits_with_warm_and_cold_layout_cache():
         warm = [_kernels.z_coefficients(n, edges).tobytes() for n, edges in corpus]
         assert warm == cold
     assert _kernels._layout.cache_info().hits > 0
+
+
+def test_z_coefficients_leaves_no_reference_cycle():
+    # every object a call makes is freed by reference counting, so the
+    # cyclic collector finds nothing to do after many calls
+    edges = [(0, 1, 0.5 + 0.25j), (1, 2, -0.3j), (0, 2, 2.0)]
+    _kernels.z_coefficients(3, edges)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            _kernels.z_coefficients(3, edges)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_layout_cache_stays_bounded():
