@@ -109,7 +109,7 @@ def _cmd_analyze(args) -> int:
         g = load_graph(args.input)
     except OSError as exc:
         return _usage(f"cannot read {args.input}: {exc}")
-    except (TutteZeroError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (TutteZeroError, ValueError, RecursionError) as exc:
         return _usage(f"bad graph input: {exc}")
     if g.n > (mv or HARD_MAX_VERTICES) or g.m > (me or HARD_MAX_EDGES):
         return _usage(

@@ -14,13 +14,9 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-import numpy as np
-
 from .errors import BadIndex, OutOfDomain
 from .graph import WeightedGraph, induced_subgraph
 from .tutte import _check_size
-
-_E = math.e
 
 
 def _connected_mask_levels(g: WeightedGraph, x: int, m_max: int) -> list[set[int]]:
@@ -59,15 +55,11 @@ def _connected_mask_levels(g: WeightedGraph, x: int, m_max: int) -> list[set[int
     return levels
 
 
-def c_m(g: WeightedGraph, x: int, m: int) -> float:
-    """Weighted count of m-edge connected subgraphs containing x."""
-    if m < 0:
-        raise OutOfDomain(f"m must be >= 0, got {m}")
-    return c_m_table(g, x, m)[m]
-
-
 def c_m_table(g: WeightedGraph, x: int, m_max: int) -> list[float]:
-    """c_m(g, x, m) for every m = 0..m_max in one frontier sweep."""
+    """The weighted count c_m of m-edge connected subgraphs containing x,
+    for every m = 0..m_max, in one frontier sweep."""
+    if m_max < 0:
+        raise OutOfDomain(f"m must be >= 0, got {m_max}")
     if not (0 <= x < g.n):
         raise BadIndex(f"vertex {x} outside 0..{g.n - 1}")
     _check_size(g)
@@ -89,14 +81,12 @@ def c_m_table(g: WeightedGraph, x: int, m_max: int) -> list[float]:
     return out
 
 
-def counting_bound_sokal(delta: float, m: int, weak: bool = False) -> float:
-    """(m+1)^{m-1}/m! * delta^m, or the weaker (e*delta)^m when weak."""
+def counting_bound_sokal(delta: float, m: int) -> float:
+    """(m+1)^{m-1}/m! * delta^m."""
     if delta < 0:
         raise OutOfDomain(f"delta must be >= 0, got {delta}")
     if m < 0:
         raise OutOfDomain(f"m must be >= 0, got {m}")
-    if weak:
-        return (_E * delta) ** m
     return cmk(m, 1.0) * delta ** m
 
 
@@ -130,33 +120,6 @@ def cmk(m: int, kappa: float) -> float:
             math.log(kappa) + (m - 1) * math.log(m + kappa) - math.lgamma(m + 1)
         )
     return kappa * (m + kappa) ** (m - 1) / math.factorial(m)
-
-
-def tree_function(x: float, n_terms: int = 200_000) -> float:
-    """T(x) = sum_{n>=1} n^{n-1}/n! x^n, the inverse of c -> c e^{-c}.
-
-    Converges on [0, 1/e]; at the endpoint the terms decay like n^{-3/2},
-    so the truncation error with N terms is about 2/sqrt(2 pi N).  Terms
-    are evaluated in log space and summed with numpy.
-    """
-    if x < 0 or x > 1.0 / _E + 1e-15:
-        raise OutOfDomain(f"tree function needs 0 <= x <= 1/e, got {x}")
-    if n_terms < 1:
-        raise OutOfDomain(f"n_terms must be >= 1, got {n_terms}")
-    if x == 0.0:
-        return 0.0
-    from scipy.special import gammaln
-
-    n = np.arange(1.0, n_terms + 1.0)
-    logt = (n - 1) * np.log(n) - gammaln(n + 1.0) + n * math.log(x)
-    return float(np.sum(np.exp(logt)))
-
-
-def tree_function_u(z: float, n_terms: int = 200_000) -> float:
-    """U(z) = T(z)/z, continued by U(0) = 1."""
-    if z == 0.0:
-        return 1.0
-    return tree_function(z, n_terms) / z
 
 
 def _compositions(total: int, parts: int):

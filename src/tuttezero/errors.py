@@ -41,14 +41,6 @@ class NotATree(TutteZeroError):
     """The given edge set is not a spanning tree of the graph."""
 
 
-class MissingRoot(TutteZeroError):
-    """A root vertex is required for this weight transform but was not given."""
-
-
-class SingularDual(TutteZeroError):
-    """The dual transform w -> -w/(1+w) hits an edge with w = -1."""
-
-
 class DegenerateLambda(TutteZeroError):
     """The degree ratio lambda is undefined because its denominator vanishes."""
 

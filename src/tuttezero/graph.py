@@ -1,12 +1,12 @@
-"""Complex-weighted multigraphs and their derived weight transforms.
+"""Complex-weighted multigraphs and their derived edge weights.
 
 A graph here is a finite loopless multigraph on vertices 0..n-1 with one
 complex weight per edge.  Instances are immutable; every operation returns
 a new graph.  Beyond construction and serialization this module provides
 
 * the parallel-class reduction  w -> prod(1+w_i) - 1,
-* the derived nonnegative edge weights used by the zero-free disc bounds
-  (raw modulus, |w|/|1+w| variants, the interpolated family, the dual map),
+* the edge moduli |w| and |1+w|, and the damped weights
+  min(|w|, |w|/|1+w|^e) built from them for the zero-free disc bounds,
 * the degree-style quantities Delta, Delta', Delta~, Psi and their ratio.
 """
 
@@ -23,17 +23,12 @@ from .errors import (
     DegenerateLambda,
     EmptySet,
     LoopEdge,
-    MissingRoot,
     NonFiniteWeight,
     OutOfDomain,
-    SingularDual,
     TooLarge,
 )
 
 Edge = tuple[int, int, complex]
-
-VIEW_MODES = ("raw", "prime", "tilde", "double_prime", "interpolated", "dual")
-_ROOTED_MODES = ("tilde", "double_prime", "interpolated")
 
 MAX_ENUM_EDGES = 24
 # connected_by_support takes O(3^n) time whatever the edge count
@@ -142,29 +137,6 @@ def parallel_reduce(g: WeightedGraph) -> WeightedGraph:
     return WeightedGraph(g.vertices, new_edges)
 
 
-@dataclass(frozen=True)
-class EdgeWeightView:
-    """Selects one of the derived edge-weight transforms.
-
-    mode: "raw", "prime", "tilde", "double_prime", "interpolated" or "dual".
-    The rooted modes (tilde, double_prime, interpolated) treat edges at the
-    root differently from the rest; interpolated also needs a in [0, 1].
-    """
-
-    mode: str
-    root: int | None = None
-    a: float | None = None
-
-    def __post_init__(self):
-        if self.mode not in VIEW_MODES:
-            raise OutOfDomain(f"unknown weight view mode {self.mode!r}")
-        if self.mode in _ROOTED_MODES and self.root is None:
-            raise MissingRoot(f"mode {self.mode!r} requires a root vertex")
-        if self.mode == "interpolated":
-            if self.a is None or not (0.0 <= self.a <= 1.0):
-                raise OutOfDomain("interpolated mode requires a in [0, 1]")
-
-
 def _damped(aw: float, a1: float, exponent: float) -> float:
     """min(|w|, |w| / |1+w|^exponent) from aw = |w| and a1 = |1+w|,
     without dividing by zero."""
@@ -184,42 +156,6 @@ def edge_moduli(g: WeightedGraph) -> EdgeModuli:
     so a caller that needs several of them takes the moduli once.
     """
     return [(u, v, abs(w), abs(1 + w)) for u, v, w in g.edges]
-
-
-def transform_weights(g: WeightedGraph, view: EdgeWeightView) -> WeightedGraph:
-    """Apply an EdgeWeightView, returning a graph with the derived weights.
-
-    All modes except "dual" produce nonnegative real weights (stored as
-    complex with zero imaginary part).  The dual map w -> -w/(1+w) raises
-    SingularDual on any edge with w = -1; applied twice it is the identity.
-    """
-    mode = view.mode
-    if mode in _ROOTED_MODES:
-        root = view.root
-        if not (0 <= root < g.n):
-            raise BadIndex(f"root {root} out of range")
-        at_root = set(g.edges_at(root))
-
-    out: list[complex] = []
-    for i, (u, v, w) in enumerate(g.edges):
-        if mode == "raw":
-            out.append(complex(abs(w)))
-        elif mode == "prime":
-            out.append(complex(_damped(abs(w), abs(1 + w), 1.0)))
-        elif mode == "dual":
-            if w == -1:
-                raise SingularDual(f"edge {i} has weight -1; dual transform undefined")
-            out.append(-w / (1 + w))
-        elif mode == "tilde":
-            expo = 0.5 if i in at_root else 1.0
-            out.append(complex(_damped(abs(w), abs(1 + w), expo)))
-        elif mode == "double_prime":
-            out.append(complex(abs(w)) if i in at_root
-                       else complex(_damped(abs(w), abs(1 + w), 1.0)))
-        else:  # interpolated
-            expo = 1.0 - view.a / 2.0 if i in at_root else 1.0
-            out.append(complex(_damped(abs(w), abs(1 + w), expo)))
-    return g.with_weights(out)
 
 
 @dataclass(frozen=True)
@@ -328,20 +264,39 @@ def graph_to_json(g: WeightedGraph) -> dict:
     }
 
 
+def _is_number(x, kinds: tuple = (int, float)) -> bool:
+    """True for a JSON number of one of the given kinds; true and false are not."""
+    return isinstance(x, kinds) and not isinstance(x, bool)
+
+
 def graph_from_json(obj: dict) -> WeightedGraph:
+    """Read the graph_to_json layout: a "vertices" list of labels and an
+    "edges" list of {"u": int, "v": int, "w": number or [re, im]}.
+
+    Any other shape raises BadIndex; a weight too large for a float
+    raises NonFiniteWeight.
+    """
     try:
         labels = obj["vertices"]
         raw_edges = obj["edges"]
     except (KeyError, TypeError) as exc:
         raise BadIndex(f"malformed graph object: {exc}") from exc
+    if not (isinstance(labels, list) and isinstance(raw_edges, list)):
+        raise BadIndex("graph 'vertices' and 'edges' must be lists")
     edges = []
-    for e in raw_edges:
-        w = e["w"]
-        if isinstance(w, (int, float)):
-            wc = complex(w)
-        else:
-            wc = complex(w[0], w[1])
-        edges.append((e["u"], e["v"], wc))
+    for i, e in enumerate(raw_edges):
+        if not isinstance(e, dict):
+            raise BadIndex(f"edge {i} is not an object: {e!r}")
+        u, v, w = e.get("u"), e.get("v"), e.get("w")
+        if not (_is_number(u, (int,)) and _is_number(v, (int,))):
+            raise BadIndex(f"edge {i} endpoints must be integers, got {u!r} and {v!r}")
+        parts = [w, 0] if _is_number(w) else w
+        if not (isinstance(parts, list) and len(parts) == 2 and all(map(_is_number, parts))):
+            raise BadIndex(f"edge {i} weight must be a number or [re, im], got {w!r}")
+        try:
+            edges.append((u, v, complex(*parts)))
+        except OverflowError as exc:
+            raise NonFiniteWeight(f"edge {i} has weight {w!r} of non-finite modulus") from exc
     return build_graph(labels, edges)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BadIndex, Disconnected, NotATree, NotSimple
-from .graph import EdgeWeightView, WeightedGraph, degree_quantities, transform_weights
+from .graph import EdgeModuli, WeightedGraph, _damped, degree_quantities, edge_moduli
 from .tutte import (
     _check_size,
     component_count,
@@ -222,6 +222,17 @@ class PenroseBounds:
         )
 
 
+def _damped_tree_sum(g: WeightedGraph, mods: EdgeModuli, x: int,
+                     e_root: float, e_rest: float) -> float:
+    """|T_G| at the weights min(|w|, |w|/|1+w|^e), with e = e_root on the
+    edges at x and e = e_rest on every other edge.
+
+    mods is edge_moduli(g).  e = 0 keeps the raw modulus |w|.
+    """
+    ws = [_damped(aw, a1, e_root if x in (u, v) else e_rest) for u, v, aw, a1 in mods]
+    return abs(spanning_tree_gen_poly(g.with_weights(ws)))
+
+
 def extended_penrose_bounds(g: WeightedGraph, x: int = 0) -> PenroseBounds:
     """Evaluate both bound chains for the connected generating value.
 
@@ -232,17 +243,17 @@ def extended_penrose_bounds(g: WeightedGraph, x: int = 0) -> PenroseBounds:
         raise BadIndex(f"root {x} outside 0..{g.n - 1}")
     _require_connected(g)
     n = g.n
-    deg = degree_quantities(g)
+    mods = edge_moduli(g)
+    deg = degree_quantities(g, mods)
     psi = deg.psi
     lhs = abs(connected_gen_poly(g))
 
-    amp = [max(1.0, abs(1 + w)) for w in g.weights()]
+    amp = [max(1.0, a1) for _, _, _, a1 in mods]
     prod_all = 1.0
     for a in amp:
         prod_all *= a
 
-    g_prime = transform_weights(g, EdgeWeightView("prime"))
-    t_prime = abs(spanning_tree_gen_poly(g_prime))
+    t_prime = _damped_tree_sum(g, mods, x, 1.0, 1.0)
     rhs_damped_prod = t_prime * prod_all
     rhs_damped_psi = t_prime * psi ** (n / 2.0)
 
@@ -258,21 +269,17 @@ def extended_penrose_bounds(g: WeightedGraph, x: int = 0) -> PenroseBounds:
             rhs_undamped_psi=None,
         )
 
-    at_root = set(g.edges_at(x))
     prod_off_root = 1.0
     prod_root_half = 1.0
-    for i, a in enumerate(amp):
-        if i in at_root:
+    for (u, v, _, _), a in zip(mods, amp):
+        if x in (u, v):
             prod_root_half *= a ** 0.5
         else:
             prod_off_root *= a
 
-    g_double = transform_weights(g, EdgeWeightView("double_prime", root=x))
-    g_tilde = transform_weights(g, EdgeWeightView("tilde", root=x))
-    g_abs = g.with_weights([abs(w) for w in g.weights()])
-    t_double = abs(spanning_tree_gen_poly(g_double))
-    t_tilde = abs(spanning_tree_gen_poly(g_tilde))
-    t_abs = abs(spanning_tree_gen_poly(g_abs))
+    t_double = _damped_tree_sum(g, mods, x, 0.0, 1.0)
+    t_tilde = _damped_tree_sum(g, mods, x, 0.5, 1.0)
+    t_abs = _damped_tree_sum(g, mods, x, 0.0, 0.0)
     psi_half_nm1 = psi ** ((n - 1) / 2.0)
 
     return PenroseBounds(

@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tuttezero
 from tuttezero import analyze, families
@@ -166,6 +171,91 @@ def test_analyze_rejects_non_finite_json(capsys, tmp_path, bad, part):
     code, _, err = run_cli(capsys, "analyze", "--input", str(p))
     assert code == 2
     assert "non-finite" in err and "Traceback" not in err
+
+
+def _json_edge(**fields):
+    return {"vertices": [0, 1, 2],
+            "edges": [dict({"u": 0, "v": 1, "w": [1.0, 0.0]}, **fields),
+                      {"u": 1, "v": 2, "w": [1.0, 0.0]}]}
+
+
+MALFORMED_JSON = {
+    "edge-not-object": {"vertices": [0, 1], "edges": [5]},
+    "w-one-part": _json_edge(w=[1]),
+    "v-null": _json_edge(v=None),
+    "vertices-not-list": {"vertices": 5, "edges": [{"u": 0, "v": 1, "w": [1.0, 0.0]}]},
+    "w-string": _json_edge(w="x"),
+    "edges-not-list": {"vertices": [0, 1], "edges": 5},
+    "w-three-parts": _json_edge(w=[1, 2, 3]),
+    "u-fractional": _json_edge(u=1.5),
+}
+
+
+@pytest.mark.parametrize("obj", [pytest.param(v, id=k) for k, v in MALFORMED_JSON.items()])
+def test_analyze_rejects_malformed_json(capsys, tmp_path, obj):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "analyze", "--input", str(p))
+    assert code == 2
+    assert out == ""
+    assert "tuttezero: error:" in err and "Traceback" not in err
+
+
+def test_analyze_rejects_deeply_nested_json(capsys, tmp_path):
+    # deeper than the JSON decoder's recursion limit
+    p = tmp_path / "deep.json"
+    p.write_text('{"vertices": ' + "[" * 100_000 + "]" * 100_000 + ', "edges": []}')
+    code, out, err = run_cli(capsys, "analyze", "--input", str(p))
+    assert code == 2
+    assert out == ""
+    assert "tuttezero: error:" in err and "Traceback" not in err
+
+
+def test_analyze_reads_plain_number_weight(capsys, tmp_path):
+    p = tmp_path / "k2.json"
+    p.write_text(json.dumps({"vertices": [0, 1], "edges": [{"u": 0, "v": 1, "w": 1000}]}))
+    code, out, _ = run_cli(capsys, "analyze", "--input", str(p))
+    assert code == 0
+    assert json.loads(out)["q_max"] == 1000.0
+
+
+json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+# mostly well-formed fields, so that the fuzz also gets past the first check
+json_edges = json_values | st.fixed_dictionaries({
+    "u": st.integers(-1, 3) | json_values,
+    "v": st.integers(-1, 3) | json_values,
+    "w": st.floats() | st.lists(st.floats(), max_size=3) | json_values,
+})
+json_graphs = st.fixed_dictionaries({
+    "vertices": st.lists(st.integers(0, 9), max_size=4) | json_values,
+    "edges": st.lists(json_edges, max_size=4) | json_values,
+})
+
+
+def _analyze_exit(data: bytes) -> int:
+    with tempfile.TemporaryDirectory() as d:
+        p = Path(d) / "g"
+        p.write_bytes(data)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return main(["analyze", "--input", str(p)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(obj=json_graphs)
+def test_analyze_fuzz_json_values(obj):
+    assert _analyze_exit(json.dumps(obj).encode()) in (0, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.binary(max_size=64))
+def test_analyze_fuzz_bytes(data):
+    assert _analyze_exit(data) in (0, 2)
 
 
 def test_analyze_loads_neither_scipy_nor_networkx(k2_file):

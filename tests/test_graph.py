@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 from tuttezero import (
     BadIndex,
     DegenerateLambda,
-    EdgeWeightView,
     LoopEdge,
-    MissingRoot,
     NonFiniteWeight,
     build_graph,
     degree_quantities,
@@ -22,9 +20,8 @@ from tuttezero import (
     induced_subgraph,
     parallel_reduce,
     parse_edge_lines,
-    transform_weights,
 )
-from tuttezero.errors import OutOfDomain, SingularDual
+from tuttezero.errors import OutOfDomain
 
 from conftest import dc_z_coeffs
 
@@ -94,59 +91,36 @@ def test_weight_views_on_one_edge():
     w = complex(3.0, 4.0)  # |1+w| = sqrt(32) > 1
     g = build_graph(range(2), [(0, 1, w)])
     a = abs(1 + w)
-    raw = transform_weights(g, EdgeWeightView("raw")).edges[0][2]
-    prime = transform_weights(g, EdgeWeightView("prime")).edges[0][2]
-    tilde = transform_weights(g, EdgeWeightView("tilde", root=0)).edges[0][2]
-    dbl = transform_weights(g, EdgeWeightView("double_prime", root=0)).edges[0][2]
-    assert raw == complex(abs(w))
-    assert abs(prime - abs(w) / a) < 1e-14
-    assert abs(tilde - abs(w) / a ** 0.5) < 1e-14
-    assert dbl == complex(abs(w))  # the root edge keeps its raw magnitude
+    deg = degree_quantities(g)
+    assert deg.delta == abs(w)  # raw modulus, as double-prime keeps on root edges
+    assert abs(deg.delta_prime - abs(w) / a) < 1e-14
+    assert abs(deg.delta_tilde - abs(w) / a ** 0.5) < 1e-14
 
 
 def test_weight_views_subcritical_no_damping():
     # inside |1+w| <= 1 damping is inert: all magnitudes stay |w|
     w = complex(-0.5, 0.3)
     g = build_graph(range(2), [(0, 1, w)])
-    for view in (EdgeWeightView("prime"), EdgeWeightView("tilde", root=0),
-                 EdgeWeightView("double_prime", root=1)):
-        assert transform_weights(g, view).edges[0][2] == complex(abs(w))
+    deg = degree_quantities(g)
+    assert deg.delta == deg.delta_prime == deg.delta_tilde == abs(w)
+    for a in (0.0, 0.5, 1.0):
+        assert delta_prime_a(g, a) == abs(w)
 
 
 def test_interpolated_view_between_endpoints():
     w = complex(3.0, 4.0)
     g = build_graph(range(2), [(0, 1, w)])
-    vals = {}
-    for a in (0.0, 0.5, 1.0):
-        view = EdgeWeightView("interpolated", root=0, a=a)
-        vals[a] = transform_weights(g, view).edges[0][2].real
+    vals = {a: delta_prime_a(g, a) for a in (0.0, 0.5, 1.0)}
     assert abs(vals[0.0] - abs(w) / abs(1 + w)) < 1e-14
     assert abs(vals[1.0] - abs(w) / abs(1 + w) ** 0.5) < 1e-14
     assert vals[0.0] < vals[0.5] < vals[1.0]
 
 
-def test_rooted_view_requires_root():
-    with pytest.raises(MissingRoot):
-        EdgeWeightView("tilde")
+@pytest.mark.parametrize("a", [-0.1, 2.0])
+def test_delta_prime_a_rejects_a_outside_unit_interval(a):
+    g = build_graph(range(2), [(0, 1, 1.0)])
     with pytest.raises(OutOfDomain):
-        EdgeWeightView("interpolated", root=0, a=2.0)
-    with pytest.raises(OutOfDomain):
-        EdgeWeightView("sideways")
-
-
-def test_dual_view_is_an_involution():
-    w = complex(0.4, -1.2)
-    g = build_graph(range(2), [(0, 1, w)])
-    once = transform_weights(g, EdgeWeightView("dual"))
-    twice = transform_weights(once, EdgeWeightView("dual"))
-    assert cmath.isclose(twice.edges[0][2], w, rel_tol=1e-13)
-    assert cmath.isclose(once.edges[0][2], -w / (1 + w), rel_tol=1e-14)
-
-
-def test_dual_view_singular_at_minus_one():
-    g = build_graph(range(2), [(0, 1, -1.0)])
-    with pytest.raises(SingularDual):
-        transform_weights(g, EdgeWeightView("dual"))
+        delta_prime_a(g, a)
 
 
 def test_degree_quantities_hand_checked():
@@ -198,6 +172,32 @@ def test_json_round_trip(small_weighted):
     assert back.edges == small_weighted.edges
 
 
+# finite parts small enough that every modulus stays finite
+weight_parts = st.floats(-1e300, 1e300)
+edge_tuples = st.lists(
+    st.tuples(st.integers(0, 5), st.integers(0, 5), weight_parts, weight_parts)
+    .filter(lambda e: e[0] != e[1]),
+    min_size=1, max_size=8,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(edges=edge_tuples,
+       labels=st.lists(st.integers() | st.text(max_size=4), min_size=6, max_size=6))
+def test_json_round_trip_property(edges, labels):
+    g = build_graph(labels, [(u, v, complex(re, im)) for u, v, re, im in edges])
+    assert graph_from_json(json.loads(json.dumps(graph_to_json(g)))) == g
+
+
+@settings(max_examples=100, deadline=None)
+@given(edges=edge_tuples)
+def test_edge_lines_round_trip_property(edges):
+    top = max(max(u, v) for u, v, _, _ in edges)
+    g = build_graph(range(top + 1), [(u, v, complex(re, im)) for u, v, re, im in edges])
+    text = "".join(f"{u} {v} {w.real!r} {w.imag!r}\n" for u, v, w in g.edges)
+    assert parse_edge_lines(text) == g
+
+
 def test_parse_edge_lines_with_comments():
     g = parse_edge_lines("# header\n0 1 2.0 0.5\n\n1 2 -1 0  # tail\n")
     assert g.n == 3
@@ -213,7 +213,6 @@ def test_parse_edge_lines_with_comments():
 def test_prime_view_matches_damped_magnitude(re, im):
     w = complex(re, im)
     g = build_graph(range(2), [(0, 1, w)])
-    damped = transform_weights(g, EdgeWeightView("prime")).edges[0][2]
+    damped = degree_quantities(g).delta_prime
     want = min(abs(w), abs(w) / max(abs(1 + w), 1e-300))
-    assert damped.imag == 0.0
-    assert abs(damped.real - want) <= 1e-12 * (1.0 + want)
+    assert abs(damped - want) <= 1e-12 * (1.0 + want)

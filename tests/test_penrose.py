@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,37 @@ def test_bound_chain_ordering(rng):
                 for chain in (b.chain_all(), b.chain_rooted()):
                     for x, y in zip(chain, chain[1:]):
                         assert x <= y * (1 + 1e-9) + 1e-300
+
+
+def test_bound_chains_by_hand_on_triangle():
+    # root 0 carries the heavy edge 0-1 and the edge 0-2, which has
+    # |1+w| < 1 and so is damped by no chain; the edge 1-2 is off the root
+    w01, w12, w02 = 3 + 4j, 1.0, -0.5 + 0.3j
+    g = build_graph(range(3), [(0, 1, w01), (1, 2, w12), (0, 2, w02)])
+    b = extended_penrose_bounds(g, 0)
+
+    def trees(a, b, c):  # spanning-tree sum of a triangle
+        return a * b + b * c + a * c
+
+    r = math.sqrt(0.34)  # |w02|
+    prime = trees(5 / math.sqrt(32), 1 / 2, r)
+    double = trees(5, 1 / 2, r)  # the root's edges keep |w|
+    tilde = trees(5 / 32 ** 0.25, 1 / 2, r)
+    undamped = trees(5, 1, r)
+    # amplification max(1, |1+w|) per edge: sqrt(32), 2, 1; psi is vertex 1's
+    psi = math.sqrt(32) * 2
+    want = {
+        "lhs": abs(w01 * w12 + w12 * w02 + w01 * w02 + w01 * w12 * w02),
+        "rhs_damped_prod": prime * math.sqrt(32) * 2 * 1,
+        "rhs_damped_psi": prime * psi ** 1.5,
+        "rhs_root_raw_prod": double * 2,
+        "rhs_root_raw_psi": double * psi / math.sqrt(math.sqrt(32) * 1),
+        "rhs_root_half_psi": tilde * psi,
+        "rhs_undamped_psi": undamped * psi,
+    }
+    for field, value in want.items():
+        got = getattr(b, field)
+        assert abs(got - value) <= 1e-13 * value, field
 
 
 def test_bounds_start_at_connected_magnitude(rng):
