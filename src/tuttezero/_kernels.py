@@ -14,6 +14,11 @@ What does not depend on the weights (the vertex labels and component
 counts of the first block, and the order that groups its masks by
 component count) is built once per edge structure and kept in a small
 cache, since a sweep draws several weightings of one structure in a row.
+A join relabels the class of v with the label of u, which is the label of
+a vertex in u's class, so every class keeps the label of one of its own
+vertices.  The component count of a mask is therefore the number of
+vertices that carry their own label, plus the vertices no edge touches;
+the first block counts them once, from its final labels.
 
 The products are summed per component count within each block.  The
 block sums are then reduced pairwise in order of their high edges, which
@@ -49,17 +54,16 @@ from .errors import OutOfDomain
 BLOCK_BITS = 12
 
 
-def _join(labels: np.ndarray, u: int, v: int) -> tuple[np.ndarray, np.ndarray]:
+def _join(labels: np.ndarray, u: int, v: int) -> np.ndarray:
     """Add edge uv to every mask of a vertex-class label matrix.
 
     labels[x, i] is the class of vertex x in mask i.  Returns the new
-    labels, where the class of v becomes the class of u, and per mask
-    whether the edge joined two classes.  The labels are unsigned, so the
-    arithmetic wraps and lands exactly on the class of u.
+    labels, where the class of v becomes the class of u.  The labels are
+    unsigned, so the arithmetic wraps and lands exactly on the class of u.
     """
     a = labels[u]
     b = labels[v]
-    return labels + (labels == b) * (a - b), a != b
+    return labels + (labels == b) * (a - b)
 
 
 @functools.lru_cache(maxsize=4)
@@ -69,19 +73,21 @@ def _layout(n: int, pairs: tuple, b: int):
     Returns the endpoint indices eu and ev of every edge, and for the
     first block (the masks over the first b edges) the vertex labels, the
     component counts k, the stable order that sorts k and the number of
-    masks at each k.  Cached per structure, since a sweep draws several
-    weightings of one structure in a row; the arrays are read-only.
+    masks at each k.  k counts the vertices that keep their own label and
+    the n - |used| vertices no edge touches.  Cached per structure, since
+    a sweep draws several weightings of one structure in a row; the
+    arrays are read-only.
     """
     used = sorted({x for p in pairs for x in p})
     index = {x: i for i, x in enumerate(used)}
     eu = tuple(index[u] for u, _ in pairs)
     ev = tuple(index[v] for _, v in pairs)
-    labels = np.arange(len(used), dtype=np.min_scalar_type(len(used)))[:, None]
-    k = np.array([n], dtype=np.min_scalar_type(n))
+    own = np.arange(len(used), dtype=np.min_scalar_type(len(used)))[:, None]
+    labels = own
     for j in range(b):
-        merged, joined = _join(labels, eu[j], ev[j])
-        labels = np.concatenate([labels, merged], axis=1)
-        k = np.concatenate([k, k - joined])
+        labels = np.concatenate([labels, _join(labels, eu[j], ev[j])], axis=1)
+    count_type = np.min_scalar_type(n)
+    k = (labels == own).sum(axis=0, dtype=count_type) + count_type.type(n - len(used))
     order = np.argsort(k, kind="stable")
     sizes = tuple(np.bincount(k, minlength=n + 1).tolist())
     for a in (labels, k, order):
@@ -100,9 +106,9 @@ def _walk(e, high, labels, k, prod, b, eu, ev, weights):
         yield high, k, prod
         return
     yield from _walk(e + 1, high, labels, k, prod, b, eu, ev, weights)
-    merged, joined = _join(labels, eu[e], ev[e])
-    yield from _walk(e + 1, high | 1 << (e - b), merged, k - joined, prod * weights[e],
-                     b, eu, ev, weights)
+    joined = labels[eu[e]] != labels[ev[e]]
+    yield from _walk(e + 1, high | 1 << (e - b), _join(labels, eu[e], ev[e]), k - joined,
+                     prod * weights[e], b, eu, ev, weights)
 
 
 def _edge_subset_blocks(n: int, pairs: tuple, weights):
@@ -118,9 +124,10 @@ def _edge_subset_blocks(n: int, pairs: tuple, weights):
     """
     b = min(BLOCK_BITS, len(pairs))
     eu, ev, labels, k, order, sizes = _layout(n, pairs, b)
-    prod = np.ones(1, dtype=np.complex128)
+    prod = np.empty(1 << b, dtype=np.complex128)
+    prod[0] = 1
     for j in range(b):
-        prod = np.concatenate([prod, prod * weights[j]])
+        np.multiply(prod[:1 << j], weights[j], out=prod[1 << j:2 << j])
 
     for high, block_k, block_prod in _walk(b, 0, labels, k, prod, b, eu, ev, weights):
         if high:
@@ -156,12 +163,13 @@ def z_coefficients(n: int, edges) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         for high, order, sizes, prod in _edge_subset_blocks(n, pairs, w):
             # group the products by k, keeping mask order, and sum each
-            # group with numpy's pairwise summation
+            # non-empty group with numpy's pairwise summation
             grouped = prod[order]
             start = 0
             for c, size in enumerate(sizes):
-                blocks[high, c] = grouped[start:start + size].sum()
-                start += size
+                if size:
+                    blocks[high, c] = np.add.reduce(grouped[start:start + size])
+                    start += size
         out = _pairwise_reduce(blocks)
     if not np.isfinite(out).all():
         raise OutOfDomain("a partition-function coefficient overflows floating point")
@@ -337,9 +345,9 @@ def connected_by_support(n: int, edges) -> np.ndarray:
             table = _exact_table(n, edges, conn)
         except OverflowError:
             raise OutOfDomain(_TABLE_OVERFLOW) from None
-    out = np.asarray(table, dtype=np.complex128)
     for v in range(n):
-        out[1 << v] = 0
+        table[1 << v] = 0j
+    out = np.asarray(table, dtype=np.complex128)
     if not np.isfinite(out).all():
         raise OutOfDomain(_TABLE_OVERFLOW)
     return out

@@ -27,6 +27,7 @@ minimum, none of which is evaluated per graph.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -314,14 +315,19 @@ def f_lambda_variational(lam: float, beta: float) -> float:
     exponentiated: e^{lam v} / ((1 - expm1(v)/beta) v) is taken once
     there, where lam v < 1, so nothing overflows for beta from 1e-300 to
     1e300.  The minimum sits near v = beta/2 as beta -> 0 and, for
-    lam > 0, near v = 1/lam as beta grows.
+    lam > 0, near v = 1/lam as beta grows.  F_lambda(beta) = lam e
+    (1 + O(1/(lam beta))) for large lam, so the value itself overflows
+    past lam of about 6.6e307; that raises OutOfDomain.
     """
     if not (0.0 <= lam < math.inf):
         raise OutOfDomain(f"lambda must be finite and >= 0, got {lam}")
     if not (0.0 < beta < math.inf):
         raise OutOfDomain(f"beta must be finite and > 0, got {beta}")
     v = _log_convex_argmin(lam, beta)
-    return math.exp(lam * v) / ((1.0 - math.expm1(v) / beta) * v)
+    value = math.exp(lam * v) / ((1.0 - math.expm1(v) / beta) * v)
+    if value == math.inf:
+        raise OutOfDomain(f"F_lambda overflows at lambda = {lam}, beta = {beta}")
+    return value
 
 
 def _log_convex_argmin(lam: float, beta: float) -> float:
@@ -337,6 +343,12 @@ def _log_convex_argmin(lam: float, beta: float) -> float:
     factors neither overflow nor underflow from beta = 1e-300 to 1e300
     (a squared denominator would underflow near beta = 1e-200).
 
+    The root lies left of t = 1/(lam L), which is below the normal range
+    of floats once lam L passes 1/DBL_MIN (and lam L itself overflows a
+    little later).  There the unit L is replaced by U = 1/lam < L: t = v/U
+    has its root in (0, 1) as well, f keeps its form with U for L, and the
+    start is t = 1.
+
     Newton's method on a convex increasing function falls monotonically
     onto the root from any start right of it, so the iteration starts
     there and never nears the pole of f at t = 1, where the steps would
@@ -351,16 +363,22 @@ def _log_convex_argmin(lam: float, beta: float) -> float:
     """
     L = math.log1p(beta)
     lam_l = lam * L
-    v0 = min(beta / (1.0 + math.sqrt(1.0 + beta)), L - math.log1p(L - math.log1p(L)))
-    t = v0 / L
-    if lam_l > 1.0:
-        t = min(t, 1.0 / lam / L)
+    if lam_l * sys.float_info.min < 1.0:
+        unit = L
+        v0 = min(beta / (1.0 + math.sqrt(1.0 + beta)), L - math.log1p(L - math.log1p(L)))
+        t = v0 / L
+        if lam_l > 1.0:
+            t = min(t, 1.0 / lam / L)
+    else:
+        unit = 1.0 / lam
+        lam_l = lam * unit
+        t = 1.0
     lo, hi = 0.0, 1.0
     for _ in range(_NEWTON_CAP):
-        em = math.expm1(t * L)
+        em = math.expm1(t * unit)
         den = beta - em
         if den > 0.0:
-            r = L / den
+            r = unit / den
             ev_r = (em + 1.0) * r
             f = lam_l * t - 1.0 + t * ev_r
             if f < 0.0:
@@ -369,7 +387,7 @@ def _log_convex_argmin(lam: float, beta: float) -> float:
                 hi = t
             step = f / (lam_l + ev_r + t * ev_r * ((1.0 + beta) * r))
             if abs(step) <= 1e-9 * t:
-                return (t - step) * L
+                return (t - step) * unit
             t -= step
             if lo < t < hi:
                 continue

@@ -109,10 +109,37 @@ def connected_simple_structures(max_n: int) -> tuple[Structure, ...]:
     return tuple(out)
 
 
+def _edge_automorphisms(n: int, pairs) -> list[tuple[int, ...]]:
+    """The automorphisms of a simple graph, acting on its edges.
+
+    One tuple per vertex permutation that maps the edge set onto itself;
+    entry j is the index of the edge that the permutation maps onto edge j.
+    """
+    index = {e: i for i, e in enumerate(pairs)}
+    out = []
+    for p in permutations(range(n)):
+        source = [0] * len(pairs)
+        for i, (u, v) in enumerate(pairs):
+            j = index.get((min(p[u], p[v]), max(p[u], p[v])))
+            if j is None:
+                break
+            source[j] = i
+        else:
+            out.append(tuple(source))
+    return out
+
+
 @functools.lru_cache(maxsize=16)
 def connected_multigraph_structures(max_n: int) -> tuple[Structure, ...]:
     """Connected multigraphs up to isomorphism: simple skeletons with edge
     multiplicities 1..MAX_MULTIPLICITY, deduplicated over vertex relabelings.
+
+    An isomorphism of two multigraphs maps skeleton onto skeleton, and the
+    skeletons are pairwise non-isomorphic, so two multiplicity patterns
+    give isomorphic multigraphs exactly when an automorphism of their
+    common skeleton maps one onto the other.  Each pattern is keyed by its
+    least image under the skeleton's automorphisms, and the first pattern
+    of each class in product order is kept.
 
     The edge list repeats each skeleton pair by its multiplicity.  Only
     structures with at least one repeated edge are returned; the simple
@@ -122,22 +149,13 @@ def connected_multigraph_structures(max_n: int) -> tuple[Structure, ...]:
     if max_n > 6:
         raise OutOfDomain(f"multigraph corpus capped at 6 vertices, got {max_n}")
     out = []
-    seen = set()
     for n, pairs in connected_simple_structures(max_n):
-        perms = list(permutations(range(n)))
+        auts = _edge_automorphisms(n, pairs)
+        seen = set()
         for mults in product(range(1, MAX_MULTIPLICITY + 1), repeat=len(pairs)):
             if all(mu == 1 for mu in mults):
                 continue
-            canon = min(
-                tuple(
-                    sorted(
-                        (min(p[u], p[v]), max(p[u], p[v]), mu)
-                        for (u, v), mu in zip(pairs, mults)
-                    )
-                )
-                for p in perms
-            )
-            key = (n, canon)
+            key = min(tuple(mults[i] for i in source) for source in auts)
             if key in seen:
                 continue
             seen.add(key)

@@ -8,9 +8,11 @@ activity rho(S) = q^{-(|S|-1)} C_{G[S]}(w), and
 
 where Xi sums the products of activities over collections of disjoint
 polymers.  Xi is evaluated here exactly by dynamic programming over
-vertex subsets.  The classical convergence certificates bound, per
-vertex, the activity mass seen at scale alpha; margin at most one
-guarantees Xi does not vanish.
+vertex subsets.  The DPs run over at most 2^12 masks, so they keep their
+tables in Python lists of complex, where one step costs less than the
+per-element call of a numpy array.  The classical convergence
+certificates bound, per vertex, the activity mass seen at scale alpha;
+margin at most one guarantees Xi does not vanish.
 """
 
 from __future__ import annotations
@@ -90,8 +92,9 @@ def tutte_polymer_weights(
         raise TooLarge(f"{g.n} vertices exceeds polymer limit {MAX_POLYMER_VERTICES}")
     if table is None:
         table = connected_by_support(g)
+    powers = [q ** -j for j in range(g.n)]
     entries = tuple(
-        (mask, c * q ** -(bin(mask).count("1") - 1)) for mask, c in table.items()
+        (mask, c * powers[bin(mask).count("1") - 1]) for mask, c in table.items()
     )
     return PolymerWeights(g.n, entries)
 
@@ -110,8 +113,8 @@ def polymer_partition(pw: PolymerWeights) -> complex:
     for mask, rho in pw.entries:
         low = (mask & -mask).bit_length() - 1
         by_low[low].append((mask, rho))
-    f = np.zeros(1 << n, dtype=np.complex128)
-    f[0] = 1.0
+    f = [0j] * (1 << n)
+    f[0] = 1.0 + 0j
     for mask in range(1, 1 << n):
         low = (mask & -mask).bit_length() - 1
         acc = f[mask & (mask - 1)]
@@ -145,16 +148,16 @@ def polymer_profile(
     for mask, c in table.items():
         low = (mask & -mask).bit_length() - 1
         by_low[low].append((mask, bin(mask).count("1") - 1, c))
-    f = np.zeros((1 << n, n), dtype=np.complex128)
-    f[0, 0] = 1.0
+    f = [[0j] * n for _ in range(1 << n)]
+    f[0][0] = 1.0 + 0j
     for mask in range(1, 1 << n):
         low = (mask & -mask).bit_length() - 1
-        acc = f[mask & (mask - 1)].copy()
+        acc = f[mask & (mask - 1)][:]
         for smask, shift, c in by_low[low]:
             if smask & mask == smask:
-                acc[shift:] += c * f[mask ^ smask, : n - shift]
+                acc[shift:] = [a + c * x for a, x in zip(acc[shift:], f[mask ^ smask])]
         f[mask] = acc
-    return f[-1].copy()
+    return np.array(f[-1], dtype=np.complex128)
 
 
 def polymer_size_profile(pw: PolymerWeights) -> list[dict]:

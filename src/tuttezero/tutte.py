@@ -93,7 +93,7 @@ def connected_by_support(g: WeightedGraph) -> dict[int, complex]:
         raise TooLarge(
             f"{g.n} vertices exceeds the vertex-subset cap of {MAX_SUPPORT_VERTICES}")
     table = _kernels.connected_by_support(g.n, g.edges)
-    return {int(s): complex(c) for s, c in enumerate(table) if c != 0}
+    return {s: c for s, c in enumerate(table.tolist()) if c != 0}
 
 
 @functools.lru_cache(maxsize=4096)

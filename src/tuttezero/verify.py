@@ -393,6 +393,15 @@ def verify_penrose_chains(max_vertices: int = 5, draws: int = 100, seed: int = 0
 # ---------------------------------------------------------------------------
 # polymer gas
 
+def _polyval(c, x):
+    """c[0] x^d + ... + c[d] at every x by Horner's rule, as np.polyval
+    computes it, without its argument handling."""
+    y = np.zeros_like(x)
+    for ci in c:
+        y = y * x + ci
+    return y
+
+
 def verify_polymer_identity(
     max_simple: int = 7, max_multi: int = 4, n_q: int = 20, seed: int = 0
 ) -> dict:
@@ -420,10 +429,10 @@ def verify_polymer_identity(
             q = qs[:, 0] + 1j * qs[:, 1]
             q = np.where(np.abs(q) < 0.2, q + 0.5, q)
             # Horner in 1/q for the gas side, in q for the polynomial
-            xi = np.polyval(prof[::-1], 1.0 / q)
+            xi = _polyval(prof[::-1], 1.0 / q)
             lhs = xi * q**n
-            rhs = np.polyval(zc[::-1], q)
-            scale = np.polyval(np.abs(zc)[::-1], np.abs(q))
+            rhs = _polyval(zc[::-1], q)
+            scale = _polyval(np.abs(zc)[::-1], np.abs(q))
             checked += n_q
             off = np.abs(lhs - rhs) > 1e-10 * np.maximum(scale, 1e-300)
             for i in np.flatnonzero(off):

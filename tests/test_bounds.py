@@ -255,6 +255,16 @@ def test_variational_route_large_beta_limit():
         assert abs(f_lambda_variational(lam, 1e300) / (lam * math.e) - 1) < 1e-12
 
 
+def test_variational_route_at_huge_lambda():
+    # F_lambda(beta) = lam e (1 + O(1/(lam beta))); lam log1p(beta)
+    # overflows at most of these points, which the root finder must not form
+    for lam in (1e306, 1e307, 6e307):
+        for beta in (1.0, 1e100, 1e300):
+            assert abs(f_lambda_variational(lam, beta) / (lam * math.e) - 1) < 1e-14
+    with pytest.raises(OutOfDomain):
+        f_lambda_variational(1.7e308, 1e300)
+
+
 @pytest.mark.parametrize("lam, beta", [
     (-0.1, 1.0), (math.inf, 1.0), (math.nan, 1.0),
     (1.0, 0.0), (1.0, -1.0), (1.0, math.inf), (1.0, math.nan),

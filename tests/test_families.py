@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,15 @@ def test_multigraph_corpus_size_and_caps():
     for n, pairs in full:
         canon = [tuple(sorted(p)) for p in pairs]
         assert len(set(canon)) < len(canon)
+
+
+def test_multigraph_corpus_pinned():
+    # sha256 of the corpus as built by taking, for every pattern, the least
+    # image under all n! vertex relabelings; keying by the skeleton's
+    # automorphisms must give the same structures in the same order
+    full = connected_multigraph_structures(4)
+    digest = hashlib.sha256(repr(full).encode()).hexdigest()
+    assert digest == "5c1b8531dbf2e79c59294baeacbb28b2a985e53a451202171fccda394250b8f8"
 
 
 def test_multigraph_multiplicity_cap():

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +22,14 @@ from tuttezero import (
     z_polynomial,
 )
 from tuttezero import _kernels, verify
-from tuttezero.families import complete_graph, path_graph
+from tuttezero.families import (
+    complete_graph,
+    connected_multigraph_structures,
+    connected_simple_structures,
+    path_graph,
+    sample_weights,
+    weighted,
+)
 
 
 def brute_partition(pw):
@@ -197,6 +205,85 @@ def test_given_table_matches_built_table():
     assert np.array_equal(polymer_profile(g, table=table), polymer_profile(g))
     q = complex(1.3, 0.8)
     assert tutte_polymer_weights(g, q, table=table) == tutte_polymer_weights(g, q)
+
+
+class _Gauss:
+    """Exact Gaussian rational, built from a float complex."""
+
+    def __init__(self, z, im=None):
+        self.re, self.im = (Fraction(z.real), Fraction(z.imag)) if im is None else (z, im)
+
+    def __add__(self, other):
+        return _Gauss(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return _Gauss(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other):
+        return _Gauss(self.re * other.re - self.im * other.im,
+                      self.re * other.im + self.im * other.re)
+
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))
+
+
+def _profile_dp(n, table, zero, one):
+    """The gas profile by the textbook DP, in whatever arithmetic table holds."""
+    f = [[zero] * n for _ in range(1 << n)]
+    f[0][0] = one
+    for mask in range(1, 1 << n):
+        acc = list(f[mask & (mask - 1)])
+        for s, c in table.items():
+            if s & mask & -mask and s & mask == s:
+                shift = bin(s).count("1") - 1
+                for j in range(n - shift):
+                    acc[j + shift] = acc[j + shift] + c * f[mask ^ s][j]
+        f[mask] = acc
+    return f[-1]
+
+
+def _partition_dp(n, entries, zero, one):
+    f = [one] + [zero] * ((1 << n) - 1)
+    for mask in range(1, 1 << n):
+        acc = f[mask & (mask - 1)]
+        for s, rho in entries:
+            if s & mask & -mask and s & mask == s:
+                acc = acc + rho * f[mask ^ s]
+        f[mask] = acc
+    return f[-1]
+
+
+def test_list_dps_against_exact_arithmetic():
+    # the C table in exact Gaussian rationals, rounded, is fed to the float
+    # DPs and to the same DPs in exact arithmetic; the DP on moduli bounds
+    # every term, so it sets the scale of the rounding error
+    rng = np.random.default_rng(0)
+    corpus = connected_simple_structures(5) + connected_multigraph_structures(3)
+    one, zero = _Gauss(1.0), _Gauss(0.0)
+    for n, pairs in corpus:
+        g = weighted((n, pairs), sample_weights(len(pairs), "mixed", rng))
+        exact = _kernels._exact_table(n, g.edges, _kernels._induced_connected(n, g.edges))
+        table = {s: c for s, c in enumerate(exact) if c != 0 and s & (s - 1)}
+        want = _profile_dp(n, {s: _Gauss(c) for s, c in table.items()}, zero, one)
+        scale = _profile_dp(n, {s: abs(c) for s, c in table.items()}, 0.0, 1.0)
+        got = polymer_profile(g, table=table)
+        assert len(got) == n
+        for x, w, sc in zip(got.tolist(), want, scale):
+            assert abs(complex(_Gauss(x) - w)) <= 1e-13 * sc
+        for q in (complex(1.3, -0.7), complex(-2.1, 0.4)):
+            pw = tutte_polymer_weights(g, q, table=table)
+            w = _partition_dp(n, [(s, _Gauss(r)) for s, r in pw.entries], zero, one)
+            sc = _partition_dp(n, [(s, abs(r)) for s, r in pw.entries], 0.0, 1.0)
+            assert abs(complex(_Gauss(polymer_partition(pw)) - w)) <= 1e-13 * sc
+
+
+def test_dps_on_zero_and_one_vertex():
+    for n in (0, 1):
+        g = build_graph(range(n), [])
+        assert polymer_profile(g).tolist() == [1.0 + 0j]
+        pw = tutte_polymer_weights(g, 2.0 - 1.0j)
+        assert pw.entries == ()
+        assert polymer_partition(pw) == 1.0 + 0j
 
 
 # ---------------------------------------------------------------------------

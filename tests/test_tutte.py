@@ -20,7 +20,7 @@ from tuttezero import (
 from tuttezero import _kernels, families
 from tuttezero.families import cycle_one_heavy
 from tuttezero.polymer import polymer_profile
-from tuttezero.tutte import spanning_tree_masks
+from tuttezero.tutte import component_count, spanning_tree_masks
 from tuttezero.verify import verify_polymer_identity
 
 from conftest import brute_connected_sum, dc_z_coeffs, kirchhoff_tree_sum
@@ -190,6 +190,42 @@ def test_z_coefficients_against_deletion_contraction(block_bits, data):
     scale = dc_z_coeffs(n, [(u, v, abs(w)) for u, v, w in edges]).real
     assert mine.shape == (n + 1,)
     assert np.all(np.abs(mine - oracle) <= 1e-12 * np.maximum(1.0, scale))
+
+
+@st.composite
+def sparse_multigraphs(draw, max_n=7, max_m=9):
+    """Multigraphs whose edges may miss some vertices, with zero weights."""
+    n = draw(st.integers(1, max_n))
+    edges = []
+    for _ in range(draw(st.integers(0, max_m))):
+        u = draw(st.integers(0, n - 1))
+        v = draw(st.integers(0, n - 1))
+        if u != v:
+            edges.append((u, v, draw(st.sampled_from([0j, 1.0, -0.5 + 2j]))))
+    return n, edges
+
+
+@pytest.mark.parametrize("block_bits", BLOCK_SIZES)
+@settings(max_examples=60, deadline=None)
+@given(sparse_multigraphs())
+def test_layout_component_counts(block_bits, data):
+    # k is counted from the final labels of the first block and carried
+    # through the walk over the high edges; both must count components
+    n, edges = data
+    pairs = tuple((u, v) for u, v, _ in edges)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "BLOCK_BITS", block_bits)
+        b = min(_kernels.BLOCK_BITS, len(pairs))
+        eu, ev, labels, k, order, sizes = _kernels._layout(n, pairs, b)
+        w = np.array([complex(x) for _, _, x in edges], dtype=np.complex128)
+        blocks = list(_kernels._walk(b, 0, labels, k, np.ones(1 << b), b, eu, ev, w))
+    assert k.tolist() == [component_count(n, list(pairs), low) for low in range(1 << b)]
+    assert np.array_equal(order, np.argsort(k, kind="stable"))
+    assert list(sizes) == np.bincount(k, minlength=n + 1).tolist()
+    assert len(blocks) == 1 << (len(pairs) - b)
+    for high, block_k, _ in blocks:
+        assert block_k.tolist() == [
+            component_count(n, list(pairs), low | high << b) for low in range(1 << b)]
 
 
 def _layout_corpus():
