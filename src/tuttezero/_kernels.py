@@ -38,7 +38,6 @@ identity compares two independent routes.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 
 import numpy as np
 
@@ -303,6 +302,8 @@ def _exact_table(n: int, edges, conn: list[bool]) -> list[complex]:
     Float weights are binary rationals, so this is C for the graph exactly
     as given, correctly rounded per component.
     """
+    from fractions import Fraction  # only a cancelling graph needs it; keep it off import
+
     f = _support_products(
         n, edges, _Gauss(Fraction(1), Fraction(0)),
         lambda w: _Gauss(1 + Fraction(w.real), Fraction(w.imag)),

@@ -22,17 +22,6 @@ from .errors import TutteZeroError
 from .graph import load_graph
 from .tutte import MAX_ENUM_EDGES as HARD_MAX_EDGES
 from .tutte import MAX_SUPPORT_VERTICES as HARD_MAX_VERTICES
-from .verify import (
-    verify_constants,
-    verify_counting,
-    verify_f_properties,
-    verify_f_routes,
-    verify_gkfp_pair,
-    verify_parallel_reduction,
-    verify_penrose_chains,
-    verify_penrose_partition,
-    verify_polymer_identity,
-)
 from .zeros import analyze, example_suite
 
 
@@ -105,6 +94,8 @@ def _cmd_analyze(args) -> int:
         return _usage("analyze requires --input PATH")
     mv = _cap(args.max_vertices, "--max-vertices", HARD_MAX_VERTICES)
     me = _cap(args.max_edges, "--max-edges", HARD_MAX_EDGES)
+    if args.a is not None and not 0.0 <= args.a <= 1.0:
+        return _usage("--a must be in [0, 1]")
     try:
         g = load_graph(args.input)
     except OSError as exc:
@@ -120,8 +111,6 @@ def _cmd_analyze(args) -> int:
     out = rep.to_json()
     out["seed"] = args.seed
     if args.a is not None:
-        if not 0.0 <= args.a <= 1.0:
-            return _usage("--a must be in [0, 1]")
         r = rep.bounds.radius_interpolated
         out["radius_interpolated_at_a"] = None if r is None else r(args.a)
     if args.output_format == "csv":
@@ -156,7 +145,12 @@ def _cmd_constants(args) -> int:
     return 0
 
 
+# The sweeps import verify (and through it penrose, polymer, counting and
+# families) only when they run, so a cold `analyze` never loads them.
+
 def _cmd_verify_penrose(args) -> int:
+    from .verify import verify_penrose_chains, verify_penrose_partition
+
     mv = _cap(args.max_vertices, "--max-vertices", HARD_MAX_VERTICES)
     results = [
         verify_penrose_partition(mv or 6),
@@ -166,6 +160,14 @@ def _cmd_verify_penrose(args) -> int:
 
 
 def _cmd_verify_inequalities(args) -> int:
+    from .verify import (
+        verify_constants,
+        verify_counting,
+        verify_f_properties,
+        verify_f_routes,
+        verify_parallel_reduction,
+    )
+
     mv = _cap(args.max_vertices, "--max-vertices", HARD_MAX_VERTICES)
     results = [
         verify_constants(),
@@ -178,6 +180,8 @@ def _cmd_verify_inequalities(args) -> int:
 
 
 def _cmd_verify_polymer(args) -> int:
+    from .verify import verify_gkfp_pair, verify_polymer_identity
+
     mv = _cap(args.max_vertices, "--max-vertices", HARD_MAX_VERTICES)
     results = [
         verify_polymer_identity(mv or 7, min(mv or 4, 4), seed=args.seed),

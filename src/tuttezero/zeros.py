@@ -27,7 +27,6 @@ from .bounds import BoundSet, f_closed, graph_bounds
 from .errors import NoConvergence
 from .graph import WeightedGraph, parallel_reduce
 from .tutte import nonzero_component_count, z_polynomial
-from . import families
 
 
 # the most Newton steps after the eigenvalue solve, and the residual a
@@ -230,6 +229,8 @@ def example_suite(seed: int = 0) -> list[dict]:
     Entirely deterministic; the seed is echoed into the records so CLI
     output stays byte-stable under the determinism contract.
     """
+    from . import families  # only the examples need it; keep it off import
+
     records: list[dict] = []
 
     # single edge, large weight: both margins approach their constants

@@ -109,6 +109,19 @@ def test_analyze_interpolation_flag(capsys, k2_file):
     assert abs(blob["radius_interpolated_at_a"] - blob["bounds"]["radius_simple"]) < 1e-6
 
 
+@pytest.mark.parametrize("a", ["1.5", "-0.5"])
+def test_analyze_rejects_a_before_the_analysis(capsys, monkeypatch, k2_file, a):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ran before --a was checked")
+
+    monkeypatch.setattr("tuttezero.cli.load_graph", forbidden)
+    monkeypatch.setattr("tuttezero.cli.analyze", forbidden)
+    code, out, err = run_cli(capsys, "analyze", "--input", k2_file, "--a", a)
+    assert code == 2
+    assert out == ""
+    assert "--a must be in [0, 1]" in err
+
+
 def test_analyze_csv(capsys, k2_file):
     code, out, _ = run_cli(capsys, "analyze", "--input", k2_file, "--format", "csv")
     assert code == 0
@@ -258,14 +271,22 @@ def test_analyze_fuzz_bytes(data):
     assert _analyze_exit(data) in (0, 2)
 
 
-def test_analyze_loads_neither_scipy_nor_networkx(k2_file):
-    """The analyze path runs without importing scipy or networkx."""
+def test_import_and_analyze_load_only_core_modules(k2_file):
+    """Neither `import tuttezero` nor the analyze path loads the sweep
+    modules, fractions, scipy or networkx."""
     script = (
         "import json, sys\n"
+        "def heavy():\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m in ('tuttezero.verify', 'tuttezero.penrose', 'tuttezero.polymer',\n"
+        "                           'tuttezero.counting', 'tuttezero.families', 'fractions')\n"
+        "                  or m.startswith(('scipy', 'networkx')))\n"
+        "import tuttezero\n"
+        "after_import = heavy()\n"
         "from tuttezero.cli import main\n"
         f"code = main(['analyze', '--input', {k2_file!r}])\n"
-        "heavy = sorted(m for m in sys.modules if m.startswith(('scipy', 'networkx')))\n"
-        "sys.stderr.write(json.dumps({'code': code, 'heavy': heavy}))\n"
+        "sys.stderr.write(json.dumps({'code': code, 'import': after_import,\n"
+        "                             'analyze': heavy()}))\n"
     )
     src = str(Path(tuttezero.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -274,7 +295,7 @@ def test_analyze_loads_neither_scipy_nor_networkx(k2_file):
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     blob = json.loads(proc.stderr.strip().splitlines()[-1])
-    assert blob == {"code": 0, "heavy": []}
+    assert blob == {"code": 0, "import": [], "analyze": []}
 
 
 def test_analyze_numerical_failure_is_input_error(capsys, tmp_path):
