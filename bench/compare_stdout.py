@@ -1,0 +1,163 @@
+"""Compare the CLI stdout and the Z coefficients of two source trees.
+
+Usage, with two clean checkouts (each holding src/ and perfbench/):
+
+    python3 bench/compare_stdout.py PARENT_DIR CHANGE_DIR [--seeds 4] [--multigraphs 20]
+
+Each tree runs in its own subprocesses with PYTHONPATH=<tree>/src, so
+neither sees the other's modules.  Three parts:
+
+1. Byte-compared stdout and exit code of `analyze` on the cli-analyze
+   inputs of the seeds (every graph as an edge list and as JSON),
+   `examples` as JSON and CSV, and `verify-polymer`,
+   `verify-inequalities` and `verify-penrose` at each seed.
+2. Bit-compared z_polynomial coefficients of simple graphs: the
+   analyze-wide inputs of seeds 0-39 and the connected simple structures
+   to 6 vertices under mixed weights from default_rng(0).
+3. `analyze` on seeded random 2-4-vertex multigraph files, which may move
+   in the last bits: the number of files whose stdout differs, the
+   largest relative movement of a root, and perfbench/oracle.py's
+   check_roots on every root of both trees.
+
+Prints one line per item and a JSON summary last; exits 1 if a part that
+must be identical is not, or if a root fails the oracle.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+WIDE_SEEDS = 40
+
+Z_DUMP = """
+import sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from tuttezero import build_graph, families, z_polynomial
+from inputs import wide_graphs
+
+def dump(g):
+    print(" ".join(f"{c.real.hex()},{c.imag.hex()}" for c in z_polynomial(g).coeffs))
+
+for seed in range(int(sys.argv[2])):
+    for _, n, edges in wide_graphs(seed):
+        dump(build_graph(range(n), edges))
+rng = np.random.default_rng(0)
+for n, pairs in families.connected_simple_structures(6):
+    dump(families.weighted((n, pairs), families.sample_weights(len(pairs), "mixed", rng)))
+"""
+
+
+def _run(tree: Path, args: list[str], cwd: Path) -> tuple[int, str]:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run([sys.executable, *args], stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL, text=True, cwd=cwd, env=env)
+    return proc.returncode, proc.stdout
+
+
+def _cli(tree: Path, argv: list[str], cwd: Path) -> tuple[int, str]:
+    return _run(tree, ["-m", "tuttezero.cli", *argv], cwd)
+
+
+def _multigraph(rng: random.Random, inputs) -> tuple[int, list]:
+    """A connected 2-4-vertex multigraph: a tree plus 1-8 extra edges."""
+    n = rng.randint(2, 4)
+    pairs = inputs.random_tree(rng, n)
+    all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    pairs += [rng.choice(all_pairs) for _ in range(rng.randint(1, 8))]
+    return n, inputs.weighted(rng, pairs)
+
+
+def _root_movement(a: list, b: list) -> float:
+    """Largest |r - s| / |s| over each root s of b and its nearest root r of a."""
+    worst = 0.0
+    for s in b:
+        s = complex(*s)
+        r = min((complex(*x) for x in a), key=lambda x: abs(x - s))
+        worst = max(worst, abs(r - s) / max(abs(s), 1e-300))
+    return worst
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--seeds", type=int, default=4, help="seeds 0..N-1 (default 4)")
+    ap.add_argument("--multigraphs", type=int, default=20)
+    args = ap.parse_args()
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    sys.path.insert(0, str(trees["change"] / "perfbench"))
+    import inputs
+    import oracle
+
+    summary = {"identical": {}, "multigraphs": {}}
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        cases: list[tuple[str, list[str]]] = []
+        for seed in range(args.seeds):
+            for name, n, edges in inputs.cli_graphs(seed):
+                for ext, text in (("txt", inputs.edge_list_text(n, edges)),
+                                  ("json", inputs.json_text(n, edges))):
+                    path = work / f"cli{seed}_{name}.{ext}"
+                    path.write_text(text)
+                    cases.append((f"analyze seed {seed} {name}.{ext}",
+                                  ["analyze", "--input", str(path), "--seed", str(seed)]))
+        cases += [("examples json", ["examples"]),
+                  ("examples csv", ["examples", "--format", "csv"])]
+        for seed in range(args.seeds):
+            for cmd in ("verify-polymer", "verify-inequalities", "verify-penrose"):
+                cases.append((f"{cmd} seed {seed}", [cmd, "--seed", str(seed)]))
+        for label, argv in cases:
+            out = {side: _cli(tree, argv, work) for side, tree in trees.items()}
+            same = out["parent"] == out["change"]
+            summary["identical"][label] = same
+            print(f"{'same' if same else 'DIFF'}  exit {out['change'][0]}  {label}", flush=True)
+
+        script = work / "zdump.py"
+        script.write_text(Z_DUMP)
+        dumps = {side: _run(tree, [str(script), str(tree / "perfbench"), str(WIDE_SEEDS)], work)
+                 for side, tree in trees.items()}
+        same = dumps["parent"] == dumps["change"] and dumps["change"][0] == 0
+        label = f"z_polynomial bits, simple graphs ({dumps['change'][1].count(chr(10))} graphs)"
+        summary["identical"][label] = same
+        print(f"{'same' if same else 'DIFF'}  {label}", flush=True)
+
+        rng = random.Random("compare-stdout/multigraphs")
+        differ, worst, oracle_failures = 0, 0.0, []
+        for i in range(args.multigraphs):
+            n, edges = _multigraph(rng, inputs)
+            path = work / f"multi{i}.txt"
+            path.write_text(inputs.edge_list_text(n, edges))
+            out = {side: _cli(tree, ["analyze", "--input", str(path)], work)
+                   for side, tree in trees.items()}
+            reps = {side: json.loads(text) for side, (code, text) in out.items() if code == 0}
+            if out["parent"] != out["change"]:
+                differ += 1
+            if len(reps) == 2:
+                worst = max(worst, _root_movement(reps["change"]["roots"], reps["parent"]["roots"]))
+            for side, rep in reps.items():
+                why = oracle.check_roots(n, edges, [complex(*r) for r in rep["roots"]],
+                                         rep["q_zero_multiplicity"])
+                if why:
+                    oracle_failures.append(f"{side} multi{i}: {why}")
+            print(f"{'same' if out['parent'] == out['change'] else 'moved'}  multi{i} "
+                  f"n={n} m={len(edges)} exit {out['change'][0]}", flush=True)
+        summary["multigraphs"] = {"files": args.multigraphs, "stdout_differs": differ,
+                                  "max_rel_root_movement": worst,
+                                  "oracle_failures": oracle_failures}
+
+    ok = all(summary["identical"].values()) and not oracle_failures
+    summary["ok"] = ok
+    print(json.dumps(summary, sort_keys=True))
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

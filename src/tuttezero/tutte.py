@@ -13,12 +13,17 @@ Z_G is computed by enumerating the edge subsets, in blocks of masks that
 the vectorized engine in _kernels handles a whole block at a time;
 exactness at desk scale is the point, so inputs are capped at 24 edges.
 C_G is read off as its q^1 coefficient (at unit weights it counts the
-connected spanning edge sets).  T_G walks the spanning trees.  The
-connected values of all induced subgraphs at once (connected_by_support)
-come instead from a recursion over vertex subsets, guarded against
-cancellation by a rounding bound and an exact rational fallback; it stays
-independent of Z_G, so the polymer identity checks one route against the
-other.
+connected spanning edge sets).  Z_G and C_G of a multigraph come from its
+parallel-reduced graph, which has the same partition function and at
+most n(n-1)/2 edges; the cap still counts the input edges, and a simple
+graph goes to the engine as it is.  T_G, and the Penrose tree sums built
+on spanning_tree_masks, walk the spanning trees over every edge, since a
+tree sum is not invariant under the reduction.  The connected values of
+all induced subgraphs at once (connected_by_support) come instead from a
+recursion over vertex subsets, guarded against cancellation by a
+rounding bound and an exact rational fallback; it keeps every edge and
+stays independent of Z_G, so the polymer identity checks one route
+against the other.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 
 from . import _kernels
 from .errors import TooLarge
-from .graph import MAX_ENUM_EDGES, MAX_SUPPORT_VERTICES, WeightedGraph
+from .graph import MAX_ENUM_EDGES, MAX_SUPPORT_VERTICES, WeightedGraph, parallel_reduce
 
 
 @dataclass(frozen=True)
@@ -44,30 +49,42 @@ def _check_size(g: WeightedGraph) -> None:
         raise TooLarge(f"{g.m} edges exceeds the enumeration cap of {MAX_ENUM_EDGES}")
 
 
+def _z_coefficients(g: WeightedGraph):
+    """Coefficients of Z_G from the edge engine, after the edge cap.
+
+    A multigraph goes to the engine as its parallel-reduced graph, which
+    has the same Z_G, fewer terms to sum and so less rounding; a simple
+    graph goes as it is, so its coefficients keep their bits.
+    """
+    _check_size(g)
+    edges = g.edges if g.is_simple else parallel_reduce(g).edges
+    return _kernels.z_coefficients(g.n, edges)
+
+
 def z_polynomial(g: WeightedGraph) -> QPolynomial:
     """The full polynomial Z_G(q), exact up to floating-point rounding.
 
     The leading coefficient (power |V|) is exactly 1 from the empty edge
     subset, and coefficients below the component count of the nonzero-
-    weight edge set are exact zeros.  Weights whose products overflow
-    raise OutOfDomain.
+    weight edge set are exact zeros.  A multigraph is summed over its
+    parallel-reduced graph (each class one edge of weight
+    prod(1+w_i) - 1), while the 24-edge cap counts its input edges.
+    Weights whose products overflow raise OutOfDomain.
     """
-    _check_size(g)
-    coeffs = _kernels.z_coefficients(g.n, g.edges)
-    return QPolynomial(tuple(complex(c) for c in coeffs))
+    return QPolynomial(tuple(complex(c) for c in _z_coefficients(g)))
 
 
 def connected_gen_poly(g: WeightedGraph) -> complex:
     """C_G(w): sum of prod w_e over edge subsets connecting all of V.
 
-    Equals the q^1 coefficient of Z_G; a single-vertex graph gives 1 and
-    a disconnected graph gives 0.
+    Equals the q^1 coefficient of Z_G, and like it is summed over the
+    parallel-reduced graph of a multigraph, with the edge cap counting
+    input edges; a single-vertex graph gives 1 and a disconnected graph
+    gives 0.
     """
-    _check_size(g)
     if g.n == 0:
         return 1 + 0j
-    coeffs = _kernels.z_coefficients(g.n, g.edges)
-    return complex(coeffs[1])
+    return complex(_z_coefficients(g)[1])
 
 
 def connected_by_support(g: WeightedGraph) -> dict[int, complex]:

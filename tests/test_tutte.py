@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from tuttezero import (
     OutOfDomain,
     TooLarge,
+    analyze,
     build_graph,
     connected_by_support,
     connected_gen_poly,
@@ -324,6 +325,54 @@ def test_connected_by_support_survives_cancellation(n, heavy, light):
     prof = polymer_profile(g)
     for j in range(n):
         assert abs(prof[j] - z[n - j]) <= 1e-9 * abs(z[n - j])
+
+
+def test_multigraph_z_is_accurate_against_exact_connected_value():
+    # a multigraph is summed over its parallel-reduced graph: at most six
+    # edges here instead of up to 18, so q^1 stays near the exact C(V)
+    rng = np.random.default_rng(0)
+    for n, pairs in families.connected_multigraph_structures(4):
+        ws = families.sample_weights(len(pairs), "mixed", rng)
+        edges = [(u, v, w) for (u, v), w in zip(pairs, ws)]
+        z = np.asarray(z_polynomial(build_graph(range(n), edges)).coeffs)
+        exact = _kernels._exact_table(n, edges, _kernels._induced_connected(n, edges))
+        c_full = exact[(1 << n) - 1] if n > 1 else 1
+        assert abs(z[1] - c_full) <= 1e-13 * abs(c_full), (n, pairs)
+        # the oracle on moduli sums |monomial| per coefficient, which
+        # bounds the rounding of any summation order
+        oracle = dc_z_coeffs(n, edges)
+        scale = dc_z_coeffs(n, [(u, v, abs(w)) for u, v, w in edges]).real
+        gamma = 4 * (len(edges) + n) * 2.0 ** -53
+        assert np.all(np.abs(z - oracle) <= gamma * scale), (n, pairs)
+
+
+def test_parallel_class_merging_to_zero():
+    # (1 + 1)(1 - 0.5) - 1 = 0: the class drops out of Z, though its
+    # edges still count for the forced zero at q = 0
+    g = build_graph(range(3), [(0, 1, 1.0), (0, 1, -0.5), (1, 2, 2.0)])
+    assert z_polynomial(g).coeffs == (0j, 0j, 2 + 0j, 1 + 0j)
+    assert connected_gen_poly(g) == 0
+    rep = analyze(g)
+    assert rep.roots == (-2 + 0j, 0j)
+    assert rep.q_zero_multiplicity == 1
+
+
+@pytest.mark.parametrize("w2", [1e200, -1e200])
+def test_overflowing_parallel_class_rejected(w2):
+    g = build_graph(range(2), [(0, 1, 1e200), (0, 1, w2)])
+    with pytest.raises(OutOfDomain):
+        z_polynomial(g)
+    with pytest.raises(OutOfDomain):
+        connected_gen_poly(g)
+
+
+def test_edge_cap_counts_input_edges_of_a_multigraph():
+    # 25 parallel edges merge into one, but the cap describes the input
+    g = build_graph(range(2), [(0, 1, 0.5)] * 25)
+    with pytest.raises(TooLarge):
+        z_polynomial(g)
+    with pytest.raises(TooLarge):
+        connected_gen_poly(g)
 
 
 def test_spanning_tree_masks_count():
