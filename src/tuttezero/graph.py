@@ -115,12 +115,15 @@ def parallel_reduce(g: WeightedGraph) -> WeightedGraph:
 
     The multivariate partition function is unchanged by this reduction.
     Classes are ordered by first appearance, and the surviving edge keeps
-    the orientation of the first edge of its class.  Simple graphs come
-    back unchanged (same object content, fresh instance).
+    the orientation of the first edge of its class.  A simple graph is its
+    own reduction and comes back as the same instance, without a pass over
+    its edges beyond the cached is_simple.
 
     Each merge computes w0 + w + w0*w rather than (1+w0)(1+w) - 1, which
     would round small weights against 1 and lose their digits.
     """
+    if g.is_simple:
+        return g
     order: list[tuple[int, int]] = []
     accum: dict[tuple[int, int], complex] = {}
     orient: dict[tuple[int, int], tuple[int, int]] = {}

@@ -16,24 +16,25 @@ C_G is read off as its q^1 coefficient (at unit weights it counts the
 connected spanning edge sets).  Z_G and C_G of a multigraph come from its
 parallel-reduced graph, which has the same partition function and at
 most n(n-1)/2 edges; the cap still counts the input edges, and a simple
-graph goes to the engine as it is.  T_G, and the Penrose tree sums built
-on spanning_tree_masks, walk the spanning trees over every edge, since a
-tree sum is not invariant under the reduction.  The connected values of
-all induced subgraphs at once (connected_by_support) come instead from a
-recursion over vertex subsets, guarded against cancellation by a
-rounding bound and an exact rational fallback; it keeps every edge and
-stays independent of Z_G, so the polymer identity checks one route
-against the other.
+graph is its own reduction, so its Z_G keeps its bits.  T_G, and the
+Penrose tree sums built on spanning_tree_masks, walk the spanning trees
+over every edge, since a tree sum is not invariant under the reduction.
+The connected values of all induced subgraphs at once
+(connected_by_support) come instead from a recursion over vertex
+subsets, guarded against cancellation by a rounding bound and an exact
+rational fallback; it keeps every edge and stays independent of Z_G, so
+the polymer identity checks one route against the other.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 from . import _kernels
-from .errors import TooLarge
+from .errors import OutOfDomain, TooLarge
 from .graph import MAX_ENUM_EDGES, MAX_SUPPORT_VERTICES, WeightedGraph, parallel_reduce
 
 
@@ -52,13 +53,25 @@ def _check_size(g: WeightedGraph) -> None:
 def _z_coefficients(g: WeightedGraph):
     """Coefficients of Z_G from the edge engine, after the edge cap.
 
-    A multigraph goes to the engine as its parallel-reduced graph, which
-    has the same Z_G, fewer terms to sum and so less rounding; a simple
-    graph goes as it is, so its coefficients keep their bits.
+    The engine gets the parallel-reduced graph, which has the same Z_G,
+    fewer terms to sum and so less rounding.  parallel_reduce hands a
+    simple graph back as it is, so its coefficients keep their bits.
+
+    A multigraph is refused with OutOfDomain when prod(1+|w_i|) over a
+    parallel class overflows.  That product bounds every sub-product of
+    the class, which the sum over unmerged edges overflows on, while the
+    merged weight can come out finite and wrong by cancellation: the
+    class -1, 1e200, 1e200 merges to 1e200 in floating point, not to -1.
     """
     _check_size(g)
-    edges = g.edges if g.is_simple else parallel_reduce(g).edges
-    return _kernels.z_coefficients(g.n, edges)
+    if not g.is_simple:
+        bound: dict[tuple[int, int], float] = {}
+        for u, v, w in g.edges:
+            key = (u, v) if u < v else (v, u)
+            bound[key] = bound.get(key, 1.0) * (1.0 + abs(w))
+        if not all(map(math.isfinite, bound.values())):
+            raise OutOfDomain("a partition-function coefficient overflows floating point")
+    return _kernels.z_coefficients(g.n, parallel_reduce(g).edges)
 
 
 def z_polynomial(g: WeightedGraph) -> QPolynomial:
@@ -69,7 +82,8 @@ def z_polynomial(g: WeightedGraph) -> QPolynomial:
     weight edge set are exact zeros.  A multigraph is summed over its
     parallel-reduced graph (each class one edge of weight
     prod(1+w_i) - 1), while the 24-edge cap counts its input edges.
-    Weights whose products overflow raise OutOfDomain.
+    Weights whose products overflow raise OutOfDomain, as does a parallel
+    class whose prod(1+|w_i|) overflows.
     """
     return QPolynomial(tuple(complex(c) for c in _z_coefficients(g)))
 

@@ -394,15 +394,23 @@ def verify_penrose_chains(max_vertices: int = 5, draws: int = 100, seed: int = 0
 # ---------------------------------------------------------------------------
 # polymer gas
 
+def _polyval(c, x):
+    """c[0] x^d + ... + c[d] at every x by Horner's rule, as np.polyval
+    computes it, without its argument handling."""
+    y = np.zeros_like(x)
+    for ci in c:
+        y = y * x + ci
+    return y
+
+
 def verify_polymer_identity(
     max_simple: int = 7, max_multi: int = 4, n_q: int = 20, seed: int = 0
 ) -> dict:
     """The gas partition function times q^n equals the polynomial.
 
     Per graph the connected_by_support table is built once and shared by
-    the profile and the activity route.  The n_q points are drawn in one
-    rng call and checked one at a time by Horner's rule in scalar complex
-    arithmetic.
+    the profile and the activity route, and all n_q points are checked
+    at once as arrays.
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
@@ -416,32 +424,23 @@ def verify_polymer_identity(
             ws = families.sample_weights(len(pairs), "mixed", rng)
             g = families.weighted((n, pairs), ws)
             table = connected_by_support(g)
-            zc = z_polynomial(g).coeffs[::-1]
-            azc = [abs(c) for c in zc]
-            prof = polymer_profile(g, table=table).tolist()[::-1]
-            xis = []
-            for a, b in rng.uniform(-3.0, 3.0, (n_q, 2)).tolist():
-                q = complex(a, b)
-                if abs(q) < 0.2:
-                    q += 0.5
-                # Horner in 1/q for the gas side, in q for the polynomial
-                x = 1.0 / q
-                xi = 0j
-                for c in prof:
-                    xi = xi * x + c
-                aq = abs(q)
-                rhs = 0j
-                scale = 0.0
-                for c, ac in zip(zc, azc):
-                    rhs = rhs * q + c
-                    scale = scale * aq + ac
-                if abs(xi * q**n - rhs) > 1e-10 * max(scale, 1e-300):
-                    failures.append(f"identity off at n={n}, edges={pairs}, q={q}")
-                xis.append((q, xi))
+            zc = np.asarray(z_polynomial(g).coeffs)
+            prof = polymer_profile(g, table=table)
+            qs = rng.uniform(-3.0, 3.0, (n_q, 2))
+            q = qs[:, 0] + 1j * qs[:, 1]
+            q = np.where(np.abs(q) < 0.2, q + 0.5, q)
+            # Horner in 1/q for the gas side, in q for the polynomial
+            xi = _polyval(prof[::-1], 1.0 / q)
+            lhs = xi * q**n
+            rhs = _polyval(zc[::-1], q)
+            scale = _polyval(np.abs(zc)[::-1], np.abs(q))
             checked += n_q
+            off = np.abs(lhs - rhs) > 1e-10 * np.maximum(scale, 1e-300)
+            for i in np.flatnonzero(off):
+                failures.append(f"identity off at n={n}, edges={pairs}, q={complex(q[i])}")
             # direct activity-route evaluation at two points for n <= 6
             if n <= 6:
-                for qi, xi_q in xis[:2]:
+                for qi, xi_q in zip(q[:2].tolist(), xi[:2].tolist()):
                     xi2 = polymer_partition(tutte_polymer_weights(g, qi, table=table))
                     checked += 1
                     if abs(xi2 - xi_q) > 1e-10 * max(1.0, abs(xi_q)):

@@ -328,18 +328,25 @@ def test_analyze_overflowing_coefficients_is_input_error(capsys, tmp_path):
     assert "RuntimeWarning" not in proc.stderr
 
 
-@pytest.mark.parametrize("text", [
-    "0 1 1e200 0\n0 1 1e200 0\n",   # the merged class overflows
-    "0 1 1e200 0\n0 1 -1e200 0\n",
-    "0 1 0.5 0\n" * 25,             # one edge once merged, 25 as given
-], ids=["overflow", "overflow-opposite", "edge-cap"])
-def test_analyze_rejects_multigraphs_past_overflow_or_cap(capsys, tmp_path, text):
+_OVERFLOW = "tuttezero: error: a partition-function coefficient overflows floating point"
+
+
+@pytest.mark.parametrize("text, error", [
+    ("0 1 1e200 0\n0 1 1e200 0\n", _OVERFLOW),   # the merged class overflows
+    ("0 1 1e200 0\n0 1 -1e200 0\n", _OVERFLOW),
+    # merges to a finite weight by cancellation; refused for the overflow
+    # before the weight -1 makes psi infinite
+    ("0 1 -1 0\n0 1 1e200 0\n0 1 1e200 0\n", _OVERFLOW),
+    # one edge once merged, 25 as given
+    ("0 1 0.5 0\n" * 25, "tuttezero: error: graph size 2 vertices / 25 edges exceeds"),
+], ids=["overflow", "overflow-opposite", "overflow-cancelling", "edge-cap"])
+def test_analyze_rejects_multigraphs_past_overflow_or_cap(capsys, tmp_path, text, error):
     p = tmp_path / "multi.txt"
     p.write_text(text)
     code, out, err = run_cli(capsys, "analyze", "--input", str(p))
     assert code == 2
     assert out == ""
-    assert "tuttezero: error:" in err
+    assert err.startswith(error)
 
 
 def test_analyze_weight_1e40_has_finite_radii(capsys, tmp_path):

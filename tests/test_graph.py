@@ -58,6 +58,10 @@ def test_multigraph_not_simple():
     assert not g.is_simple
 
 
+def test_parallel_reduce_returns_simple_graph_as_is(triangle):
+    assert parallel_reduce(triangle) is triangle
+
+
 def test_parallel_reduce_merges_weights():
     w1, w2 = complex(0.5, 1.0), complex(-0.25, 0.75)
     g = build_graph(range(2), [(0, 1, w1), (0, 1, w2)])

@@ -357,9 +357,14 @@ def test_parallel_class_merging_to_zero():
     assert rep.q_zero_multiplicity == 1
 
 
-@pytest.mark.parametrize("w2", [1e200, -1e200])
-def test_overflowing_parallel_class_rejected(w2):
-    g = build_graph(range(2), [(0, 1, 1e200), (0, 1, w2)])
+@pytest.mark.parametrize("ws", [
+    (1e200, 1e200),
+    (1e200, -1e200),
+    # merges to 1e200 by cancellation although prod(1+w_i) - 1 = -1
+    (-1.0, 1e200, 1e200),
+], ids=["same-sign", "opposite-sign", "cancelling"])
+def test_overflowing_parallel_class_rejected(ws):
+    g = build_graph(range(2), [(0, 1, w) for w in ws])
     with pytest.raises(OutOfDomain):
         z_polynomial(g)
     with pytest.raises(OutOfDomain):
