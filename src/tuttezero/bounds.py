@@ -185,21 +185,29 @@ def _minimize_bounded(func: Callable[[float], float], lo: float, hi: float,
 # ---------------------------------------------------------------------------
 # series route: least L with  inf_alpha  sum / denom(alpha) <= target
 
+@lru_cache(maxsize=4)
+def _log_factorials(N: int) -> np.ndarray:
+    """log (n-1)! = lgamma(n) for n = 2..N, built once per N (read-only)."""
+    table = np.array([math.lgamma(n) for n in range(2, N + 1)])
+    table.setflags(write=False)
+    return table
+
+
 def _series_partial_tail(alpha: float, L: float, lam: float, N: int):
     """Partial sum over n = 2..N of e^{alpha n} a_n / L^{n-1} with
     a_n = (1+(n-1)lam)^{n-2} / (n-1)!, plus a certified tail bound.
 
+    log (n-1)! comes from a math.lgamma table cached per N; N only takes
+    the values 300, 900, 2700 and _SERIES_CAP, so at most four are built.
     The coefficient ratio a_{n+1}/a_n never exceeds e*(lam + 1/n), so from
     N on the term ratio is at most rho = e^{alpha} * e * (lam+1/N) / L
     and the tail beyond N is at most t_N * rho / (1 - rho) when rho < 1.
     """
-    from scipy.special import gammaln
-
     n = np.arange(2.0, N + 1.0)
     logt = (
         n * alpha
         + (n - 2.0) * np.log1p((n - 1.0) * lam)
-        - gammaln(n)
+        - _log_factorials(N)
         - (n - 1.0) * math.log(L)
     )
     t = np.exp(logt)

@@ -3,18 +3,22 @@
 The named families (complete, cycle, path, grid, parallel pair) feed the
 worked examples; the corpora enumerate every connected structure up to a
 vertex budget so the verification sweeps are exhaustive rather than
-sampled.  Weight regimes draw complex edge weights with |1+w| at most
-one ("contractive"), above one ("expansive"), or a per-edge mix.
+sampled.  The simple corpus is decoded from a table of the graph atlas's
+connected graphs that ships with the package (`_atlas`), so building it
+needs nothing beyond the standard library.  Weight regimes draw complex
+edge weights with |1+w| at most one ("contractive"), above one
+("expansive"), or a per-edge mix.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from itertools import combinations, permutations, product, takewhile
+from itertools import combinations, permutations, product
 
 import numpy as np
 
+from ._atlas import CONNECTED
 from .errors import OutOfDomain
 from .graph import WeightedGraph, build_graph
 
@@ -83,29 +87,23 @@ MAX_MULTIPLICITY = 3
 def connected_simple_structures(max_n: int) -> tuple[Structure, ...]:
     """Every connected simple graph with 1..max_n vertices, up to isomorphism.
 
-    Backed by the networkx graph atlas (complete through seven vertices);
-    deterministic order, vertices relabeled 0..n-1, edges sorted.  The
-    corpus is built once per argument and shared, so it is immutable.
+    Decoded from the connected graphs of the Read-Wilson graph atlas
+    (complete through seven vertices), which the package ships as a table
+    in `_atlas`; atlas order, vertices 0..n-1, edges sorted.  The corpus is
+    built once per argument and shared, so it is immutable.
     """
-    import networkx as nx  # only the corpora need it; keep it off import
-    from networkx.generators.atlas import _generate_graphs
-
     if not (1 <= max_n <= 7):
         raise OutOfDomain(f"atlas covers 1..7 vertices, got {max_n}")
     out = []
-    # The atlas is ordered by vertex count, so the corpus is a prefix of it.
-    # Read it one graph at a time (graph_atlas_g lists this generator) and
-    # stop past max_n.  Holding all 1253 atlas graphs at once would make
-    # 13k objects long-lived for the cyclic garbage collector, which then
-    # runs a full collection of the whole heap later, in unrelated work.
-    for g in takewhile(lambda g: g.number_of_nodes() <= max_n, _generate_graphs()):
-        n = g.number_of_nodes()
-        if n < 1:
-            continue
-        if not nx.is_connected(g):
-            continue
-        edges = tuple(sorted((min(u, v), max(u, v)) for u, v in g.edges()))
-        out.append((n, edges))
+    # the atlas is ordered by vertex count, so the corpus is a prefix of it
+    for token in CONNECTED.split():
+        n, hexmask = token.split(":")
+        n = int(n)
+        if n > max_n:
+            break
+        mask = int(hexmask, 16)
+        pairs = combinations(range(n), 2)
+        out.append((n, tuple(p for i, p in enumerate(pairs) if mask >> i & 1)))
     return tuple(out)
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -200,14 +201,29 @@ def kp_margin(pw: PolymerWeights, alpha: float) -> float:
     return _margin_numerators(polymer_size_profile(pw), alpha) / alpha
 
 
+def _bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """The sign change of f in [lo, hi], where f(lo) < 0 < f(hi), by
+    bisection to a bracket of 1e-14 (about 44 halvings of a 0.2 bracket)."""
+    while hi - lo > 1e-14:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # adjacent floats
+        if f(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def gkfp_optimal(pw: PolymerWeights) -> tuple[float, float]:
     """Minimizing alpha and minimum of the certificate margin.
 
     The margin is a maximum of log-convex functions of alpha, hence
     unimodal; Brent's bounded minimizer (bounds._minimize_bounded)
-    brackets the optimum, and when a single vertex attains the maximum
-    there the exact stationary point of its smooth branch is polished by
-    scipy's brentq root finder.
+    brackets the optimum, and the stationary point of the branch that
+    attains the maximum there is then polished by bisection on the sign
+    change of its derivative, to a bracket of 1e-14.  The polished point
+    is kept only when its margin is no worse.
     """
     if not pw.entries:
         raise DegenerateWeights("no polymers: margin vanishes identically")
@@ -234,16 +250,10 @@ def gkfp_optimal(pw: PolymerWeights) -> tuple[float, float]:
         dnum = sum(a * size * math.exp(alpha * size) for size, a in d.items())
         return dnum * (ea - 1.0) - num * ea
 
-    from scipy.optimize import brentq
-
     lo, hi = max(1e-9, a0 - 0.1), a0 + 0.1
-    try:
-        if branch_derivative(lo) < 0 < branch_derivative(hi):
-            a_star = float(brentq(branch_derivative, lo, hi, xtol=1e-14))
-        else:
-            a_star = a0
-    except ValueError:
-        a_star = a0
+    a_star = a0
+    if branch_derivative(lo) < 0 < branch_derivative(hi):
+        a_star = _bisect(branch_derivative, lo, hi)
     if margin(a_star) > margin(a0):
         a_star = a0
     return a_star, margin(a_star)

@@ -6,10 +6,24 @@ tree theorem for tree sums, and explicit closed forms for the named
 families.  Test values frozen below were produced by these oracles.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
 from tuttezero import build_graph
+
+# When a hypothesis test fails, its pytest plugin imports this module to
+# print a patch hint; the module imports libcst, which makes mypy_extensions
+# emit a DeprecationWarning, and with warnings as errors the run would end
+# in INTERNALERROR instead of the failure report.  Import it once here with
+# that one warning ignored; warnings stay errors inside the tests.
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", message="mypy_extensions", category=DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # without libcst the plugin prints no patch hint
+        pass
 
 
 def dc_z_coeffs(n, edges):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
+from scipy.special import gammaln
 
 from tuttezero import (
     BadLambda,
@@ -124,6 +125,16 @@ def test_minimizer_matches_scipy_when_cut_by_maxiter():
     calls.clear()
     assert_matches_scipy(obj, lo, hi, 1e-13, 6)
     assert len(calls) == 12  # six in each minimizer
+
+
+def test_log_factorials_match_scipy_gammaln():
+    # the series route's lgamma tables, one per truncation order it uses
+    for n_top in (300, 900, 2700, 5000):
+        table = bounds._log_factorials(n_top)
+        assert table is bounds._log_factorials(n_top)
+        ref = gammaln(np.arange(2.0, n_top + 1.0))
+        assert table.shape == ref.shape and table[0] == ref[0] == 0.0
+        assert np.all(np.abs(table - ref) <= 2e-15 * np.abs(ref))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,15 @@ from tuttezero.families import (
 from tuttezero.tutte import component_count
 
 
+# connected graphs on n unlabeled vertices, OEIS A001349
 SIMPLE_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+
+# sha256 of repr(connected_simple_structures(max_n)), as first built from
+# the networkx graph atlas; every sweep's rng stream follows this order
+SIMPLE_CORPUS_SHA256 = {
+    5: "1afd05d6e08bb520ffd32c22aeeebf75368ba40b2b917ee10539e94dd7c19a60",
+    7: "889ae719217765dfbd31ed2e1f5a414cc5a0128a6dece2acc79eba090b289486",
+}
 
 
 def test_simple_corpus_counts():
@@ -31,6 +39,31 @@ def test_simple_corpus_counts():
     for n, _ in connected_simple_structures(7):
         by_n[n] = by_n.get(n, 0) + 1
     assert by_n == SIMPLE_COUNTS
+    # every smaller corpus is a prefix of the full one
+    full = connected_simple_structures(7)
+    for top in range(1, 8):
+        want = sum(SIMPLE_COUNTS[n] for n in range(1, top + 1))
+        assert connected_simple_structures(top) == full[:want]
+    with pytest.raises(OutOfDomain):
+        connected_simple_structures(8)
+
+
+def test_simple_corpus_pinned():
+    for top, want in SIMPLE_CORPUS_SHA256.items():
+        corpus = connected_simple_structures(top)
+        assert hashlib.sha256(repr(corpus).encode()).hexdigest() == want
+
+
+def test_simple_corpus_is_the_networkx_atlas_prefix():
+    # networkx is a test oracle only; the package decodes a shipped table
+    import networkx as nx
+
+    want = []
+    for g in nx.graph_atlas_g()[1:]:
+        n = g.number_of_nodes()
+        if n <= 7 and nx.is_connected(g):
+            want.append((n, tuple(sorted((min(u, v), max(u, v)) for u, v in g.edges()))))
+    assert connected_simple_structures(7) == tuple(want)
 
 
 def test_simple_corpus_all_connected():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from tuttezero import (
     BadIndex,
@@ -22,6 +23,7 @@ from tuttezero import (
     z_polynomial,
 )
 from tuttezero import _kernels, verify
+from tuttezero.bounds import _minimize_bounded
 from tuttezero.families import (
     complete_graph,
     connected_multigraph_structures,
@@ -30,6 +32,7 @@ from tuttezero.families import (
     sample_weights,
     weighted,
 )
+from tuttezero.polymer import _bisect, _margin_numerators, polymer_size_profile
 
 
 def brute_partition(pw):
@@ -167,9 +170,9 @@ def test_kp_variant_never_beats_gkfp(triangle):
         assert gkfp_margin(pw, alpha) <= kp_margin(pw, alpha) * (1 + 1e-12)
 
 
-def test_margin_below_one_implies_nonvanishing(rng):
-    hits = 0
-    for _ in range(40):
+def random_gases(rng, draws=40):
+    """Gases of random 3-5-vertex graphs with small weights, at |q| >= 1."""
+    for _ in range(draws):
         n = int(rng.integers(3, 6))
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         keep = [p for p in pairs if rng.random() < 0.7]
@@ -184,13 +187,72 @@ def test_margin_below_one_implies_nonvanishing(rng):
             pw = tutte_polymer_weights(g, q)
         except ZeroQ:
             continue
-        if not pw.entries:
-            continue
+        if pw.entries:
+            yield pw
+
+
+def test_margin_below_one_implies_nonvanishing(rng):
+    hits = 0
+    for pw in random_gases(rng):
         _, margin = gkfp_optimal(pw)
         if margin <= 1.0:
             hits += 1
             assert abs(polymer_partition(pw)) > 1e-12
     assert hits >= 5  # the sweep has to actually exercise the regime
+
+
+def brentq_optimal(pw):
+    """gkfp_optimal with its polish done by scipy's brentq, as it once was.
+
+    Returns the branch derivative and its bracket with the optimum.
+    """
+    profile = [d for d in polymer_size_profile(pw) if d]
+
+    def margin(alpha):
+        return _margin_numerators(profile, alpha) / math.expm1(alpha)
+
+    a0, _ = _minimize_bounded(margin, 1e-6, 50.0, 1e-10, 500)
+    vals = [sum(a * math.exp(a0 * size) for size, a in d.items()) for d in profile]
+    d = next(d for d, v in zip(profile, vals) if v >= max(vals) * (1 - 1e-9))
+
+    def branch_derivative(alpha):
+        ea = math.exp(alpha)
+        num = sum(a * math.exp(alpha * size) for size, a in d.items())
+        dnum = sum(a * size * math.exp(alpha * size) for size, a in d.items())
+        return dnum * (ea - 1.0) - num * ea
+
+    lo, hi = max(1e-9, a0 - 0.1), a0 + 0.1
+    a_star = a0
+    if branch_derivative(lo) < 0 < branch_derivative(hi):
+        a_star = brentq(branch_derivative, lo, hi, xtol=1e-14)
+    if margin(a_star) > margin(a0):
+        a_star = a0
+    return branch_derivative, lo, hi, a_star, margin(a_star)
+
+
+def test_bisection_polish_matches_brentq(rng, triangle):
+    gases = [
+        tutte_polymer_weights(complete_graph(4, complex(0.4, 0.9)), complex(3.0, -1.0)),
+        tutte_polymer_weights(triangle, complex(1.5, 2.0)),
+    ]
+    for w, q in ((complex(1.3, -0.4), complex(0.3, 2.1)),
+                 (complex(-0.2, 0.9), complex(-1.0, 0.75)),
+                 (complex(5.0, 0.0), complex(0.0, -7.0))):
+        gases.append(tutte_polymer_weights(path_graph(2, w), q))
+    gases.extend(random_gases(rng))  # the gases of the nonvanishing test
+    polished = 0
+    for pw in gases:
+        f, lo, hi, a_ref, m_ref = brentq_optimal(pw)
+        if f(lo) < 0 < f(hi):
+            polished += 1
+            assert abs(_bisect(f, lo, hi) - brentq(f, lo, hi, xtol=1e-14)) <= 1e-12
+        a_star, m = gkfp_optimal(pw)
+        assert abs(m - m_ref) <= 1e-12 * m_ref
+        # the margin is flat at its minimum: whether the coarse or the
+        # polished point is kept is decided by rounding, and the two lie
+        # about 1e-8 apart
+        assert abs(a_star - a_ref) <= 1e-7
+    assert polished == len(gases)
 
 
 def test_optimal_needs_entries():
