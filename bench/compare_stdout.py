@@ -20,7 +20,10 @@ neither sees the other's modules.  Three parts:
    check_roots on every root of both trees.
 
 Prints one line per item and a JSON summary last; exits 1 if a part that
-must be identical is not, or if a root fails the oracle.
+must be identical is not, or if a root fails the oracle.  Where both
+stdouts of an item in part 1 or 3 parse as JSON, the dotted key paths
+that differ are printed under it with both values ("<missing>" for an
+absent key) and listed in the summary under "differences".
 """
 
 from __future__ import annotations
@@ -66,6 +69,35 @@ def _cli(tree: Path, argv: list[str], cwd: Path) -> tuple[int, str]:
     return _run(tree, ["-m", "tuttezero.cli", *argv], cwd)
 
 
+def _json_diff(a, b, path: str = "") -> list[tuple[str, object, object]]:
+    """(dotted path, a's value, b's value) wherever two parsed JSON values
+    differ; list items are keyed by index, and lists of unequal length
+    differ as a whole."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        out = []
+        for key in sorted(a.keys() | b.keys()):
+            out += _json_diff(a.get(key, "<missing>"), b.get(key, "<missing>"),
+                              f"{path}.{key}" if path else key)
+        return out
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [d for i, (x, y) in enumerate(zip(a, b))
+                for d in _json_diff(x, y, f"{path}.{i}" if path else str(i))]
+    return [] if json.dumps(a) == json.dumps(b) else [(path or ".", a, b)]
+
+
+def _report_diff(summary: dict, label: str, out: dict) -> None:
+    """Print and record the key paths at which two JSON stdouts differ;
+    a stdout that is not JSON is left to the item's own line."""
+    try:
+        diff = _json_diff(json.loads(out["parent"][1]), json.loads(out["change"][1]))
+    except json.JSONDecodeError:
+        return
+    if diff:
+        summary["differences"][label] = {p: [a, b] for p, a, b in diff}
+        for p, a, b in diff:
+            print(f"      {p}: {a!r} -> {b!r}", flush=True)
+
+
 def _multigraph(rng: random.Random, inputs) -> tuple[int, list]:
     """A connected 2-4-vertex multigraph: a tree plus 1-8 extra edges."""
     n = rng.randint(2, 4)
@@ -97,7 +129,7 @@ def main() -> int:
     import inputs
     import oracle
 
-    summary = {"identical": {}, "multigraphs": {}}
+    summary = {"identical": {}, "differences": {}, "multigraphs": {}}
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         cases: list[tuple[str, list[str]]] = []
@@ -119,6 +151,7 @@ def main() -> int:
             same = out["parent"] == out["change"]
             summary["identical"][label] = same
             print(f"{'same' if same else 'DIFF'}  exit {out['change'][0]}  {label}", flush=True)
+            _report_diff(summary, label, out)
 
         script = work / "zdump.py"
         script.write_text(Z_DUMP)
@@ -149,6 +182,7 @@ def main() -> int:
                     oracle_failures.append(f"{side} multi{i}: {why}")
             print(f"{'same' if out['parent'] == out['change'] else 'moved'}  multi{i} "
                   f"n={n} m={len(edges)} exit {out['change'][0]}", flush=True)
+            _report_diff(summary, f"multi{i}", out)
         summary["multigraphs"] = {"files": args.multigraphs, "stdout_differs": differ,
                                   "max_rel_root_movement": worst,
                                   "oracle_failures": oracle_failures}

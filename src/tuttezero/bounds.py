@@ -19,9 +19,9 @@ one-dimensional minimization in y, whose logarithm is convex in
 v = log y, so Newton's method on its derivative finds the minimum with
 no tolerance to tune; at lambda in {0, 1} the minimum collapses to an
 expression in the real Lambert W function.  All routes agree to 1e-9
-and the tests insist on it.  Brent's bounded minimizer remains for K's
-objective, the series route, the polymer margin and the g_ratio
-minimum, none of which is evaluated per graph.
+and the tests insist on it.  Golden-section search (_golden_min) finds
+the minima of K's objective, of the series route and of g_ratio, none
+of which is evaluated per graph.
 """
 
 from __future__ import annotations
@@ -90,96 +90,36 @@ def lambert_w(x: float) -> float:
 # ---------------------------------------------------------------------------
 # bounded scalar minimization
 
-def _minimize_bounded(func: Callable[[float], float], lo: float, hi: float,
-                      xatol: float, maxiter: int) -> tuple[float, float]:
-    """Brent's bounded minimizer on [lo, hi]; returns (x, func(x)).
+_SQRT_EPS = math.sqrt(2.2e-16)
+_INV_PHI = 0.5 * (math.sqrt(5.0) - 1.0)
 
-    Golden-section steps, replaced by parabolic interpolation through the
-    three best points whenever the parabola's step is acceptable (R. P.
-    Brent, Algorithms for Minimization without Derivatives, 1973, ch. 5).
-    Stops when the bracket around the best point x is within
-    2 (sqrt(eps) |x| + xatol/3) or after maxiter evaluations.  The steps
-    follow scipy's minimize_scalar(method="bounded") operation for
-    operation, so both return the same x and func(x) bit for bit.
+
+def _golden_min(func: Callable[[float], float], lo: float, hi: float,
+                xatol: float) -> tuple[float, float]:
+    """Golden-section search for the minimum of a unimodal func on [lo, hi];
+    returns (x, func(x)) at the best point x found (Kiefer 1953).
+
+    Each step keeps the part of the bracket on the better side of its two
+    inner points, which sit at the golden ratio, so one of them is reused
+    and each step costs one evaluation.  Stops once the bracket around x
+    is within 2 (sqrt(eps) |x| + xatol/3), the rule of Brent's bounded
+    minimizer.
     """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
     a, b = lo, hi
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
-
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-
-    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = True
-        # try a parabolic fit
-        if abs(e) > tol1:
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-
-            # accept the parabola's step only inside the bracket and when
-            # it is less than half the step before last
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = p / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 if xm >= xf else -tol1
-            else:
-                golden = True
-
-        if golden:
-            if xf >= xm:
-                e = a - xf
-            else:
-                e = b - xf
-            rat = golden_mean * e
-
-        step = max(abs(rat), tol1)
-        x = xf + (step if rat >= 0.0 else -step)
-        fu = func(x)
-        num += 1
-
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = func(c), func(d)
+    while True:
+        x, fx = (c, fc) if fc <= fd else (d, fd)
+        if max(x - a, b - x) <= 2.0 * (_SQRT_EPS * abs(x) + xatol / 3.0):
+            return x, fx
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = func(c)
         else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-
-        if num >= maxiter:
-            break
-
-    return xf, fx
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = func(d)
 
 
 # ---------------------------------------------------------------------------
@@ -193,43 +133,19 @@ def _log_factorials(N: int) -> np.ndarray:
     return table
 
 
-def _series_partial_tail(alpha: float, L: float, lam: float, N: int):
-    """Partial sum over n = 2..N of e^{alpha n} a_n / L^{n-1} with
-    a_n = (1+(n-1)lam)^{n-2} / (n-1)!, plus a certified tail bound.
+def _series_decision(L: float, lam: float, denom: Callable[[float], float],
+                     target: float) -> str:
+    """Certified three-way answer to: is inf_alpha sum/denom(alpha) <= target?
 
-    log (n-1)! comes from a math.lgamma table cached per N; N only takes
-    the values 300, 900, 2700 and _SERIES_CAP, so at most four are built.
-    The coefficient ratio a_{n+1}/a_n never exceeds e*(lam + 1/n), so from
-    N on the term ratio is at most rho = e^{alpha} * e * (lam+1/N) / L
-    and the tail beyond N is at most t_N * rho / (1 - rho) when rho < 1.
+    The sum over n >= 2 of e^{alpha n} a_n / L^{n-1}, a_n =
+    (1+(n-1)lam)^{n-2} / (n-1)!, is truncated at N (300, 900, 2700 or
+    _SERIES_CAP, so at most four lgamma tables are cached), and
+    log(a_n / L^{n-1}) is taken once per N.  The objective is log-convex
+    in alpha, so golden-section search (_golden_min) locates the infimum.
+    As a_{n+1}/a_n <= e*(lam + 1/n), the tail beyond N is at most
+    t_N rho / (1 - rho) with rho = e^{alpha} e (lam+1/N) / L when rho < 1;
+    that bound settles the comparison, or the answer is "ambiguous".
     """
-    n = np.arange(2.0, N + 1.0)
-    logt = (
-        n * alpha
-        + (n - 2.0) * np.log1p((n - 1.0) * lam)
-        - _log_factorials(N)
-        - (n - 1.0) * math.log(L)
-    )
-    t = np.exp(logt)
-    partial = float(np.sum(t))
-    rho = math.exp(alpha) * _E * (lam + 1.0 / N) / L
-    if rho < 1.0:
-        tail = float(t[-1]) * rho / (1.0 - rho)
-    else:
-        tail = math.inf
-    return partial, tail
-
-
-def _series_decision(L: float, lam: float, denom_kind: str, target: float) -> str:
-    """Certified three-way answer to: is inf_alpha sum/denom <= target?
-
-    The objective is log-convex in alpha, so Brent's bounded minimizer
-    (_minimize_bounded) on the truncated sum is trusted to locate the
-    infimum; the tail bound then settles the comparison, or reports
-    "ambiguous" when it cannot.
-    """
-    denom = math.expm1 if denom_kind == "expm1" else float
-
     N = 300
     while True:
         arg = L / (_E * (lam + 1.0 / N))
@@ -238,12 +154,21 @@ def _series_decision(L: float, lam: float, denom_kind: str, target: float) -> st
             if lam > 0.0 and L <= lam * _E:
                 return "no"  # divergent for every alpha
         else:
-            def lower_obj(a: float) -> float:
-                p, _ = _series_partial_tail(a, L, lam, N)
-                return p / denom(a)
+            n = np.arange(2.0, N + 1.0)
+            log_coeff = ((n - 2.0) * np.log1p((n - 1.0) * lam) - _log_factorials(N)
+                         - (n - 1.0) * math.log(L))
 
-            a_star, _ = _minimize_bounded(lower_obj, 1e-6, alpha_hi, 1e-12, 300)
-            p, tail = _series_partial_tail(a_star, L, lam, N)
+            def terms(a: float) -> np.ndarray:
+                x = n * a
+                x += log_coeff
+                return np.exp(x, out=x)
+
+            a_star, _ = _golden_min(lambda a: float(terms(a).sum()) / denom(a),
+                                    1e-6, alpha_hi, 1e-12)
+            t = terms(a_star)
+            p = float(t.sum())
+            rho = math.exp(a_star) * _E * (lam + 1.0 / N) / L
+            tail = float(t[-1]) * rho / (1.0 - rho) if rho < 1.0 else math.inf
             d = denom(a_star)
             if (p + tail) / d <= target:
                 return "yes"
@@ -254,23 +179,23 @@ def _series_decision(L: float, lam: float, denom_kind: str, target: float) -> st
         N = min(_SERIES_CAP, 3 * N)
 
 
-def _series_threshold(lam: float, denom_kind: str, target: float) -> float:
+def _series_threshold(lam: float, denom: Callable[[float], float], target: float) -> float:
     """Bisection on L down to relative width 1e-13 (at most 80 steps)."""
     lo = max(1e-9, lam * _E * (1.0 + 1e-12))
     hi = 4.0 / target + 2.0 + 2.0 * lam
     for _ in range(60):
-        if _series_decision(hi, lam, denom_kind, target) == "yes":
+        if _series_decision(hi, lam, denom, target) == "yes":
             break
         hi *= 2.0
     else:
         raise NoConvergence("series threshold: no upper bracket found")
-    if _series_decision(lo, lam, denom_kind, target) == "yes":
+    if _series_decision(lo, lam, denom, target) == "yes":
         raise NoConvergence("series threshold: lower bracket already satisfies")
     for _ in range(80):
         if hi - lo <= 1e-11 * max(1.0, hi):
             break
         mid = 0.5 * (lo + hi)
-        d = _series_decision(mid, lam, denom_kind, target)
+        d = _series_decision(mid, lam, denom, target)
         if d == "yes":
             hi = mid
         elif d == "no":
@@ -281,8 +206,8 @@ def _series_threshold(lam: float, denom_kind: str, target: float) -> float:
             # mid sits within the decision margin of the threshold; two
             # points just beside it can still bracket the threshold tightly
             below, above = mid * (1.0 - 1e-10), mid * (1.0 + 1e-10)
-            if (_series_decision(below, lam, denom_kind, target) != "no"
-                    or _series_decision(above, lam, denom_kind, target) != "yes"):
+            if (_series_decision(below, lam, denom, target) != "no"
+                    or _series_decision(above, lam, denom, target) != "yes"):
                 raise NoConvergence(
                     f"series threshold: tail bound cannot certify at L = {mid}"
                 )
@@ -297,11 +222,11 @@ def f_lambda_series(lam: float, beta: float) -> float:
     (e^alpha - 1)^{-1} sum_{n>=2} e^{alpha n} L^{-(n-1)}
     (1+(n-1)lam)^{n-2}/(n-1)!  at or below beta.
     """
-    if lam < 0.0:
-        raise OutOfDomain(f"lambda must be >= 0, got {lam}")
-    if beta <= 0.0:
-        raise OutOfDomain(f"beta must be > 0, got {beta}")
-    return _series_threshold(lam, "expm1", beta)
+    if not (0.0 <= lam < math.inf):
+        raise OutOfDomain(f"lambda must be finite and >= 0, got {lam}")
+    if not (0.0 < beta < math.inf):
+        raise OutOfDomain(f"beta must be finite and > 0, got {beta}")
+    return _series_threshold(lam, math.expm1, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +331,7 @@ def _log_convex_argmin(lam: float, beta: float) -> float:
 
 
 def f_closed(lam: float, beta: float) -> float:
-    """Lambert-form values F_0 and F_1; other lambda raise BadLambda.
+    """Lambert-form values F_0 and F_1; any other lambda >= 0 raises BadLambda.
 
     F_0(beta) = beta/(1+beta) * W((1+beta)e) / (W((1+beta)e) - 1)^2
     F_1(beta) = beta * W(e/(1+beta)) / (1 - W(e/(1+beta)))^2
@@ -416,8 +341,10 @@ def f_closed(lam: float, beta: float) -> float:
     accuracy to cancellation in 1 - W as beta -> 0 (F_1(beta) equals
     beta Kstar(beta^-2), which kstar_psi evaluates without it).
     """
-    if beta <= 0.0:
-        raise OutOfDomain(f"beta must be > 0, got {beta}")
+    if not (0.0 <= lam < math.inf):
+        raise OutOfDomain(f"lambda must be finite and >= 0, got {lam}")
+    if not (0.0 < beta < math.inf):
+        raise OutOfDomain(f"beta must be finite and > 0, got {beta}")
     if lam == 0:
         w = lambert_w((1.0 + beta) * _E)
         return beta / (1.0 + beta) * w / (w - 1.0) ** 2
@@ -496,10 +423,9 @@ def sokal_K(route: str = "variational") -> float:
         def obj(a: float) -> float:
             return (a + math.exp(a)) / math.log1p(a * math.exp(-a))
 
-        _, fmin = _minimize_bounded(obj, 1e-8, 10.0, 1e-12, 500)
-        return fmin
+        return _golden_min(obj, 1e-8, 10.0, 1e-12)[1]
     if route == "series":
-        return _series_threshold(1.0, "alpha", 1.0)
+        return _series_threshold(1.0, float, 1.0)
     raise OutOfDomain(f"unknown route {route!r}")
 
 

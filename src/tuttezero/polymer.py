@@ -17,13 +17,13 @@ margin at most one guarantees Xi does not vanish.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .bounds import _minimize_bounded
 from .errors import (
     BadIndex,
     DegenerateWeights,
@@ -93,10 +93,15 @@ def tutte_polymer_weights(
         raise TooLarge(f"{g.n} vertices exceeds polymer limit {MAX_POLYMER_VERTICES}")
     if table is None:
         table = connected_by_support(g)
-    powers = [q ** -j for j in range(g.n)]
+    try:
+        powers = [q ** -j for j in range(g.n)]
+    except (ZeroDivisionError, OverflowError):
+        raise OutOfDomain(f"q^-{g.n - 1} does not fit in floating point at q = {q}") from None
     entries = tuple(
         (mask, c * powers[bin(mask).count("1") - 1]) for mask, c in table.items()
     )
+    if not all(cmath.isfinite(rho) for _, rho in entries):
+        raise OutOfDomain(f"an activity does not fit in floating point at q = {q}")
     return PolymerWeights(g.n, entries)
 
 
@@ -184,26 +189,32 @@ def _margin_numerators(profile: list[dict], alpha: float) -> float:
     return worst
 
 
+def _scaled_margin(pw: PolymerWeights, alpha: float, denom: Callable[[float], float]) -> float:
+    """The largest per-vertex activity mass at scale alpha, over denom(alpha)."""
+    if not (0.0 < alpha < math.inf):
+        raise OutOfDomain(f"alpha must be finite and > 0, got {alpha}")
+    try:
+        return _margin_numerators(polymer_size_profile(pw), alpha) / denom(alpha)
+    except OverflowError:
+        raise OutOfDomain(f"the margin overflows at alpha = {alpha}") from None
+
+
 def gkfp_margin(pw: PolymerWeights, alpha: float) -> float:
     """sup_x sum_{S owning x} e^{alpha |S|} |rho(S)|, over e^alpha - 1.
 
     At most one certifies that the gas partition function cannot vanish.
     """
-    if alpha <= 0:
-        raise OutOfDomain(f"alpha must be > 0, got {alpha}")
-    return _margin_numerators(polymer_size_profile(pw), alpha) / math.expm1(alpha)
+    return _scaled_margin(pw, alpha, math.expm1)
 
 
 def kp_margin(pw: PolymerWeights, alpha: float) -> float:
     """Same numerator over the smaller denominator alpha."""
-    if alpha <= 0:
-        raise OutOfDomain(f"alpha must be > 0, got {alpha}")
-    return _margin_numerators(polymer_size_profile(pw), alpha) / alpha
+    return _scaled_margin(pw, alpha, float)
 
 
 def _bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
     """The sign change of f in [lo, hi], where f(lo) < 0 < f(hi), by
-    bisection to a bracket of 1e-14 (about 44 halvings of a 0.2 bracket)."""
+    bisection to a bracket of 1e-14 (52 halvings of [1e-6, 50])."""
     while hi - lo > 1e-14:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
@@ -218,12 +229,12 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
 def gkfp_optimal(pw: PolymerWeights) -> tuple[float, float]:
     """Minimizing alpha and minimum of the certificate margin.
 
-    The margin is a maximum of log-convex functions of alpha, hence
-    unimodal; Brent's bounded minimizer (bounds._minimize_bounded)
-    brackets the optimum, and the stationary point of the branch that
-    attains the maximum there is then polished by bisection on the sign
-    change of its derivative, to a bracket of 1e-14.  The polished point
-    is kept only when its margin is no worse.
+    The margin is a maximum of log-convex branches, one per vertex.  A
+    branch attaining it decreases left of the minimizer and increases
+    right of it, so its derivative changes sign once, at the minimizer,
+    even where that is a kink.  Bisection on that sign over [1e-6, 50]
+    (the margin's log-slope is below -1e5 at 1e-6 and above 0.9 at 50,
+    as every polymer has two or more vertices) finds it to 1e-14.
     """
     if not pw.entries:
         raise DegenerateWeights("no polymers: margin vanishes identically")
@@ -231,29 +242,12 @@ def gkfp_optimal(pw: PolymerWeights) -> tuple[float, float]:
     if not profile:
         raise EmptySet("no vertex meets any polymer")
 
-    def margin(alpha: float) -> float:
-        return _margin_numerators(profile, alpha) / math.expm1(alpha)
-
-    a0, _ = _minimize_bounded(margin, 1e-6, 50.0, 1e-10, 500)
-
-    # identify the active vertex branch at the coarse optimum
-    vals = []
-    for d in profile:
-        vals.append(sum(a * math.exp(a0 * size) for size, a in d.items()))
-    top = max(vals)
-    active = [d for d, v in zip(profile, vals) if v >= top * (1 - 1e-9)]
-    d = active[0]
-
-    def branch_derivative(alpha: float) -> float:
+    def maximal_branch_slope(alpha: float) -> float:
+        d = max(profile, key=lambda d: sum(a * math.exp(alpha * size) for size, a in d.items()))
         ea = math.exp(alpha)
         num = sum(a * math.exp(alpha * size) for size, a in d.items())
         dnum = sum(a * size * math.exp(alpha * size) for size, a in d.items())
         return dnum * (ea - 1.0) - num * ea
 
-    lo, hi = max(1e-9, a0 - 0.1), a0 + 0.1
-    a_star = a0
-    if branch_derivative(lo) < 0 < branch_derivative(hi):
-        a_star = _bisect(branch_derivative, lo, hi)
-    if margin(a_star) > margin(a0):
-        a_star = a0
-    return a_star, margin(a_star)
+    a_star = _bisect(maximal_branch_slope, 1e-6, 50.0)
+    return a_star, _margin_numerators(profile, a_star) / math.expm1(a_star)

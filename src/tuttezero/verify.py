@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels, counting, families
 from .bounds import (
-    _minimize_bounded,
+    _golden_min,
     f_closed,
     f_lambda_series,
     f_lambda_variational,
@@ -635,7 +635,7 @@ def examples_check(seed: int = 0) -> dict:
         abs(c["qmax_over_w_power_at_100"] - 1.0) < abs(c["qmax_over_w_power_at_10"] - 1.0)
     )
 
-    g_argmin, g_min = _minimize_bounded(g_ratio, 2.0, 6.0, 1e-10, 500)
+    g_argmin, g_min = _golden_min(g_ratio, 2.0, 6.0, 1e-10)
     sub["g_minimum"] = (
         abs(g_min - G_MIN_REFERENCE) <= 1e-4 and abs(g_argmin - G_ARGMIN_REFERENCE) <= 1e-3
     )

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
 from tuttezero import (
     BadIndex,
@@ -23,7 +23,6 @@ from tuttezero import (
     z_polynomial,
 )
 from tuttezero import _kernels, verify
-from tuttezero.bounds import _minimize_bounded
 from tuttezero.families import (
     complete_graph,
     connected_multigraph_structures,
@@ -94,6 +93,11 @@ def test_tutte_weights_on_path():
 def test_tutte_weights_reject_zero_q(triangle):
     with pytest.raises(ZeroQ):
         tutte_polymer_weights(triangle, 0.0)
+    # q^-2 does not fit in a float; w/q overflows although q^-1 fits
+    with pytest.raises(OutOfDomain):
+        tutte_polymer_weights(path_graph(3, complex(0.5, 0.2)), 1e-200)
+    with pytest.raises(OutOfDomain):
+        tutte_polymer_weights(path_graph(2, 1e300), 1e-10)
 
 
 def test_profile_reproduces_polynomial(rng):
@@ -148,10 +152,15 @@ def test_margin_hand_computed_single_edge():
 
 def test_margin_alpha_domain(triangle):
     pw = tutte_polymer_weights(triangle, 2.0)
-    with pytest.raises(OutOfDomain):
-        gkfp_margin(pw, 0.0)
-    with pytest.raises(OutOfDomain):
-        kp_margin(pw, -1.0)
+    for margin in (gkfp_margin, kp_margin):
+        for alpha in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(OutOfDomain):
+                margin(pw, alpha)
+    # e^{700 |S|} overflows for every polymer of a 3-vertex path
+    pw = tutte_polymer_weights(path_graph(3, complex(0.5, 0.2)), 3.0)
+    for margin in (gkfp_margin, kp_margin):
+        with pytest.raises(OutOfDomain):
+            margin(pw, 700.0)
 
 
 def test_optimal_margin_is_global(rng):
@@ -202,16 +211,19 @@ def test_margin_below_one_implies_nonvanishing(rng):
 
 
 def brentq_optimal(pw):
-    """gkfp_optimal with its polish done by scipy's brentq, as it once was.
+    """The optimum by scipy: a bounded Brent pass over the margin, then
+    brentq on the derivative of the branch that attains the maximum there.
 
-    Returns the branch derivative and its bracket with the optimum.
+    Returns that derivative, a bracket of its sign change around the Brent
+    point, and brentq's root in it.
     """
     profile = [d for d in polymer_size_profile(pw) if d]
 
     def margin(alpha):
         return _margin_numerators(profile, alpha) / math.expm1(alpha)
 
-    a0, _ = _minimize_bounded(margin, 1e-6, 50.0, 1e-10, 500)
+    a0 = minimize_scalar(margin, bounds=(1e-6, 50.0), method="bounded",
+                         options={"xatol": 1e-10, "maxiter": 500}).x
     vals = [sum(a * math.exp(a0 * size) for size, a in d.items()) for d in profile]
     d = next(d for d, v in zip(profile, vals) if v >= max(vals) * (1 - 1e-9))
 
@@ -222,12 +234,7 @@ def brentq_optimal(pw):
         return dnum * (ea - 1.0) - num * ea
 
     lo, hi = max(1e-9, a0 - 0.1), a0 + 0.1
-    a_star = a0
-    if branch_derivative(lo) < 0 < branch_derivative(hi):
-        a_star = brentq(branch_derivative, lo, hi, xtol=1e-14)
-    if margin(a_star) > margin(a0):
-        a_star = a0
-    return branch_derivative, lo, hi, a_star, margin(a_star)
+    return branch_derivative, lo, hi, brentq(branch_derivative, lo, hi, xtol=1e-14)
 
 
 def test_bisection_polish_matches_brentq(rng, triangle):
@@ -240,19 +247,15 @@ def test_bisection_polish_matches_brentq(rng, triangle):
                  (complex(5.0, 0.0), complex(0.0, -7.0))):
         gases.append(tutte_polymer_weights(path_graph(2, w), q))
     gases.extend(random_gases(rng))  # the gases of the nonvanishing test
-    polished = 0
     for pw in gases:
-        f, lo, hi, a_ref, m_ref = brentq_optimal(pw)
-        if f(lo) < 0 < f(hi):
-            polished += 1
-            assert abs(_bisect(f, lo, hi) - brentq(f, lo, hi, xtol=1e-14)) <= 1e-12
+        f, lo, hi, a_ref = brentq_optimal(pw)
+        assert f(lo) < 0 < f(hi)
+        assert abs(_bisect(f, lo, hi) - a_ref) <= 1e-12
         a_star, m = gkfp_optimal(pw)
+        # the stationary point of the maximal branch, to brentq's accuracy
+        assert abs(a_star - a_ref) <= 1e-12
+        m_ref = gkfp_margin(pw, a_ref)
         assert abs(m - m_ref) <= 1e-12 * m_ref
-        # the margin is flat at its minimum: whether the coarse or the
-        # polished point is kept is decided by rounding, and the two lie
-        # about 1e-8 apart
-        assert abs(a_star - a_ref) <= 1e-7
-    assert polished == len(gases)
 
 
 def test_optimal_needs_entries():
