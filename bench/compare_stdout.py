@@ -5,7 +5,7 @@ Usage, with two clean checkouts (each holding src/ and perfbench/):
     python3 bench/compare_stdout.py PARENT_DIR CHANGE_DIR [--seeds 4] [--multigraphs 20]
 
 Each tree runs in its own subprocesses with PYTHONPATH=<tree>/src, so
-neither sees the other's modules.  Three parts:
+neither sees the other's modules.  Four parts:
 
 1. Byte-compared stdout and exit code of `analyze` on the cli-analyze
    inputs of the seeds (every graph as an edge list and as JSON),
@@ -18,6 +18,10 @@ neither sees the other's modules.  Three parts:
    in the last bits: the number of files whose stdout differs, the
    largest relative movement of a root, and perfbench/oracle.py's
    check_roots on every root of both trees.
+4. Byte-compared JSON of verify_polymer_identity(4, 0, n_q=5, seed=s)
+   at each seed, without elapsed, with a fault injected so that the
+   failure path runs: polymer_profile scaled by 1 + 1e-6 on 4-vertex
+   graphs.
 
 Prints one line per item and a JSON summary last; exits 1 if a part that
 must be identical is not, or if a root fails the oracle.  Where both
@@ -55,6 +59,24 @@ for seed in range(int(sys.argv[2])):
 rng = np.random.default_rng(0)
 for n, pairs in families.connected_simple_structures(6):
     dump(families.weighted((n, pairs), families.sample_weights(len(pairs), "mixed", rng)))
+"""
+
+FAULTED_POLYMER = """
+import json
+import sys
+from tuttezero import verify
+
+profile = verify.polymer_profile
+
+def scaled(g, **kwargs):
+    p = profile(g, **kwargs)
+    return p * (1 + 1e-6) if g.n == 4 else p
+
+verify.polymer_profile = scaled
+for seed in range(int(sys.argv[1])):
+    r = verify.verify_polymer_identity(4, 0, n_q=5, seed=seed)
+    del r["elapsed"]
+    print(json.dumps(r, sort_keys=True))
 """
 
 
@@ -159,6 +181,15 @@ def main() -> int:
                  for side, tree in trees.items()}
         same = dumps["parent"] == dumps["change"] and dumps["change"][0] == 0
         label = f"z_polynomial bits, simple graphs ({dumps['change'][1].count(chr(10))} graphs)"
+        summary["identical"][label] = same
+        print(f"{'same' if same else 'DIFF'}  {label}", flush=True)
+
+        script = work / "faulted_polymer.py"
+        script.write_text(FAULTED_POLYMER)
+        runs = {side: _run(tree, [str(script), str(args.seeds)], work)
+                for side, tree in trees.items()}
+        same = runs["parent"] == runs["change"] and runs["change"][0] == 0
+        label = f"verify_polymer_identity with a faulted profile ({args.seeds} seeds)"
         summary["identical"][label] = same
         print(f"{'same' if same else 'DIFF'}  {label}", flush=True)
 

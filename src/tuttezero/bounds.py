@@ -53,6 +53,8 @@ def lambert_w(x: float) -> float:
     defining residual w e^w - x is driven to machine precision.
     """
     x = float(x)
+    if not math.isfinite(x):
+        raise OutOfDomain(f"lambert_w needs a finite x, got {x}")
     xmin = -1.0 / _E
     if x < xmin - 1e-14:
         raise OutOfDomain(f"lambert_w needs x >= -1/e, got {x}")

@@ -180,6 +180,8 @@ def sample_weights(m: int, regime: str, rng: np.random.Generator) -> list[comple
     """
     if regime not in WEIGHT_REGIMES:
         raise OutOfDomain(f"unknown regime {regime!r}")
+    if m < 0:
+        raise OutOfDomain(f"edge count must be >= 0, got {m}")
     per = 3 if regime == "mixed" else 2
     u = rng.random(per * m).tolist()
     out = []

@@ -85,7 +85,7 @@ def z_polynomial(g: WeightedGraph) -> QPolynomial:
     Weights whose products overflow raise OutOfDomain, as does a parallel
     class whose prod(1+|w_i|) overflows.
     """
-    return QPolynomial(tuple(complex(c) for c in _z_coefficients(g)))
+    return QPolynomial(tuple(_z_coefficients(g).tolist()))
 
 
 def connected_gen_poly(g: WeightedGraph) -> complex:

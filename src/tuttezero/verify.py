@@ -27,6 +27,7 @@ from .bounds import (
     lambert_w,
     sokal_K,
 )
+from .errors import OutOfDomain
 from .graph import build_graph, degree_quantities, induced_subgraph
 from .penrose import extended_penrose_bounds, penrose_identity_eval, verify_partition
 from .polymer import (
@@ -395,12 +396,23 @@ def verify_penrose_chains(max_vertices: int = 5, draws: int = 100, seed: int = 0
 # polymer gas
 
 def _polyval(c, x):
-    """c[0] x^d + ... + c[d] at every x by Horner's rule, as np.polyval
-    computes it, without its argument handling."""
+    """Row k of c (highest power first) at every point of row k of x, by
+    Horner's rule as np.polyval computes it, without its argument
+    handling.  Rows of lower degree are padded with leading zeros, which
+    leave every value's bits as they are."""
     y = np.zeros_like(x)
-    for ci in c:
-        y = y * x + ci
+    for k in range(c.shape[1]):
+        y = y * x + c[:, k, None]
     return y
+
+
+def _padded(rows):
+    """Coefficient lists, ascending by power, as one matrix with a row per
+    list, highest power first, padded with leading zeros."""
+    width = max(map(len, rows), default=1)
+    return np.array(
+        [[0j] * (width - len(r)) + r[::-1] for r in rows], dtype=np.complex128
+    ).reshape(len(rows), width)
 
 
 def verify_polymer_identity(
@@ -408,14 +420,20 @@ def verify_polymer_identity(
 ) -> dict:
     """The gas partition function times q^n equals the polynomial.
 
-    Per graph the connected_by_support table is built once and shared by
-    the profile and the activity route, and all n_q points are checked
-    at once as arrays.
+    The first pass walks the corpus: per graph it draws the weights, builds
+    the connected_by_support table once for the profile and the activity
+    route, draws the n_q points and runs the activity route at the first
+    two.  The second pass checks every graph at every point at once, as
+    (graphs, n_q) arrays, and reports in corpus order.
     """
+    if n_q < 0:
+        raise OutOfDomain(f"n_q must be >= 0, got {n_q}")
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     failures = []
     checked = 0
+    graphs = []  # (n, pairs, activity-route values)
+    zcs, profs, draws = [], [], []
     corpora = [families.connected_simple_structures(max_simple)]
     if max_multi:
         corpora.append(families.connected_multigraph_structures(max_multi))
@@ -424,27 +442,49 @@ def verify_polymer_identity(
             ws = families.sample_weights(len(pairs), "mixed", rng)
             g = families.weighted((n, pairs), ws)
             table = connected_by_support(g)
-            zc = np.asarray(z_polynomial(g).coeffs)
-            prof = polymer_profile(g, table=table)
+            zcs.append(list(z_polynomial(g).coeffs))
+            profs.append(polymer_profile(g, table=table).tolist())
             qs = rng.uniform(-3.0, 3.0, (n_q, 2))
-            q = qs[:, 0] + 1j * qs[:, 1]
-            q = np.where(np.abs(q) < 0.2, q + 0.5, q)
-            # Horner in 1/q for the gas side, in q for the polynomial
-            xi = _polyval(prof[::-1], 1.0 / q)
-            lhs = xi * q**n
-            rhs = _polyval(zc[::-1], q)
-            scale = _polyval(np.abs(zc)[::-1], np.abs(q))
-            checked += n_q
-            off = np.abs(lhs - rhs) > 1e-10 * np.maximum(scale, 1e-300)
-            for i in np.flatnonzero(off):
-                failures.append(f"identity off at n={n}, edges={pairs}, q={complex(q[i])}")
-            # direct activity-route evaluation at two points for n <= 6
+            draws.append(qs)
+            # direct activity-route evaluation at two points for n <= 6,
+            # each point as the array expression below makes it
+            routed = []
             if n <= 6:
-                for qi, xi_q in zip(q[:2].tolist(), xi[:2].tolist()):
-                    xi2 = polymer_partition(tutte_polymer_weights(g, qi, table=table))
-                    checked += 1
-                    if abs(xi2 - xi_q) > 1e-10 * max(1.0, abs(xi_q)):
-                        failures.append(f"activity route differs at n={n}, q={qi}")
+                for a, b in qs[:2].tolist():
+                    qi = complex(a, b)
+                    if abs(qi) < 0.2:
+                        qi += 0.5
+                    routed.append(polymer_partition(tutte_polymer_weights(g, qi, table=table)))
+            graphs.append((n, pairs, routed))
+
+    q = np.array(draws).reshape(len(graphs), n_q, 2)
+    q = q[..., 0] + 1j * q[..., 1]
+    q = np.where(np.abs(q) < 0.2, q + 0.5, q)
+    ns = np.array([n for n, _, _ in graphs])
+    qn = np.empty_like(q)
+    for n in set(ns.tolist()):
+        # a Python int exponent, as per graph: an array of exponents
+        # moves q**n in the last bits
+        rows = ns == n
+        qn[rows] = q[rows] ** n
+    zc = _padded(zcs)
+    prof = _padded(profs)
+    # Horner in 1/q for the gas side, in q for the polynomial
+    xi = _polyval(prof, 1.0 / q)
+    lhs = xi * qn
+    rhs = _polyval(zc, q)
+    scale = _polyval(np.abs(zc), np.abs(q))
+    off = np.abs(lhs - rhs) > 1e-10 * np.maximum(scale, 1e-300)
+    for (n, pairs, routed), q_k, off_k, xi_k in zip(
+        graphs, q.tolist(), off.tolist(), xi[:, :2].tolist()
+    ):
+        checked += n_q
+        failures += [f"identity off at n={n}, edges={pairs}, q={qi}"
+                     for qi, o in zip(q_k, off_k) if o]
+        for qi, xi_q, xi_a in zip(q_k, xi_k, routed):
+            checked += 1
+            if abs(xi_a - xi_q) > 1e-10 * max(1.0, abs(xi_q)):
+                failures.append(f"activity route differs at n={n}, q={qi}")
     return _finish("polymer_identity", not failures, checked, failures, t0, seed=seed)
 
 

@@ -152,6 +152,12 @@ def test_lambert_branch_point():
         lambert_w(-0.5)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_lambert_rejects_non_finite(x):
+    with pytest.raises(OutOfDomain, match="finite"):
+        lambert_w(x)
+
+
 def test_lambert_known_values():
     assert abs(lambert_w(math.e) - 1.0) < 1e-15
     assert abs(lambert_w(0.0)) == 0.0

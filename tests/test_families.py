@@ -149,6 +149,14 @@ def test_weight_regimes_stay_in_their_half(rng):
         sample_weights(3, "bogus", rng)
 
 
+@pytest.mark.parametrize("regime", WEIGHT_REGIMES)
+def test_sample_weights_rejects_negative_count(regime):
+    rng = np.random.default_rng(3)
+    with pytest.raises(OutOfDomain):
+        sample_weights(-1, regime, rng)
+    assert rng.random() == np.random.default_rng(3).random()  # nothing drawn
+
+
 def test_sample_weights_deterministic():
     a = sample_weights(10, "mixed", np.random.default_rng(7))
     b = sample_weights(10, "mixed", np.random.default_rng(7))

@@ -418,3 +418,129 @@ def test_polymer_sweep_reports_a_perturbed_polynomial(monkeypatch):
     assert r["failures"][0] == (
         "identity off at n=1, edges=(), q=(0.8217701239287258-1.3812797174167781j)"
     )
+
+
+# ---------------------------------------------------------------------------
+# the batched identity check against the per-graph loop it replaced
+
+
+def per_graph_polymer_identity(max_simple, max_multi, n_q, seed):
+    """The identity check one graph at a time, every q of a graph as one
+    array, with np.polyval for Horner; calls go through the verify
+    namespace, so a fault patched in there reaches both routes."""
+    rng = np.random.default_rng(seed)
+    failures = []
+    checked = 0
+    corpora = [connected_simple_structures(max_simple)]
+    if max_multi:
+        corpora.append(connected_multigraph_structures(max_multi))
+    for corpus in corpora:
+        for n, pairs in corpus:
+            ws = sample_weights(len(pairs), "mixed", rng)
+            g = weighted((n, pairs), ws)
+            table = verify.connected_by_support(g)
+            zc = np.asarray(verify.z_polynomial(g).coeffs)
+            prof = verify.polymer_profile(g, table=table)
+            qs = rng.uniform(-3.0, 3.0, (n_q, 2))
+            q = qs[:, 0] + 1j * qs[:, 1]
+            q = np.where(np.abs(q) < 0.2, q + 0.5, q)
+            xi = np.polyval(prof[::-1], 1.0 / q)
+            lhs = xi * q**n
+            rhs = np.polyval(zc[::-1], q)
+            scale = np.polyval(np.abs(zc)[::-1], np.abs(q))
+            checked += n_q
+            off = np.abs(lhs - rhs) > 1e-10 * np.maximum(scale, 1e-300)
+            for i in np.flatnonzero(off):
+                failures.append(f"identity off at n={n}, edges={pairs}, q={complex(q[i])}")
+            if n <= 6:
+                for qi, xi_q in zip(q[:2].tolist(), xi[:2].tolist()):
+                    xi2 = verify.polymer_partition(
+                        verify.tutte_polymer_weights(g, qi, table=table))
+                    checked += 1
+                    if abs(xi2 - xi_q) > 1e-10 * max(1.0, abs(xi_q)):
+                        failures.append(f"activity route differs at n={n}, q={qi}")
+    return verify._finish("polymer_identity", not failures, checked, failures, 0.0, seed=seed)
+
+
+@pytest.fixture
+def sweep_pair(monkeypatch):
+    """Both routes of one configuration, as dicts without elapsed.
+
+    _finish also keeps every failure line, not only the first eight, and
+    connected_by_support is memoized on the graph, so the second route
+    does not repeat the exact-arithmetic fallback of 7-vertex graphs.
+    """
+    finish = verify._finish
+
+    def finish_all(name, passed, checked, failures, t0, **extra):
+        return finish(name, passed, checked, failures, t0,
+                      every_failure=[str(f) for f in failures], **extra)
+
+    tables = {}
+    build = verify.connected_by_support
+
+    def memo(g):
+        key = (g.n, g.edges)
+        if key not in tables:
+            tables[key] = build(g)
+        return tables[key]
+
+    monkeypatch.setattr(verify, "_finish", finish_all)
+    monkeypatch.setattr(verify, "connected_by_support", memo)
+
+    def run(*config):
+        got = verify.verify_polymer_identity(*config)
+        want = per_graph_polymer_identity(*config)
+        for r in (got, want):
+            del r["elapsed"]
+        return got, want
+
+    return run
+
+
+@pytest.mark.parametrize("config", [
+    (5, 4, 20, 0), (5, 4, 20, 7), (7, 4, 20, 1), (3, 0, 2, 3), (6, 3, 5, 11),
+    (5, 4, 0, 2), (5, 4, 1, 4),
+])
+def test_batched_identity_matches_per_graph_loop(sweep_pair, config):
+    got, want = sweep_pair(*config)
+    assert got == want
+    assert got["passed"]
+    assert got["checked"] > 0 or config[2] == 0
+
+
+def test_batched_identity_matches_with_z_perturbed_at_two_vertices(sweep_pair, monkeypatch):
+    z_poly = verify.z_polynomial
+
+    def perturbed(g):
+        c = list(z_poly(g).coeffs)
+        if g.n == 2:
+            c[1] *= 1 + 1e-6
+        return QPolynomial(tuple(c))
+
+    monkeypatch.setattr(verify, "z_polynomial", perturbed)
+    for config in ((5, 4, 20, 0), (4, 3, 5, 3)):
+        got, want = sweep_pair(*config)
+        assert got == want
+        assert got["failure_count"] > 0
+        assert all(", edges=((0, 1)," in f for f in got["every_failure"])
+
+
+def test_batched_identity_matches_with_profile_scaled_at_one_vertex(sweep_pair, monkeypatch):
+    profile = verify.polymer_profile
+
+    def scaled(g, **kwargs):
+        p = profile(g, **kwargs)
+        return p * (1 + 1e-6) if g.n == 1 else p
+
+    monkeypatch.setattr(verify, "polymer_profile", scaled)
+    for config in ((5, 4, 20, 0), (4, 3, 5, 3)):
+        got, want = sweep_pair(*config)
+        assert got == want
+        assert got["failure_count"] > 0
+        assert all("n=1," in f for f in got["every_failure"])
+
+
+def test_polymer_sweep_rejects_negative_point_count():
+    with pytest.raises(OutOfDomain):
+        verify.verify_polymer_identity(3, 0, -1)
