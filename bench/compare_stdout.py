@@ -5,19 +5,24 @@ Usage, with two clean checkouts (each holding src/ and perfbench/):
     python3 bench/compare_stdout.py PARENT_DIR CHANGE_DIR [--seeds 4] [--multigraphs 20]
 
 Each tree runs in its own subprocesses with PYTHONPATH=<tree>/src, so
-neither sees the other's modules.  Four parts:
+neither sees the other's modules.  Z splits off every bridge of the
+parallel-reduced graph as a factor q + w_e, so only bridgeless graphs
+keep the engine's exact bits; graphs with a bridge may move in the last
+bits.  Four parts:
 
-1. Byte-compared stdout and exit code of `analyze` on the cli-analyze
-   inputs of the seeds (every graph as an edge list and as JSON),
-   `examples` as JSON and CSV, and `verify-polymer`,
+1. Byte-compared stdout and exit code of `analyze` on the bridgeless
+   cli-analyze inputs of the seeds (every graph as an edge list and as
+   JSON), `examples` as JSON and CSV, and `verify-polymer`,
    `verify-inequalities` and `verify-penrose` at each seed.
-2. Bit-compared z_polynomial coefficients of simple graphs: the
-   analyze-wide inputs of seeds 0-39 and the connected simple structures
-   to 6 vertices under mixed weights from default_rng(0).
-3. `analyze` on seeded random 2-4-vertex multigraph files, which may move
-   in the last bits: the number of files whose stdout differs, the
-   largest relative movement of a root, and perfbench/oracle.py's
-   check_roots on every root of both trees.
+2. Bit-compared z_polynomial coefficients and analyze roots of the
+   bridgeless simple graphs among the analyze-wide inputs of seeds 0-39
+   and the connected simple structures to 6 vertices under mixed weights
+   from default_rng(0).
+3. Graphs that may move in the last bits: the cli-analyze inputs and the
+   part-2 graphs that have a bridge, and `analyze` on seeded random
+   2-4-vertex multigraph files.  Reported per group: the number of
+   graphs whose output differs, the largest relative movement of a root,
+   and perfbench/oracle.py's check_roots on every root of both trees.
 4. Byte-compared JSON of verify_polymer_identity(4, 0, n_q=5, seed=s)
    at each seed, without elapsed, with a fault injected so that the
    failure path runs: polymer_profile scaled by 1 + 1e-6 on 4-vertex
@@ -44,14 +49,22 @@ from pathlib import Path
 WIDE_SEEDS = 40
 
 Z_DUMP = """
+import json
 import sys
 import numpy as np
 sys.path.insert(0, sys.argv[1])
-from tuttezero import build_graph, families, z_polynomial
+from tuttezero import TutteZeroError, analyze, build_graph, families, z_polynomial
 from inputs import wide_graphs
 
 def dump(g):
-    print(" ".join(f"{c.real.hex()},{c.imag.hex()}" for c in z_polynomial(g).coeffs))
+    out = {"n": g.n, "edges": [[u, v, w.real, w.imag] for u, v, w in g.edges],
+           "z": " ".join(f"{c.real.hex()},{c.imag.hex()}" for c in z_polynomial(g).coeffs)}
+    try:
+        rep = analyze(g)
+        out.update(roots=[[r.real, r.imag] for r in rep.roots], mult=rep.q_zero_multiplicity)
+    except TutteZeroError as exc:
+        out["error"] = type(exc).__name__
+    print(json.dumps(out))
 
 for seed in range(int(sys.argv[2])):
     for _, n, edges in wide_graphs(seed):
@@ -129,6 +142,52 @@ def _multigraph(rng: random.Random, inputs) -> tuple[int, list]:
     return n, inputs.weighted(rng, pairs)
 
 
+def _has_bridge(n: int, edges) -> bool:
+    """Whether the parallel-reduced graph has an edge whose endpoints fall
+    apart without it."""
+    pairs = sorted({(min(u, v), max(u, v)) for u, v, *_ in edges})
+    for i, (u, v) in enumerate(pairs):
+        reach, todo = {u}, [u]
+        while todo:
+            x = todo.pop()
+            for j, (a, b) in enumerate(pairs):
+                y = b if a == x else a if b == x else None
+                if j != i and y is not None and y not in reach:
+                    reach.add(y)
+                    todo.append(y)
+        if v not in reach:
+            return True
+    return False
+
+
+class _Moved:
+    """Part 3's report on one group of graphs that may move in the last bits."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.graphs = self.differ = 0
+        self.worst = 0.0
+        self.failures: list[str] = []
+
+    def add(self, label: str, n: int, edges, same: bool, reps: dict) -> None:
+        """reps maps a side to its analyze report (roots and multiplicity),
+        for each side on which analyze succeeded."""
+        self.graphs += 1
+        self.differ += not same
+        if len(reps) == 2:
+            self.worst = max(self.worst, _root_movement(reps["change"]["roots"],
+                                                        reps["parent"]["roots"]))
+        for side, rep in reps.items():
+            why = self.oracle.check_roots(n, edges, [complex(*r) for r in rep["roots"]],
+                                          rep["q_zero_multiplicity"])
+            if why:
+                self.failures.append(f"{side} {label}: {why}")
+
+    def summary(self) -> dict:
+        return {"graphs": self.graphs, "output_differs": self.differ,
+                "max_rel_root_movement": self.worst, "oracle_failures": self.failures}
+
+
 def _root_movement(a: list, b: list) -> float:
     """Largest |r - s| / |s| over each root s of b and its nearest root r of a."""
     worst = 0.0
@@ -151,36 +210,59 @@ def main() -> int:
     import inputs
     import oracle
 
-    summary = {"identical": {}, "differences": {}, "multigraphs": {}}
+    summary = {"identical": {}, "differences": {}, "moved": {}}
+    moved = {"bridged": _Moved(oracle), "multigraphs": _Moved(oracle)}
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        cases: list[tuple[str, list[str]]] = []
+        cases: list[tuple[str, list[str], tuple | None]] = []
         for seed in range(args.seeds):
             for name, n, edges in inputs.cli_graphs(seed):
+                bridged = (n, edges) if _has_bridge(n, edges) else None
                 for ext, text in (("txt", inputs.edge_list_text(n, edges)),
                                   ("json", inputs.json_text(n, edges))):
                     path = work / f"cli{seed}_{name}.{ext}"
                     path.write_text(text)
                     cases.append((f"analyze seed {seed} {name}.{ext}",
-                                  ["analyze", "--input", str(path), "--seed", str(seed)]))
-        cases += [("examples json", ["examples"]),
-                  ("examples csv", ["examples", "--format", "csv"])]
+                                  ["analyze", "--input", str(path), "--seed", str(seed)],
+                                  bridged))
+        cases += [("examples json", ["examples"], None),
+                  ("examples csv", ["examples", "--format", "csv"], None)]
         for seed in range(args.seeds):
             for cmd in ("verify-polymer", "verify-inequalities", "verify-penrose"):
-                cases.append((f"{cmd} seed {seed}", [cmd, "--seed", str(seed)]))
-        for label, argv in cases:
+                cases.append((f"{cmd} seed {seed}", [cmd, "--seed", str(seed)], None))
+        for label, argv, bridged in cases:
             out = {side: _cli(tree, argv, work) for side, tree in trees.items()}
             same = out["parent"] == out["change"]
-            summary["identical"][label] = same
-            print(f"{'same' if same else 'DIFF'}  exit {out['change'][0]}  {label}", flush=True)
+            if bridged:
+                reps = {side: json.loads(text) for side, (code, text) in out.items() if code == 0}
+                moved["bridged"].add(label, *bridged, same, reps)
+            else:
+                summary["identical"][label] = same
+            word = "same" if same else "moved" if bridged else "DIFF"
+            print(f"{word}  exit {out['change'][0]}  {label}", flush=True)
             _report_diff(summary, label, out)
 
         script = work / "zdump.py"
         script.write_text(Z_DUMP)
         dumps = {side: _run(tree, [str(script), str(tree / "perfbench"), str(WIDE_SEEDS)], work)
                  for side, tree in trees.items()}
-        same = dumps["parent"] == dumps["change"] and dumps["change"][0] == 0
-        label = f"z_polynomial bits, simple graphs ({dumps['change'][1].count(chr(10))} graphs)"
+        lines = {side: text.splitlines() for side, (_, text) in dumps.items()}
+        same = (dumps["parent"][0] == dumps["change"][0] == 0
+                and len(lines["parent"]) == len(lines["change"]))
+        bridgeless = 0
+        for i, (a, b) in enumerate(zip(lines["parent"], lines["change"])):
+            recs = {"parent": json.loads(a), "change": json.loads(b)}
+            n, edges = recs["change"]["n"], recs["change"]["edges"]
+            same = same and recs["parent"]["edges"] == edges
+            edges = [(u, v, complex(re, im)) for u, v, re, im in edges]
+            if _has_bridge(n, edges):
+                reps = {side: {"roots": r["roots"], "q_zero_multiplicity": r["mult"]}
+                        for side, r in recs.items() if "roots" in r}
+                moved["bridged"].add(f"z graph {i}", n, edges, a == b, reps)
+            else:
+                bridgeless += 1
+                same = same and a == b
+        label = f"z_polynomial bits and roots, bridgeless simple graphs ({bridgeless} graphs)"
         summary["identical"][label] = same
         print(f"{'same' if same else 'DIFF'}  {label}", flush=True)
 
@@ -194,7 +276,6 @@ def main() -> int:
         print(f"{'same' if same else 'DIFF'}  {label}", flush=True)
 
         rng = random.Random("compare-stdout/multigraphs")
-        differ, worst, oracle_failures = 0, 0.0, []
         for i in range(args.multigraphs):
             n, edges = _multigraph(rng, inputs)
             path = work / f"multi{i}.txt"
@@ -202,23 +283,16 @@ def main() -> int:
             out = {side: _cli(tree, ["analyze", "--input", str(path)], work)
                    for side, tree in trees.items()}
             reps = {side: json.loads(text) for side, (code, text) in out.items() if code == 0}
-            if out["parent"] != out["change"]:
-                differ += 1
-            if len(reps) == 2:
-                worst = max(worst, _root_movement(reps["change"]["roots"], reps["parent"]["roots"]))
-            for side, rep in reps.items():
-                why = oracle.check_roots(n, edges, [complex(*r) for r in rep["roots"]],
-                                         rep["q_zero_multiplicity"])
-                if why:
-                    oracle_failures.append(f"{side} multi{i}: {why}")
+            moved["multigraphs"].add(f"multi{i}", n, edges, out["parent"] == out["change"], reps)
             print(f"{'same' if out['parent'] == out['change'] else 'moved'}  multi{i} "
                   f"n={n} m={len(edges)} exit {out['change'][0]}", flush=True)
             _report_diff(summary, f"multi{i}", out)
-        summary["multigraphs"] = {"files": args.multigraphs, "stdout_differs": differ,
-                                  "max_rel_root_movement": worst,
-                                  "oracle_failures": oracle_failures}
+        summary["moved"] = {group: m.summary() for group, m in moved.items()}
+        for group, m in moved.items():
+            print(f"moved  {group}: {m.differ} of {m.graphs} differ, largest relative root "
+                  f"movement {m.worst:.3g}, {len(m.failures)} oracle failures", flush=True)
 
-    ok = all(summary["identical"].values()) and not oracle_failures
+    ok = all(summary["identical"].values()) and not any(m.failures for m in moved.values())
     summary["ok"] = ok
     print(json.dumps(summary, sort_keys=True))
     return 0 if ok else 1

@@ -30,9 +30,10 @@ for any number of edges, by the Fortuin-Kasteleyn set-partition recursion
 (Bjorklund, Husfeldt, Kaski and Koivisto, "Computing the Tutte polynomial
 in vertex-exponential time", arXiv:0711.2585).  Its subtraction can cancel,
 so the float pass carries a rounding bound per vertex subset and falls
-back to exact Gaussian rationals when a bound is not small against the
-value it bounds.  It shares nothing with the edge engine, so the polymer
-identity compares two independent routes.
+back to exact arithmetic, in Gaussian integers scaled by a power of two,
+when a bound is not small against the value it bounds.  It shares
+nothing with the edge engine, so the polymer identity compares two
+independent routes.
 """
 
 from __future__ import annotations
@@ -185,26 +186,6 @@ CANCEL_TOL = 1e-12
 _TABLE_OVERFLOW = "a connected-subgraph value overflows floating point"
 
 
-class _Gauss:
-    """Exact Gaussian rational re + i*im with Fraction parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: Fraction, im: Fraction):
-        self.re = re
-        self.im = im
-
-    def __mul__(self, other: "_Gauss") -> "_Gauss":
-        return _Gauss(self.re * other.re - self.im * other.im,
-                      self.re * other.im + self.im * other.re)
-
-    def __sub__(self, other: "_Gauss") -> "_Gauss":
-        return _Gauss(self.re - other.re, self.im - other.im)
-
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
-
 def _induced_connected(n: int, edges) -> list[bool]:
     """Per vertex mask: True iff its induced nonzero-weight edges connect it.
 
@@ -296,28 +277,59 @@ def _float_table(n: int, edges, conn: list[bool]) -> list[complex] | None:
     return c
 
 
+def _scaled(x: float, s: int) -> int:
+    """2^s x as an integer, for a float x with at most s fractional bits."""
+    num, den = x.as_integer_ratio()
+    return num << (s + 1 - den.bit_length())
+
+
 def _exact_table(n: int, edges, conn: list[bool]) -> list[complex]:
-    """The same recursion in exact Gaussian rationals, rounded at the end.
+    """The same recursion in exact scaled Gaussian integers, rounded at the end.
 
-    Float weights are binary rationals, so this is C for the graph exactly
-    as given, correctly rounded per component.
+    Float weights are binary rationals.  With s the most fractional bits
+    in any weight's real or imaginary part, 2^s w is a Gaussian integer,
+    and so is 2^s (1 + w), whose real part gains 1 << s.  Each value over
+    a vertex mask S is kept scaled by 2^(s e(S)), e(S) the number of
+    edges inside S: F(S) multiplies the lifted weights of those edges,
+    and C(T) F(S minus T) lacks the edges between T and S minus T, so it
+    is shifted left by s times their number.  Each entry is rounded once,
+    by int/int true division, which Python rounds correctly, so this is C
+    for the graph exactly as given, correctly rounded per component.  A
+    value beyond the float range raises OverflowError.
     """
-    from fractions import Fraction  # only a cancelling graph needs it; keep it off import
-
-    f = _support_products(
-        n, edges, _Gauss(Fraction(1), Fraction(0)),
-        lambda w: _Gauss(1 + Fraction(w.real), Fraction(w.imag)),
-    )
-    c = [None] * (1 << n)
-    for s in range(1, 1 << n):
-        if not conn[s]:
+    s = max((x.as_integer_ratio()[1].bit_length() - 1
+             for _, _, w in edges for x in (w.real, w.imag)), default=0)
+    by_low: list[list] = [[] for _ in range(n)]
+    for u, v, w in edges:
+        a, b = (u, v) if u < v else (v, u)
+        by_low[a].append((b, _scaled(w.real, s) + (1 << s), _scaled(w.imag, s)))
+    size = 1 << n
+    # F(S) = f_re + i f_im, scaled by 2^(s e(S)); built as in _support_products
+    f_re, f_im, e = [1] * size, [0] * size, [0] * size
+    for m in range(1, size):
+        low = m & -m
+        rest = m ^ low
+        x, y, k = f_re[rest], f_im[rest], e[rest]
+        for b, p, q in by_low[low.bit_length() - 1]:
+            if rest >> b & 1:
+                x, y, k = x * p - y * q, x * q + y * p, k + 1
+        f_re[m], f_im[m], e[m] = x, y, k
+    c_re, c_im = [0] * size, [0] * size
+    out = [0j] * size
+    for m in range(1, size):
+        if not conn[m]:
             continue
-        acc = f[s]
-        for t, r in _proper_subsets_with_low(s):
+        x, y = f_re[m], f_im[m]
+        for t, r in _proper_subsets_with_low(m):
             if conn[t]:
-                acc = acc - c[t] * f[r]
-        c[s] = acc
-    return [0j if x is None else complex(x) for x in c]
+                shift = s * (e[m] - e[t] - e[r])
+                a, b, p, q = c_re[t], c_im[t], f_re[r], f_im[r]
+                x -= (a * p - b * q) << shift
+                y -= (a * q + b * p) << shift
+        c_re[m], c_im[m] = x, y
+        scale = 1 << s * e[m]
+        out[m] = complex(x / scale, y / scale)
+    return out
 
 
 def connected_by_support(n: int, edges) -> np.ndarray:
@@ -336,8 +348,8 @@ def connected_by_support(n: int, edges) -> np.ndarray:
     the empty mask.  The subtraction can cancel catastrophically when
     heavy and light weights mix, so the float pass carries a rounding
     bound per mask; if any bound exceeds CANCEL_TOL times |C(S)|, the
-    table is recomputed in exact rational arithmetic.  Raises OutOfDomain
-    when a value does not fit in floating point.
+    table is recomputed in exact scaled-integer arithmetic.  Raises
+    OutOfDomain when a value does not fit in floating point.
     """
     conn = _induced_connected(n, edges)
     table = _float_table(n, edges, conn)

@@ -16,7 +16,10 @@ C_G is read off as its q^1 coefficient (at unit weights it counts the
 connected spanning edge sets).  Z_G and C_G of a multigraph come from its
 parallel-reduced graph, which has the same partition function and at
 most n(n-1)/2 edges; the cap still counts the input edges, and a simple
-graph is its own reduction, so its Z_G keeps its bits.  T_G, and the
+graph is its own reduction.  Each bridge e of that graph is a factor
+q + w_e of Z_G, so the engine runs only on the core, the graph with every
+bridge contracted, and not at all on a forest; a bridgeless graph is its
+own core, so its Z_G keeps the engine's bits.  T_G, and the
 Penrose tree sums built on spanning_tree_masks, walk the spanning trees
 over every edge, since a tree sum is not invariant under the reduction.
 The connected values of all induced subgraphs at once
@@ -28,6 +31,7 @@ the polymer identity checks one route against the other.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
@@ -45,33 +49,109 @@ class QPolynomial:
     coeffs: tuple[complex, ...]
 
 
+_Z_OVERFLOW = "a partition-function coefficient overflows floating point"
+
+
 def _check_size(g: WeightedGraph) -> None:
     if g.m > MAX_ENUM_EDGES:
         raise TooLarge(f"{g.m} edges exceeds the enumeration cap of {MAX_ENUM_EDGES}")
 
 
-def _z_coefficients(g: WeightedGraph):
-    """Coefficients of Z_G from the edge engine, after the edge cap.
+@functools.lru_cache(maxsize=4096)
+def _bridge_split(n: int, pairs: tuple[tuple[int, int], ...]):
+    """The bridges of a simple graph, and its core: every bridge contracted.
+
+    Returns the bridge indices, the vertex count of the core, and for each
+    other edge its index and its endpoints in the core, in edge order.  An
+    edge is a bridge when deleting it adds a component.  Contracting a
+    bridge makes no loop and, since a bridge lies on no cycle, no parallel
+    edge either, so the core is simple.  Core vertices are numbered in the
+    order of their lowest original vertex, which keeps a bridgeless graph
+    exactly as it is.  Memoized on the structure, as the sweeps revisit
+    it once per weight draw.
+    """
+    full = (1 << len(pairs)) - 1
+    k = component_count(n, pairs, full)
+    bridges = tuple(i for i in range(len(pairs))
+                    if component_count(n, pairs, full ^ 1 << i) > k)
+    parent = list(range(n))
+    for i in bridges:
+        u, v = pairs[i]
+        while parent[u] != u:
+            u = parent[u]
+        while parent[v] != v:
+            v = parent[v]
+        parent[max(u, v)] = min(u, v)
+    # the root of a class is its lowest vertex, and parent[x] <= x
+    label = [0] * n
+    core_n = 0
+    for x in range(n):
+        if parent[x] == x:
+            label[x], core_n = core_n, core_n + 1
+        else:
+            label[x] = label[parent[x]]
+    core = tuple((i, label[u], label[v]) for i, (u, v) in enumerate(pairs) if i not in bridges)
+    return bridges, core_n, core
+
+
+_last_split: tuple | None = None
+
+
+def _split_z(g: WeightedGraph) -> tuple[list[complex], list[complex], tuple[complex, ...]]:
+    """Z_G from its parallel-reduced graph: the bridge weights, the core's
+    coefficients, and Z_G's own coefficients.
+
+    Deleting a bridge e splits the graph, so Z_{G-e} = q Z_{G/e} and
+    deletion-contraction gives Z_G = (q + w_e) Z_{G/e} (Sokal,
+    arXiv:math/0503607).  The edge engine therefore runs on the core
+    only, and not at all when the core has no edges; each bridge's factor
+    is multiplied in, in edge order.  A bridgeless graph is its own core,
+    and its coefficients are the engine's.  A product that overflows
+    raises OutOfDomain.
 
     The engine gets the parallel-reduced graph, which has the same Z_G,
-    fewer terms to sum and so less rounding.  parallel_reduce hands a
-    simple graph back as it is, so its coefficients keep their bits.
+    fewer terms to sum and so less rounding.  A multigraph is refused with
+    OutOfDomain when prod(1+|w_i|) over a parallel class overflows.  That
+    product bounds every sub-product of the class, which the sum over
+    unmerged edges overflows on, while the merged weight can come out
+    finite and wrong by cancellation: the class -1, 1e200, 1e200 merges
+    to 1e200 in floating point, not to -1.
 
-    A multigraph is refused with OutOfDomain when prod(1+|w_i|) over a
-    parallel class overflows.  That product bounds every sub-product of
-    the class, which the sum over unmerged edges overflows on, while the
-    merged weight can come out finite and wrong by cancellation: the
-    class -1, 1e200, 1e200 merges to 1e200 in floating point, not to -1.
+    The last result is kept, keyed on the vertex count and the input
+    edges, which fix the reduced ones, so that q_roots reads the split of
+    the Z that analyze has just computed without a second engine pass.
+    Weights compare by value, so a graph that differs from the last one
+    only in the sign of a zero part gets the last one's coefficients,
+    which have the same values.
     """
+    global _last_split
+    key = (g.n, g.edges)
+    if _last_split is not None and _last_split[0] == key:
+        return _last_split[1]
     _check_size(g)
     if not g.is_simple:
         bound: dict[tuple[int, int], float] = {}
         for u, v, w in g.edges:
-            key = (u, v) if u < v else (v, u)
-            bound[key] = bound.get(key, 1.0) * (1.0 + abs(w))
+            pair = (u, v) if u < v else (v, u)
+            bound[pair] = bound.get(pair, 1.0) * (1.0 + abs(w))
         if not all(map(math.isfinite, bound.values())):
-            raise OutOfDomain("a partition-function coefficient overflows floating point")
-    return _kernels.z_coefficients(g.n, parallel_reduce(g).edges)
+            raise OutOfDomain(_Z_OVERFLOW)
+    edges = parallel_reduce(g).edges
+    bridges, core_n, core = _bridge_split(g.n, tuple([(u, v) for u, v, _ in edges]))
+    if core:
+        core_edges = [(u, v, edges[i][2]) for i, u, v in core] if bridges else edges
+        core_z = _kernels.z_coefficients(core_n, core_edges).tolist()
+    else:
+        core_z = [0j] * core_n + [1 + 0j]
+    ws = [edges[i][2] for i in bridges]
+    z = core_z
+    for w in ws:
+        z = [w * z[0]] + [w * a + b for a, b in zip(z[1:], z)] + [z[-1]]
+    if ws and not all(map(cmath.isfinite, z)):
+        raise OutOfDomain(_Z_OVERFLOW)
+    out = ws, core_z, tuple(z)
+    _last_split = key, out
+    return out
 
 
 def z_polynomial(g: WeightedGraph) -> QPolynomial:
@@ -81,11 +161,12 @@ def z_polynomial(g: WeightedGraph) -> QPolynomial:
     subset, and coefficients below the component count of the nonzero-
     weight edge set are exact zeros.  A multigraph is summed over its
     parallel-reduced graph (each class one edge of weight
-    prod(1+w_i) - 1), while the 24-edge cap counts its input edges.
-    Weights whose products overflow raise OutOfDomain, as does a parallel
-    class whose prod(1+|w_i|) overflows.
+    prod(1+w_i) - 1), while the 24-edge cap counts its input edges; every
+    bridge of that graph is split off as a factor q + w_e.  Weights whose
+    products overflow raise OutOfDomain, as does a parallel class whose
+    prod(1+|w_i|) overflows.
     """
-    return QPolynomial(tuple(_z_coefficients(g).tolist()))
+    return QPolynomial(_split_z(g)[2])
 
 
 def connected_gen_poly(g: WeightedGraph) -> complex:
@@ -98,7 +179,7 @@ def connected_gen_poly(g: WeightedGraph) -> complex:
     """
     if g.n == 0:
         return 1 + 0j
-    return complex(_z_coefficients(g)[1])
+    return _split_z(g)[2][1]
 
 
 def connected_by_support(g: WeightedGraph) -> dict[int, complex]:
@@ -114,10 +195,10 @@ def connected_by_support(g: WeightedGraph) -> dict[int, complex]:
     MAX_SUPPORT_VERTICES as well as m at MAX_ENUM_EDGES.  Each entry
     carries a rounding bound; when any bound exceeds 1e-12 of its entry
     (heavy and light weights mixed), the whole table is recomputed in
-    exact Gaussian rationals, exact for the float weights as given.  Masks
-    whose induced subgraph is disconnected get an exact zero, which is
-    what drops them here.  A value that overflows floating point raises
-    OutOfDomain.
+    exact scaled Gaussian integers, exact for the float weights as given.
+    Masks whose induced subgraph is disconnected get an exact zero, which
+    is what drops them here.  A value that overflows floating point
+    raises OutOfDomain.
     """
     _check_size(g)
     if g.n > MAX_SUPPORT_VERTICES:

@@ -3,14 +3,17 @@
 The polynomial is monic of degree |V| with a zero of known multiplicity
 at q = 0 (one per component left by the nonzero-weight edges); that
 factor, and any further zero root left by exact cancellation of weights,
-is stripped exactly.  The roots of the rest start as the eigenvalues of
-its companion matrix, which are backward stable and which LAPACK balances
-against badly scaled coefficients (Edelman and Murakami, Math. Comp. 64,
-1995).  A few Newton steps in scalar complex arithmetic polish each one,
-since numpy's per-call cost dominates at these degrees.  Two checks
-reject a root set that still misses: a scaled residual per root, and the
-product of (q - r) over all roots against the coefficients, which
-catches two roots on one root of the polynomial while another is lost.
+is stripped exactly.  Each bridge e of the parallel-reduced graph is a
+factor q + w_e, whose root -w_e is exact, so only the polynomial of the
+core, the graph with every bridge contracted, goes to the solver.  Its
+roots start as the eigenvalues of its companion matrix, which are
+backward stable and which LAPACK balances against badly scaled
+coefficients (Edelman and Murakami, Math. Comp. 64, 1995).  A few
+Newton steps in scalar complex arithmetic polish each one, since numpy's
+per-call cost dominates at these degrees.  Two checks reject a root set
+that still misses: a scaled residual per root, and the product of
+(q - r) over all roots against the coefficients, which catches two roots
+on one root of the polynomial while another is lost.
 An analysis report places every nonzero root against the disc radii of
 graph_bounds, and the example suite reproduces the named small-graph
 phenomena end to end.
@@ -19,14 +22,15 @@ phenomena end to end.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import BoundSet, f_closed, graph_bounds
-from .errors import NoConvergence
+from .errors import NoConvergence, OutOfDomain
 from .graph import WeightedGraph, parallel_reduce
-from .tutte import nonzero_component_count, z_polynomial
+from .tutte import _split_z, nonzero_component_count, z_polynomial
 
 
 # the most Newton steps after the eigenvalue solve, and the residual a
@@ -112,6 +116,33 @@ def _expansion_ok(c: list[complex], polished: list[tuple[complex, float]]) -> bo
                for x, y, l, h in zip(e, c, lo, hi))
 
 
+def _solve(c: list[complex]) -> list[complex]:
+    """The roots of the monic polynomial c, ascending by power, whose
+    constant term is nonzero.
+
+    Degree 1 gives -c0/c1.  From degree 2 on, the roots are the
+    eigenvalues of the companion matrix, each polished by up to
+    _NEWTON_STEPS Newton steps in scalar complex arithmetic.
+    NoConvergence is raised when a root fails its residual check, or when
+    the product of (q - r) over the roots misses c.
+    """
+    d = len(c) - 1
+    if d <= 1:
+        return [-c[0] / c[1]] if d == 1 else []
+    # an eigenvalue solve that overflows returns non-finite points, which
+    # fail the residual check; numpy's warnings would only repeat that on
+    # stderr
+    with np.errstate(all="ignore"):
+        start = _eigenvalues(c)
+    ac = [math.hypot(x.real, x.imag) for x in c]
+    polished = [_polish(c, ac, z) for z in start]
+    if None in polished:
+        raise NoConvergence("root finder failed the residual check")
+    if not _expansion_ok(c, polished):
+        raise NoConvergence("root finder lost a root: the roots' product misses the coefficients")
+    return [r for r, _ in polished]
+
+
 def q_roots(g: WeightedGraph) -> tuple[list[complex], int]:
     """Roots other than the forced zeros, and the multiplicity of those.
 
@@ -120,34 +151,32 @@ def q_roots(g: WeightedGraph) -> tuple[list[complex], int]:
     can cancel further low coefficients exactly (the triangle with every
     weight -3 has Z = q^3 - 9 q^2); each such coefficient is one more
     root at 0, listed with the others, so the list always has n - mult
-    entries.  The factor c left is monic with a nonzero constant term; its
-    roots are the eigenvalues of its companion matrix, each polished by
-    up to _NEWTON_STEPS Newton steps in scalar complex arithmetic.
-    NoConvergence is raised when a root fails its residual check, or when
-    the product of (q - r) over the roots misses c.
+    entries.  Both counts are read from Z_G.
+
+    Z_G is the product of q + w_e over the bridges of the parallel-reduced
+    graph and of the Z of its core, the graph with every bridge
+    contracted.  A bridge with w_e != 0 gives the root -w_e; the core's
+    coefficients, stripped of their zero roots, go to _solve, which
+    raises NoConvergence on a root set that misses them.  The lowest
+    nonzero coefficient of Z_G is the core's times the nonzero bridge
+    weights, in edge order.  When the core's or a partial product falls
+    below the normal floating-point range, Z_G keeps too few of its bits,
+    or none, to match the exact bridge roots, and OutOfDomain is raised.
     """
-    zp = z_polynomial(g)
+    z = z_polynomial(g).coeffs
     mult = nonzero_component_count(g)
-    c = list(zp.coeffs[mult:])
-    extra = next(i for i, x in enumerate(c) if x)
-    c = c[extra:]
-    d = len(c) - 1
-    if d <= 1:
-        roots = [-c[0] / c[1]] if d == 1 else []
-    else:
-        # an eigenvalue solve that overflows returns non-finite points,
-        # which fail the residual check; numpy's warnings would only
-        # repeat that on stderr
-        with np.errstate(all="ignore"):
-            start = _eigenvalues(c)
-        ac = [math.hypot(x.real, x.imag) for x in c]
-        polished = [_polish(c, ac, z) for z in start]
-        if None in polished:
-            raise NoConvergence("root finder failed the residual check")
-        if not _expansion_ok(c, polished):
-            raise NoConvergence("root finder lost a root: the roots' product misses the coefficients")
-        roots = [r for r, _ in polished]
+    extra = next(i for i, x in enumerate(z[mult:]) if x)
+    bridges, core, _ = _split_z(g)
+    low = next(i for i, x in enumerate(core) if x)
+    chain = [core[low]]
+    for w in bridges:
+        if w:
+            chain.append(w * chain[-1])
+    if len(chain) > 1 and min(math.hypot(x.real, x.imag) for x in chain) < sys.float_info.min:
+        raise OutOfDomain("a partition-function coefficient underflows floating point")
+    roots = [r for w in bridges if w for r in _solve([w, 1 + 0j])] + _solve(core[low:])
     found = [0j] * extra + roots
+    assert len(found) == g.n - mult
     return sorted(found, key=lambda r: (r.real, r.imag)), mult
 
 

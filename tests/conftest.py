@@ -7,6 +7,7 @@ families.  Test values frozen below were produced by these oracles.
 """
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -54,6 +55,44 @@ def dc_z_coeffs(n, edges):
     out[: len(deleted)] += deleted
     out[: len(contracted)] += w * contracted
     return out
+
+
+def fraction_connected_table(n, edges, conn):
+    """C(S) for every vertex mask S by the set-partition recursion of
+    _kernels.connected_by_support, in Gaussian rationals with Fraction
+    parts, each entry rounded to the nearest complex at the end.
+
+    conn[S] says whether S is connected by its nonzero-weight edges; other
+    masks get 0.  Raises OverflowError where an entry leaves the float
+    range.
+    """
+    def mul(a, b):
+        return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+    inside = [[(u, v, w) for u, v, w in edges if s >> u & 1 and s >> v & 1]
+              for s in range(1 << n)]
+    f = []
+    for s in range(1 << n):
+        acc = (Fraction(1), Fraction(0))
+        for _, _, w in inside[s]:
+            acc = mul(acc, (1 + Fraction(w.real), Fraction(w.imag)))
+        f.append(acc)
+    c = [None] * (1 << n)
+    for s in range(1, 1 << n):
+        if not conn[s]:
+            continue
+        low = s & -s
+        rest = s ^ low
+        re, im = f[s]
+        sub = rest
+        while sub:
+            sub = (sub - 1) & rest
+            t = low | sub
+            if conn[t]:
+                x, y = mul(c[t], f[rest ^ sub])
+                re, im = re - x, im - y
+        c[s] = re, im
+    return [0j if x is None else complex(float(x[0]), float(x[1])) for x in c]
 
 
 def kirchhoff_tree_sum(n, edges):

@@ -299,9 +299,10 @@ def test_import_and_analyze_load_only_core_modules(k2_file):
 
 
 def test_analyze_numerical_failure_is_input_error(capsys, tmp_path):
-    # the weight overflows the root finder, which raises a typed error
+    # the weight overflows the root finder, which raises a typed error; a
+    # triangle has no bridge, so its roots go through the root finder
     p = tmp_path / "huge.txt"
-    p.write_text("0 1 1e200 1e200\n1 2 1 0\n")
+    p.write_text("0 1 1e200 1e200\n1 2 1 0\n0 2 1 0\n")
     code, out, err = run_cli(capsys, "analyze", "--input", str(p))
     assert code == 2
     assert out == ""
@@ -378,15 +379,41 @@ def test_analyze_non_finite_radius_is_input_error(capsys, tmp_path):
     assert len(proc.stderr.strip().splitlines()) == 1
 
 
+# A bridgeless graph from a seeded scan of random connected graphs with
+# weight moduli 10^U(-30, 30): over this spread of weights the eigenvalue
+# solve loses a root, which the coefficient check catches.
+SPREAD_BRIDGELESS = """\
+0 1 -1.0939712996204034e+20 -1.1125680860980596e+20
+1 2 -4.209457032630775e-24 -3.243219244295998e-24
+1 3 2.8837307819106905e-24 1.1535292602328629e-24
+1 4 -6.978725158408584e+18 -1.1121750531781962e+19
+2 4 4.138391323048534e-13 -2.1095230173377034e-12
+0 3 1.0459100200738826e-31 1.388906363989097e-29
+2 3 7.179410542286882e-21 5.477534567936701e-21
+"""
+
+
 def test_analyze_lost_root_is_input_error(capsys, tmp_path):
-    # a path's roots are its negated weights; over this spread of weights
-    # the eigenvalue solve loses one, which the coefficient check catches
     p = tmp_path / "spread.txt"
-    p.write_text("0 1 8.6e29 0\n1 2 1.9e5 0\n2 3 1.5e-18 0\n3 4 2.2e-25 0\n")
+    p.write_text(SPREAD_BRIDGELESS)
     code, out, err = run_cli(capsys, "analyze", "--input", str(p))
     assert code == 2
     assert out == ""
-    assert "tuttezero: error:" in err and "Traceback" not in err
+    assert "tuttezero: error:" in err and "lost a root" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, weights", [
+    ("0 1 8.6e29 0\n1 2 1.9e5 0\n2 3 1.5e-18 0\n3 4 2.2e-25 0\n", [8.6e29, 1.9e5, 1.5e-18, 2.2e-25]),
+    ("0 1 1e300 0\n1 2 1 0\n", [1e300, 1.0]),
+], ids=["widely_scaled_path", "path_1e300"])
+def test_path_roots_are_exactly_the_negated_weights(capsys, tmp_path, text, weights):
+    # every edge of a path is a bridge, a factor q + w_e of Z, so no root
+    # goes through the eigenvalue solve
+    p = tmp_path / "path.txt"
+    p.write_text(text)
+    code, out, err = run_cli(capsys, "analyze", "--input", str(p))
+    assert code == 0, err
+    assert sorted(json.loads(out)["roots"]) == sorted([-w, 0.0] for w in weights)
 
 
 def test_analyze_weight_1e300_fails_cleanly(capsys, tmp_path):

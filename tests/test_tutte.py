@@ -20,11 +20,17 @@ from tuttezero import (
 )
 from tuttezero import _kernels, families
 from tuttezero.families import cycle_one_heavy
+from tuttezero.graph import parallel_reduce
 from tuttezero.polymer import polymer_profile
 from tuttezero.tutte import component_count, spanning_tree_masks
 from tuttezero.verify import verify_polymer_identity
 
-from conftest import brute_connected_sum, dc_z_coeffs, kirchhoff_tree_sum
+from conftest import (
+    brute_connected_sum,
+    dc_z_coeffs,
+    fraction_connected_table,
+    kirchhoff_tree_sum,
+)
 
 
 @st.composite
@@ -348,7 +354,8 @@ def test_multigraph_z_is_accurate_against_exact_connected_value():
 
 def test_parallel_class_merging_to_zero():
     # (1 + 1)(1 - 0.5) - 1 = 0: the class drops out of Z, though its
-    # edges still count for the forced zero at q = 0
+    # edges still count for the forced zero at q = 0.  The merged class is
+    # a bridge of weight 0, a factor q of Z that gives no root of its own
     g = build_graph(range(3), [(0, 1, 1.0), (0, 1, -0.5), (1, 2, 2.0)])
     assert z_polynomial(g).coeffs == (0j, 0j, 2 + 0j, 1 + 0j)
     assert connected_gen_poly(g) == 0
@@ -402,6 +409,9 @@ def test_overflowing_coefficients_rejected():
         z_polynomial(g)
     with pytest.raises(OutOfDomain):
         connected_gen_poly(g)
+    # both edges are bridges: the overflow is in their product, not the engine
+    with pytest.raises(OutOfDomain):
+        analyze(g)
 
 
 def test_too_many_vertices_for_support_table_rejected():
@@ -430,3 +440,97 @@ def test_zero_weight_edges_do_not_count_for_divisibility():
     assert nonzero_component_count(g) == 2
     coeffs = z_polynomial(g).coeffs
     assert coeffs[0] == 0 and coeffs[1] == 0
+
+
+def _has_bridge(n, pairs):
+    # an edge is a bridge when its endpoints fall apart without it
+    for i, (u, v) in enumerate(pairs):
+        reach, todo = {u}, [u]
+        while todo:
+            x = todo.pop()
+            for j, (a, b) in enumerate(pairs):
+                if j != i and x in (a, b):
+                    y = b if x == a else a
+                    if y not in reach:
+                        reach.add(y)
+                        todo.append(y)
+        if v not in reach:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("corpus", ["simple6", "multi4"])
+def test_bridge_route_matches_oracle_and_engine_on_every_edge(corpus):
+    # Z splits each bridge of the parallel-reduced graph off as q + w_e;
+    # it must agree with deletion-contraction over the input edges and with
+    # the edge engine run on every input edge, within the rounding bound
+    # gamma M_k, where M_k sums the moduli of the monomials of q^k (the
+    # engine on the moduli, whose positive sums do not cancel)
+    structures = (families.connected_simple_structures(6) if corpus == "simple6"
+                  else families.connected_multigraph_structures(4))
+    rng = np.random.default_rng(1)
+    bridgeless = 0
+    for regime in families.WEIGHT_REGIMES:
+        for n, pairs in structures:
+            ws = families.sample_weights(len(pairs), regime, rng)
+            edges = [(u, v, w) for (u, v), w in zip(pairs, ws)]
+            g = build_graph(range(n), edges)
+            z = np.asarray(z_polynomial(g).coeffs)
+            bound = (4 * (len(edges) + n) * 2.0 ** -53
+                     * _kernels.z_coefficients(n, [(u, v, abs(w)) for u, v, w in edges]).real)
+            assert np.all(np.abs(z - dc_z_coeffs(n, edges)) <= bound), (regime, n, pairs)
+            assert np.all(np.abs(z - _kernels.z_coefficients(n, edges)) <= 2 * bound), (n, pairs)
+            reduced = parallel_reduce(g).edges
+            if not _has_bridge(n, sorted({(u, v) for u, v, _ in reduced})):
+                # a bridgeless graph is its own core: the engine's own bits
+                bridgeless += 1
+                want = _kernels.z_coefficients(n, reduced)
+                assert z.tobytes() == want.tobytes(), (n, pairs)
+    assert bridgeless > 0
+
+
+def _bits(table):
+    return [(x.real.hex(), x.imag.hex()) for x in table]
+
+
+def test_exact_table_matches_fraction_reference():
+    # the scaled-integer route against Gaussian rationals with Fraction
+    # parts: on the graphs of the polymer corpora whose float table
+    # cancels, and on random graphs with weight moduli 10^U(-300, 300),
+    # zeros and subnormals among them, where both must overflow alike
+    rng = np.random.default_rng(3)
+    cases = []
+    for structures in (families.connected_simple_structures(6),
+                       families.connected_multigraph_structures(4)):
+        for n, pairs in structures:
+            ws = families.sample_weights(len(pairs), "mixed", rng)
+            edges = [(u, v, w) for (u, v), w in zip(pairs, ws)]
+            if _kernels._float_table(n, edges, _kernels._induced_connected(n, edges)) is None:
+                cases.append((n, edges))
+    fallbacks = len(cases)
+    for _ in range(120):
+        n = int(rng.integers(2, 6))
+        edges = []
+        for _ in range(int(rng.integers(1, 9))):
+            u, v = (int(x) for x in rng.choice(n, 2, replace=False))
+            kind = rng.random()
+            if kind < 0.1:
+                w = 0j
+            elif kind < 0.2:
+                w = complex(5e-324 * int(rng.integers(1, 9)), float(rng.choice([0.0, -0.0, 1e-310])))
+            else:
+                w = cmath.rect(10.0 ** rng.uniform(-300, 300), rng.uniform(0, 2 * math.pi))
+            edges.append((u, v, w))
+        cases.append((n, edges))
+    overflows = 0
+    for n, edges in cases:
+        conn = _kernels._induced_connected(n, edges)
+        try:
+            want = _bits(fraction_connected_table(n, edges, conn))
+        except OverflowError:
+            overflows += 1
+            with pytest.raises(OverflowError):
+                _kernels._exact_table(n, edges, conn)
+            continue
+        assert _bits(_kernels._exact_table(n, edges, conn)) == want, (n, edges)
+    assert fallbacks > 0 and 0 < overflows < len(cases) - fallbacks

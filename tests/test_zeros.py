@@ -8,21 +8,26 @@ from hypothesis import strategies as st
 
 from tuttezero import (
     NoConvergence,
+    OutOfDomain,
     TutteZeroError,
     analyze,
     build_graph,
     example_suite,
     families,
+    nonzero_component_count,
     q_max,
     q_roots,
     z_polynomial,
 )
+from tuttezero import _kernels, tutte, zeros
 from tuttezero.families import (
     complete_graph,
     cycle_graph,
     cycle_one_heavy,
     path_graph,
 )
+from tuttezero.graph import parallel_reduce
+from tuttezero.zeros import _solve
 
 
 def test_single_edge_root():
@@ -33,16 +38,31 @@ def test_single_edge_root():
     assert abs(roots[0] + w) < 1e-10 * abs(w)
 
 
+def _engine_coefficients(g):
+    """Z_G from the edge engine on the whole parallel-reduced graph, with
+    the forced zeros stripped: the coefficients the eigenvalue route saw
+    before bridges were split off."""
+    z = _kernels.z_coefficients(g.n, parallel_reduce(g).edges).tolist()
+    return z[nonzero_component_count(g):]
+
+
+def _assert_exact_bridge_roots(g):
+    # Z of a forest is q^k times the product of (q + w_e) over its edges,
+    # and analyze returns each root as -w_e / 1
+    want = sorted((-w / (1 + 0j) for _, _, w in parallel_reduce(g).edges),
+                  key=lambda z: (z.real, z.imag))
+    assert list(analyze(g).roots) == want
+
+
 def _assert_path_roots(weights):
-    # Z of a tree is q times the product of (q + w_e) over its edges
+    # the solver on the expanded q prod (q + w_e), stripped of its zero root
     g = build_graph(range(len(weights) + 1), [(i, i + 1, w) for i, w in enumerate(weights)])
-    roots, mult = q_roots(g)
-    assert mult == 1
-    got = sorted(roots, key=lambda z: (z.real, z.imag))
+    got = sorted(_solve(_engine_coefficients(g)), key=lambda z: (z.real, z.imag))
     want = sorted((-w for w in weights), key=lambda z: (z.real, z.imag))
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert abs(a - b) < 1e-9
+    _assert_exact_bridge_roots(g)
 
 
 def test_path_roots_are_negated_weights():
@@ -69,7 +89,9 @@ WIDELY_SCALED_PATH = [8.6e29, 1.9e5, 1.5e-18, 2.2e-25]
 def test_root_lost_to_scaling_raises_no_convergence():
     g = build_graph(range(5), [(i, i + 1, w) for i, w in enumerate(WIDELY_SCALED_PATH)])
     with pytest.raises(NoConvergence):
-        q_roots(g)
+        _solve(_engine_coefficients(g))
+    # every edge of a path is a bridge, so analyze never solves that product
+    _assert_exact_bridge_roots(g)
 
 
 @pytest.mark.parametrize("edges, root", [
@@ -81,9 +103,11 @@ def test_multiple_roots_pass_the_root_checks(edges, root):
     # Z of a tree is q prod (q + w_e), and a parallel pair acts as one edge
     # of weight (1 + w)^2 - 1, so equal weights give one root of order m.
     # Its computed copies spread by about 1e-16^(1/m), 1e-4 at m = 4.
-    roots, mult = q_roots(build_graph(range(1 + max(v for _, v, _ in edges)), edges))
-    assert mult == 1
+    g = build_graph(range(1 + max(v for _, v, _ in edges)), edges)
+    roots = _solve(_engine_coefficients(g))
+    assert len(roots) == g.n - 1
     assert all(abs(r - root) <= 1e-3 * abs(root) for r in roots)
+    _assert_exact_bridge_roots(g)
 
 
 def _log_modulus(z):
@@ -237,8 +261,15 @@ def _guard_graphs():
     return out
 
 
+def _core_degree(g):
+    """Degree of the core's Z once its zero roots are stripped."""
+    core = tutte._split_z(g)[1]
+    return len(core) - 1 - next(i for i, x in enumerate(core) if x)
+
+
 def test_root_finder_work_stays_small(monkeypatch):
-    # one eigenvalue solve per analyze call: no retry, no second route
+    # one eigenvalue solve per analyze call whose core has degree 2 or
+    # more: no retry, no second route.  The six trees make none.
     calls = [0]
     eigvals = np.linalg.eigvals
 
@@ -248,9 +279,57 @@ def test_root_finder_work_stays_small(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvals", counted)
     graphs = _guard_graphs()
+    solved = 0
     for g in graphs:
         analyze(g)
-    assert calls[0] == len(graphs)
+        solved += _core_degree(g) >= 2
+    assert solved == len(graphs) - 6
+    assert calls[0] == solved
+
+
+def test_analyze_runs_the_engine_once_and_z_polynomial_once_on_the_whole_graph(monkeypatch):
+    engine, seen = [0], []
+    z_coefficients, z_polynomial_ = _kernels.z_coefficients, zeros.z_polynomial
+
+    def counted(n, edges):
+        engine[0] += 1
+        return z_coefficients(n, edges)
+
+    def recorded(g):
+        seen.append(g)
+        return z_polynomial_(g)
+
+    monkeypatch.setattr(_kernels, "z_coefficients", counted)
+    monkeypatch.setattr(zeros, "z_polynomial", recorded)
+    monkeypatch.setattr(tutte, "_last_split", None)
+    forests = [path_graph(6, 0.5), build_graph(range(5), [(0, 1, 2.0), (2, 3, -1.0)]),
+               build_graph(range(3), [(0, 1, 1.0), (0, 1, -0.5), (1, 2, 2.0)])]
+    others = [cycle_graph(5, 0.3), complete_graph(4, 1j),
+              build_graph(range(3), [(0, 1, 1.0), (0, 1, 0.5), (1, 2, 1.0), (0, 2, 1.0)]),
+              build_graph(range(6), [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (2, 3, 4.0),
+                                     (3, 4, 1.0), (3, 5, -2.0), (4, 5, 0.5)])]
+    for g, engine_calls in [(g, 0) for g in forests] + [(g, 1) for g in others]:
+        engine[0], seen[:] = 0, []
+        rep = analyze(g)
+        assert engine[0] == engine_calls
+        assert len(seen) == 1 and seen[0] is g
+        assert len(rep.roots) == g.n - rep.q_zero_multiplicity
+
+
+@pytest.mark.parametrize("weights", [
+    # q (q + w)^3 with w = 1e-200: the q^1 coefficient w^3 underflows to 0
+    [1e-200, 1e-200, 1e-200],
+    # w1 w2 is subnormal, and w1 w2 w3 = 2e-115 would keep only a few of
+    # its bits, too few to match the exact roots
+    [2e-118, 7e-205, 1.5e207],
+], ids=["to_zero", "through_subnormal"])
+def test_underflowing_bridge_product_is_out_of_domain(weights):
+    # Z itself is accurate in absolute terms, but the exact roots -w_e
+    # cannot match its lowest coefficient
+    g = build_graph(range(len(weights) + 1), [(i, i + 1, w) for i, w in enumerate(weights)])
+    assert len(z_polynomial(g).coeffs) == g.n + 1
+    with pytest.raises(OutOfDomain):
+        analyze(g)
 
 
 def test_example_suite_shape_and_determinism():
