@@ -8,31 +8,40 @@ Each tree runs in its own subprocesses with PYTHONPATH=<tree>/src, so
 neither sees the other's modules.  Z splits off every bridge of the
 parallel-reduced graph as a factor q + w_e, so only bridgeless graphs
 keep the engine's exact bits; graphs with a bridge may move in the last
-bits.  Four parts:
+bits.  Roots are polished by Newton steps that stop at the rounding
+floor of Horner's rule, so every root may move in the last bits.  Four
+parts:
 
-1. Byte-compared stdout and exit code of `analyze` on the bridgeless
-   cli-analyze inputs of the seeds (every graph as an edge list and as
-   JSON), `examples` as JSON and CSV, and `verify-polymer`,
+1. Byte-compared stdout and exit code of `verify-polymer`,
    `verify-inequalities` and `verify-penrose` at each seed.
-2. Bit-compared z_polynomial coefficients and analyze roots of the
-   bridgeless simple graphs among the analyze-wide inputs of seeds 0-39
-   and the connected simple structures to 6 vertices under mixed weights
-   from default_rng(0).
-3. Graphs that may move in the last bits: the cli-analyze inputs and the
-   part-2 graphs that have a bridge, and `analyze` on seeded random
-   2-4-vertex multigraph files.  Reported per group: the number of
-   graphs whose output differs, the largest relative movement of a root,
-   and perfbench/oracle.py's check_roots on every root of both trees.
+2. Bit-compared z_polynomial coefficients of the bridgeless simple
+   graphs among the analyze-wide inputs of seeds 0-39 and the connected
+   simple structures to 6 vertices under mixed weights from
+   default_rng(0).
+3. Outputs that may move in the last bits, in four groups:
+   - analyze: `analyze` on the cli-analyze inputs of the seeds, every
+     graph as an edge list and as JSON;
+   - examples: `examples` as JSON and CSV, and the analyze report of
+     every example graph;
+   - z graphs: Z and the analyze roots of every part-2 graph, with a
+     bridge or without;
+   - multigraphs: `analyze` on seeded random 2-4-vertex multigraph files.
+   Reported per group: the number of outputs that differ, the largest
+   relative movement of a root (the roots of the two trees matched by
+   assignment), the number of graphs whose exit status, disc flags or
+   zero multiplicity differ, and perfbench/oracle.py's check_roots on
+   every root of both trees.
 4. Byte-compared JSON of verify_polymer_identity(4, 0, n_q=5, seed=s)
    at each seed, without elapsed, with a fault injected so that the
    failure path runs: polymer_profile scaled by 1 + 1e-6 on 4-vertex
    graphs.
 
 Prints one line per item and a JSON summary last; exits 1 if a part that
-must be identical is not, or if a root fails the oracle.  Where both
-stdouts of an item in part 1 or 3 parse as JSON, the dotted key paths
-that differ are printed under it with both values ("<missing>" for an
-absent key) and listed in the summary under "differences".
+must be identical is not, if a flag or exit status moves, or if a root
+fails the oracle.  Where both stdouts of an item in part 1 or 3 parse as
+JSON, the dotted key paths that differ are printed under it with both
+values ("<missing>" for an absent key) and listed in the summary under
+"differences".  Matching roots by assignment needs scipy.
 """
 
 from __future__ import annotations
@@ -61,7 +70,8 @@ def dump(g):
            "z": " ".join(f"{c.real.hex()},{c.imag.hex()}" for c in z_polynomial(g).coeffs)}
     try:
         rep = analyze(g)
-        out.update(roots=[[r.real, r.imag] for r in rep.roots], mult=rep.q_zero_multiplicity)
+        out.update(roots=[[r.real, r.imag] for r in rep.roots], mult=rep.q_zero_multiplicity,
+                   flags=[rep.general_disc_verified, rep.simple_disc_verified])
     except TutteZeroError as exc:
         out["error"] = type(exc).__name__
     print(json.dumps(out))
@@ -90,6 +100,30 @@ for seed in range(int(sys.argv[1])):
     r = verify.verify_polymer_identity(4, 0, n_q=5, seed=seed)
     del r["elapsed"]
     print(json.dumps(r, sort_keys=True))
+"""
+
+# each example's report is matched to the graph that analyze was called on
+EXAMPLE_DUMP = """
+import json
+from tuttezero import zeros
+
+calls = []
+analyze = zeros.analyze
+
+def recorded(g):
+    rep = analyze(g)
+    calls.append((g, rep.to_json()))
+    return rep
+
+zeros.analyze = recorded
+for rec in zeros.example_suite(0):
+    g = next(g for g, rep in calls if rep == rec["report"])
+    rep = rec["report"]
+    print(json.dumps({"name": rec["name"], "n": g.n,
+                      "edges": [[u, v, w.real, w.imag] for u, v, w in g.edges],
+                      "roots": rep["roots"], "q_zero_multiplicity": rep["q_zero_multiplicity"],
+                      "general_disc_verified": rep["general_disc_verified"],
+                      "simple_disc_verified": rep["simple_disc_verified"]}))
 """
 
 
@@ -161,20 +195,29 @@ def _has_bridge(n: int, edges) -> bool:
 
 
 class _Moved:
-    """Part 3's report on one group of graphs that may move in the last bits."""
+    """Part 3's report on one group of outputs that may move in the last bits."""
 
     def __init__(self, oracle):
         self.oracle = oracle
-        self.graphs = self.differ = 0
+        self.outputs = self.differ = self.flags_differ = 0
         self.worst = 0.0
         self.failures: list[str] = []
 
-    def add(self, label: str, n: int, edges, same: bool, reps: dict) -> None:
-        """reps maps a side to its analyze report (roots and multiplicity),
-        for each side on which analyze succeeded."""
-        self.graphs += 1
+    def output(self, same: bool) -> None:
+        """Count one output of the group, compared byte for byte."""
+        self.outputs += 1
         self.differ += not same
-        if len(reps) == 2:
+
+    def add(self, label: str, n: int, edges, reps: dict) -> None:
+        """Check the reports of one graph.  reps maps a side to its analyze
+        report (roots, q_zero_multiplicity and the two disc flags), for each
+        side on which analyze succeeded."""
+        keys = ("q_zero_multiplicity", "general_disc_verified", "simple_disc_verified")
+        flags = {side: [rep[k] for k in keys] for side, rep in reps.items()}
+        if len(reps) == 1 or (reps and flags["parent"] != flags["change"]):
+            self.flags_differ += 1
+            print(f"      {label}: exit status, disc flag or zero multiplicity differs", flush=True)
+        elif reps:
             self.worst = max(self.worst, _root_movement(reps["change"]["roots"],
                                                         reps["parent"]["roots"]))
         for side, rep in reps.items():
@@ -184,18 +227,24 @@ class _Moved:
                 self.failures.append(f"{side} {label}: {why}")
 
     def summary(self) -> dict:
-        return {"graphs": self.graphs, "output_differs": self.differ,
-                "max_rel_root_movement": self.worst, "oracle_failures": self.failures}
+        return {"outputs": self.outputs, "output_differs": self.differ,
+                "flags_differ": self.flags_differ, "max_rel_root_movement": self.worst,
+                "oracle_failures": self.failures}
 
 
 def _root_movement(a: list, b: list) -> float:
-    """Largest |r - s| / |s| over each root s of b and its nearest root r of a."""
-    worst = 0.0
-    for s in b:
-        s = complex(*s)
-        r = min((complex(*x) for x in a), key=lambda x: abs(x - s))
-        worst = max(worst, abs(r - s) / max(abs(s), 1e-300))
-    return worst
+    """Largest |r - s| / |s| over the roots s of b, each matched to a root r
+    of a by the assignment that minimises the summed distance."""
+    import numpy as np
+    from scipy.optimize import linear_sum_assignment
+
+    if not b:
+        return 0.0
+    ra = np.array([complex(*x) for x in a])
+    rb = np.array([complex(*x) for x in b])
+    cost = np.abs(ra[:, None] - rb[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return float(np.max(cost[rows, cols] / np.maximum(np.abs(rb[cols]), 1e-300)))
 
 
 def main() -> int:
@@ -211,36 +260,53 @@ def main() -> int:
     import oracle
 
     summary = {"identical": {}, "differences": {}, "moved": {}}
-    moved = {"bridged": _Moved(oracle), "multigraphs": _Moved(oracle)}
+    moved = {group: _Moved(oracle) for group in ("analyze", "examples", "z graphs", "multigraphs")}
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        cases: list[tuple[str, list[str], tuple | None]] = []
+        for seed in range(args.seeds):
+            for cmd in ("verify-polymer", "verify-inequalities", "verify-penrose"):
+                label = f"{cmd} seed {seed}"
+                out = {side: _cli(tree, [cmd, "--seed", str(seed)], work)
+                       for side, tree in trees.items()}
+                same = out["parent"] == out["change"]
+                summary["identical"][label] = same
+                print(f"{'same' if same else 'DIFF'}  exit {out['change'][0]}  {label}", flush=True)
+                _report_diff(summary, label, out)
+
         for seed in range(args.seeds):
             for name, n, edges in inputs.cli_graphs(seed):
-                bridged = (n, edges) if _has_bridge(n, edges) else None
                 for ext, text in (("txt", inputs.edge_list_text(n, edges)),
                                   ("json", inputs.json_text(n, edges))):
                     path = work / f"cli{seed}_{name}.{ext}"
                     path.write_text(text)
-                    cases.append((f"analyze seed {seed} {name}.{ext}",
-                                  ["analyze", "--input", str(path), "--seed", str(seed)],
-                                  bridged))
-        cases += [("examples json", ["examples"], None),
-                  ("examples csv", ["examples", "--format", "csv"], None)]
-        for seed in range(args.seeds):
-            for cmd in ("verify-polymer", "verify-inequalities", "verify-penrose"):
-                cases.append((f"{cmd} seed {seed}", [cmd, "--seed", str(seed)], None))
-        for label, argv, bridged in cases:
+                    label = f"analyze seed {seed} {name}.{ext}"
+                    out = {side: _cli(tree, ["analyze", "--input", str(path), "--seed", str(seed)],
+                                      work)
+                           for side, tree in trees.items()}
+                    same = out["parent"] == out["change"]
+                    print(f"{'same' if same else 'moved'}  exit {out['change'][0]}  {label}",
+                          flush=True)
+                    _report_diff(summary, label, out)
+                    moved["analyze"].output(same)
+                    moved["analyze"].add(label, n, edges, {
+                        side: json.loads(text) for side, (code, text) in out.items() if code == 0})
+
+        for label, argv in (("examples json", ["examples"]),
+                            ("examples csv", ["examples", "--format", "csv"])):
             out = {side: _cli(tree, argv, work) for side, tree in trees.items()}
             same = out["parent"] == out["change"]
-            if bridged:
-                reps = {side: json.loads(text) for side, (code, text) in out.items() if code == 0}
-                moved["bridged"].add(label, *bridged, same, reps)
-            else:
-                summary["identical"][label] = same
-            word = "same" if same else "moved" if bridged else "DIFF"
-            print(f"{word}  exit {out['change'][0]}  {label}", flush=True)
+            print(f"{'same' if same else 'moved'}  exit {out['change'][0]}  {label}", flush=True)
             _report_diff(summary, label, out)
+            moved["examples"].output(same)
+        script = work / "example_dump.py"
+        script.write_text(EXAMPLE_DUMP)
+        dumps = {side: _run(tree, [str(script)], work)[1].splitlines()
+                 for side, tree in trees.items()}
+        for a, b in zip(dumps["parent"], dumps["change"]):
+            recs = {"parent": json.loads(a), "change": json.loads(b)}
+            rec = recs["change"]
+            edges = [(u, v, complex(re, im)) for u, v, re, im in rec["edges"]]
+            moved["examples"].add(f"example {rec['name']}", rec["n"], edges, recs)
 
         script = work / "zdump.py"
         script.write_text(Z_DUMP)
@@ -255,14 +321,16 @@ def main() -> int:
             n, edges = recs["change"]["n"], recs["change"]["edges"]
             same = same and recs["parent"]["edges"] == edges
             edges = [(u, v, complex(re, im)) for u, v, re, im in edges]
-            if _has_bridge(n, edges):
-                reps = {side: {"roots": r["roots"], "q_zero_multiplicity": r["mult"]}
-                        for side, r in recs.items() if "roots" in r}
-                moved["bridged"].add(f"z graph {i}", n, edges, a == b, reps)
-            else:
+            if not _has_bridge(n, edges):
                 bridgeless += 1
-                same = same and a == b
-        label = f"z_polynomial bits and roots, bridgeless simple graphs ({bridgeless} graphs)"
+                same = same and recs["parent"]["z"] == recs["change"]["z"]
+            moved["z graphs"].output(a == b)
+            moved["z graphs"].add(f"z graph {i}", n, edges, {
+                side: {"roots": r["roots"], "q_zero_multiplicity": r["mult"],
+                       "general_disc_verified": r["flags"][0],
+                       "simple_disc_verified": r["flags"][1]}
+                for side, r in recs.items() if "roots" in r})
+        label = f"z_polynomial bits, bridgeless simple graphs ({bridgeless} graphs)"
         summary["identical"][label] = same
         print(f"{'same' if same else 'DIFF'}  {label}", flush=True)
 
@@ -282,17 +350,21 @@ def main() -> int:
             path.write_text(inputs.edge_list_text(n, edges))
             out = {side: _cli(tree, ["analyze", "--input", str(path)], work)
                    for side, tree in trees.items()}
-            reps = {side: json.loads(text) for side, (code, text) in out.items() if code == 0}
-            moved["multigraphs"].add(f"multi{i}", n, edges, out["parent"] == out["change"], reps)
-            print(f"{'same' if out['parent'] == out['change'] else 'moved'}  multi{i} "
-                  f"n={n} m={len(edges)} exit {out['change'][0]}", flush=True)
+            same = out["parent"] == out["change"]
+            moved["multigraphs"].output(same)
+            moved["multigraphs"].add(f"multi{i}", n, edges, {
+                side: json.loads(text) for side, (code, text) in out.items() if code == 0})
+            print(f"{'same' if same else 'moved'}  multi{i} n={n} m={len(edges)} "
+                  f"exit {out['change'][0]}", flush=True)
             _report_diff(summary, f"multi{i}", out)
         summary["moved"] = {group: m.summary() for group, m in moved.items()}
         for group, m in moved.items():
-            print(f"moved  {group}: {m.differ} of {m.graphs} differ, largest relative root "
-                  f"movement {m.worst:.3g}, {len(m.failures)} oracle failures", flush=True)
+            print(f"moved  {group}: {m.differ} of {m.outputs} outputs differ, largest relative "
+                  f"root movement {m.worst:.3g}, {m.flags_differ} flags differ, "
+                  f"{len(m.failures)} oracle failures", flush=True)
 
-    ok = all(summary["identical"].values()) and not any(m.failures for m in moved.values())
+    ok = (all(summary["identical"].values())
+          and not any(m.failures or m.flags_differ for m in moved.values()))
     summary["ok"] = ok
     print(json.dumps(summary, sort_keys=True))
     return 0 if ok else 1

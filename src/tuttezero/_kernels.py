@@ -150,13 +150,16 @@ def _pairwise_reduce(blocks: np.ndarray) -> np.ndarray:
     return cur[0]
 
 
-def z_coefficients(n: int, edges) -> np.ndarray:
+def z_coefficients(n: int, edges, pairs: tuple | None = None) -> np.ndarray:
     """Coefficients (ascending in q) of sum_A q^{k(A)} prod_{e in A} w_e.
 
-    Raises OutOfDomain when a coefficient is not finite, which happens
-    when the products of finite weights overflow.
+    pairs, if given, is the tuple of the edges' endpoint pairs, in edge
+    order; a caller that holds it already hands it over rather than have
+    it built again.  Raises OutOfDomain when a coefficient is not finite,
+    which happens when the products of finite weights overflow.
     """
-    pairs = tuple((u, v) for u, v, _ in edges)
+    if pairs is None:
+        pairs = tuple((u, v) for u, v, _ in edges)
     w = np.array([complex(x) for _, _, x in edges], dtype=np.complex128)
     nhigh = max(0, len(pairs) - BLOCK_BITS)
     blocks = np.zeros((1 << nhigh, n + 1), dtype=np.complex128)

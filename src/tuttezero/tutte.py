@@ -61,11 +61,13 @@ def _check_size(g: WeightedGraph) -> None:
 def _bridge_split(n: int, pairs: tuple[tuple[int, int], ...]):
     """The bridges of a simple graph, and its core: every bridge contracted.
 
-    Returns the bridge indices, the vertex count of the core, and for each
-    other edge its index and its endpoints in the core, in edge order.  An
-    edge is a bridge when deleting it adds a component.  Contracting a
-    bridge makes no loop and, since a bridge lies on no cycle, no parallel
-    edge either, so the core is simple.  Core vertices are numbered in the
+    Returns the bridge indices, the vertex count of the core, for each
+    other edge its index and its endpoints in the core, in edge order, and
+    the core's endpoint pairs as one tuple (pairs itself when there is no
+    bridge), which the edge engine takes as its structure key.  An edge is
+    a bridge when deleting it adds a component.  Contracting a bridge
+    makes no loop and, since a bridge lies on no cycle, no parallel edge
+    either, so the core is simple.  Core vertices are numbered in the
     order of their lowest original vertex, which keeps a bridgeless graph
     exactly as it is.  Memoized on the structure, as the sweeps revisit
     it once per weight draw.
@@ -91,7 +93,7 @@ def _bridge_split(n: int, pairs: tuple[tuple[int, int], ...]):
         else:
             label[x] = label[parent[x]]
     core = tuple((i, label[u], label[v]) for i, (u, v) in enumerate(pairs) if i not in bridges)
-    return bridges, core_n, core
+    return bridges, core_n, core, tuple([(u, v) for _, u, v in core]) if bridges else pairs
 
 
 _last_split: tuple | None = None
@@ -137,10 +139,10 @@ def _split_z(g: WeightedGraph) -> tuple[list[complex], list[complex], tuple[comp
         if not all(map(math.isfinite, bound.values())):
             raise OutOfDomain(_Z_OVERFLOW)
     edges = parallel_reduce(g).edges
-    bridges, core_n, core = _bridge_split(g.n, tuple([(u, v) for u, v, _ in edges]))
+    bridges, core_n, core, core_pairs = _bridge_split(g.n, tuple([(u, v) for u, v, _ in edges]))
     if core:
         core_edges = [(u, v, edges[i][2]) for i, u, v in core] if bridges else edges
-        core_z = _kernels.z_coefficients(core_n, core_edges).tolist()
+        core_z = _kernels.z_coefficients(core_n, core_edges, core_pairs).tolist()
     else:
         core_z = [0j] * core_n + [1 + 0j]
     ws = [edges[i][2] for i in bridges]

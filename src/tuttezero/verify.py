@@ -288,6 +288,8 @@ def verify_f_properties() -> dict:
 
 def verify_parallel_reduction(samples: int = 10_000, seed: int = 0) -> dict:
     """Amplification and damping inequalities for merged parallel edges."""
+    if samples < 0:
+        raise OutOfDomain(f"samples must be >= 0, got {samples}")
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
 
@@ -359,6 +361,8 @@ def verify_penrose_partition(max_vertices: int = 6) -> dict:
 
 def verify_penrose_chains(max_vertices: int = 5, draws: int = 100, seed: int = 0) -> dict:
     """Tree-sum identity plus both bound chains under random weights."""
+    if draws < 0:
+        raise OutOfDomain(f"draws must be >= 0, got {draws}")
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     failures = []
@@ -611,6 +615,8 @@ def verify_zero_free(
     With max_multi, multigraphs up to that many vertices follow the simple
     corpus; only the general disc applies to them.
     """
+    if draws < 0:
+        raise OutOfDomain(f"draws must be >= 0, got {draws}")
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     failures = []

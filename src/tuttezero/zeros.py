@@ -8,12 +8,15 @@ factor q + w_e, whose root -w_e is exact, so only the polynomial of the
 core, the graph with every bridge contracted, goes to the solver.  Its
 roots start as the eigenvalues of its companion matrix, which are
 backward stable and which LAPACK balances against badly scaled
-coefficients (Edelman and Murakami, Math. Comp. 64, 1995).  A few
-Newton steps in scalar complex arithmetic polish each one, since numpy's
-per-call cost dominates at these degrees.  Two checks reject a root set
-that still misses: a scaled residual per root, and the product of
-(q - r) over all roots against the coefficients, which catches two roots
-on one root of the polynomial while another is lost.
+coefficients (Edelman and Murakami, Math. Comp. 64, 1995); the matrix
+is built in place, with one eigvals call per polynomial.  Newton steps
+in scalar complex arithmetic polish each one, since numpy's per-call
+cost dominates at these degrees, and stop once |p| is within the
+rounding bound of the Horner pass that computed it (Bini, Numer.
+Algorithms 13, 1996), which most eigenvalues meet at once.  Two checks
+reject a root set that still misses: a scaled residual per root, and
+the product of (q - r) over all roots against the coefficients, which
+catches two roots on one root of the polynomial while another is lost.
 An analysis report places every nonzero root against the disc radii of
 graph_bounds, and the example suite reproduces the named small-graph
 phenomena end to end.
@@ -44,10 +47,14 @@ _HORNER_ERR = 4 * 2.0 ** -53
 
 
 def _eigenvalues(c: list[complex]) -> list[complex]:
-    """Eigenvalues of the companion matrix np.roots builds for c."""
-    p = np.array(c[::-1])
-    a = np.diag(np.ones(len(c) - 2, dtype=p.dtype), -1)
-    a[0, :] = -p[1:] / p[0]
+    """Eigenvalues of the companion matrix np.roots builds for c.
+
+    The matrix is built in place: ones below the diagonal, and a first
+    row of -c_k / c_d from the highest power down.
+    """
+    d = len(c) - 1
+    a = np.eye(d, k=-1, dtype=np.complex128)
+    a[0] = [-x / c[d] for x in c[d - 1::-1]]
     return np.linalg.eigvals(a).tolist()
 
 
@@ -55,12 +62,16 @@ def _polish(c: list[complex], ac: list[float], z: complex) -> tuple[complex, flo
     """Newton steps from z; then z and a bound on its error, or None.
 
     ac holds the moduli |c_k|.  Each pass of Horner's rule gives p, p'
-    and sum |c_k| |z|^k.  A step that does not lower |p| is undone and
-    ends the polish: close to a root |p| is rounding noise, and near a
-    multiple root a step driven by that noise can throw the point far
-    off.  A point with p' = 0 stays put.  None means z fails the residual
-    check: |p(z)| against sum |c_k| |z|^k, which cannot cancel, and which
-    bounds nothing when it is infinite.
+    and sum |c_k| |z|^k.  Once |p| is within the pass's own rounding
+    bound, _HORNER_ERR d sum |c_k| |z|^k, the polish ends without a step:
+    no step taken from there can be told apart from noise, so an
+    eigenvalue that already meets the bound costs one pass.  A step that
+    does not lower |p| is undone and ends the polish: close to a root |p|
+    is rounding noise, and near a multiple root a step driven by that
+    noise can throw the point far off.  A point with p' = 0 stays put.
+    None means z fails the residual check: |p(z)| against
+    sum |c_k| |z|^k, which cannot cancel, and which bounds nothing when
+    it is infinite.
 
     The error bound holds for the nearest root of c: since p'/p is the
     sum of 1/(z - root), some root lies within d |p/p'|, and since c is
@@ -68,6 +79,7 @@ def _polish(c: list[complex], ac: list[float], z: complex) -> tuple[complex, flo
     error in both.
     """
     d = len(c) - 1
+    floor = _HORNER_ERR * d
     last = None
     for step in range(_NEWTON_STEPS + 1):
         r = math.hypot(z.real, z.imag)
@@ -81,13 +93,13 @@ def _polish(c: list[complex], ac: list[float], z: complex) -> tuple[complex, flo
         if last and not resid <= last[1]:
             z, resid, scale, slope = last
             break
-        if step == _NEWTON_STEPS or not slope > 1e-300:
+        if step == _NEWTON_STEPS or resid <= floor * scale or not slope > 1e-300:
             break
         last = z, resid, scale, slope
         z -= p / dp
     if not (math.isfinite(scale) and resid <= _RESIDUAL_TOL * scale):
         return None
-    bound = resid + _HORNER_ERR * d * scale
+    bound = resid + floor * scale
     return z, min(bound ** (1 / d), d * bound / slope if slope else math.inf)
 
 
@@ -121,8 +133,10 @@ def _solve(c: list[complex]) -> list[complex]:
     constant term is nonzero.
 
     Degree 1 gives -c0/c1.  From degree 2 on, the roots are the
-    eigenvalues of the companion matrix, each polished by up to
-    _NEWTON_STEPS Newton steps in scalar complex arithmetic.
+    eigenvalues of the companion matrix, built in place and solved by one
+    eigvals call, each polished by up to _NEWTON_STEPS Newton steps in
+    scalar complex arithmetic, which stop at the rounding floor of
+    Horner's rule.
     NoConvergence is raised when a root fails its residual check, or when
     the product of (q - r) over the roots misses c.
     """

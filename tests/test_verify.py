@@ -2,6 +2,10 @@
 
 from fractions import Fraction
 
+import numpy as np
+import pytest
+
+from tuttezero import OutOfDomain
 from tuttezero.bounds import f_closed, f_lambda_variational
 from tuttezero.verify import (
     EXPANSION_F0,
@@ -10,6 +14,7 @@ from tuttezero.verify import (
     examples_check,
     verify_constants,
     verify_parallel_reduction,
+    verify_penrose_chains,
     verify_zero_free,
 )
 
@@ -35,6 +40,32 @@ def test_zero_free_multigraph_option():
     )
     assert r["passed"], r["failures"]
     assert r["multigraph_checked"] > 0
+
+
+def _no_draws(monkeypatch):
+    # a sweep that makes its generator has started to draw
+    def refused(*args, **kwargs):
+        raise AssertionError("a random generator was made")
+
+    monkeypatch.setattr(np.random, "default_rng", refused)
+
+
+def test_zero_free_rejects_negative_draws(monkeypatch):
+    _no_draws(monkeypatch)
+    with pytest.raises(OutOfDomain):
+        verify_zero_free(max_vertices=3, draws=-1)
+
+
+def test_penrose_chains_rejects_negative_draws(monkeypatch):
+    _no_draws(monkeypatch)
+    with pytest.raises(OutOfDomain):
+        verify_penrose_chains(max_vertices=3, draws=-1)
+
+
+def test_parallel_reduction_rejects_negative_samples(monkeypatch):
+    _no_draws(monkeypatch)
+    with pytest.raises(OutOfDomain):
+        verify_parallel_reduction(samples=-5)
 
 
 def test_examples_check_documents_known_gap():

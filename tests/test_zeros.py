@@ -287,13 +287,71 @@ def test_root_finder_work_stays_small(monkeypatch):
     assert calls[0] == solved
 
 
+def _solver_inputs():
+    """The stripped core coefficients of degree 2 or more that _solve sees
+    on the guard graphs and on zero-free sweep draws to 5 vertices."""
+    rng = np.random.default_rng(1)
+    graphs = _guard_graphs()
+    for regime in families.WEIGHT_REGIMES:
+        for n, pairs in families.connected_simple_structures(5)[::3]:
+            ws = families.sample_weights(len(pairs), regime, rng)
+            graphs.append(families.weighted((n, pairs), ws))
+    out = []
+    for g in graphs:
+        core = tutte._split_z(g)[1]
+        c = core[next(i for i, x in enumerate(core) if x):]
+        if len(c) > 2:
+            out.append(c)
+    return out
+
+
+def _horner(c, z):
+    """|p(z)| and sum |c_k| |z|^k, by Horner's rule as _polish runs it."""
+    r = math.hypot(z.real, z.imag)
+    p, scale = c[-1], math.hypot(c[-1].real, c[-1].imag)
+    for x in c[-2::-1]:
+        p = p * z + x
+        scale = scale * r + math.hypot(x.real, x.imag)
+    return math.hypot(p.real, p.imag), scale
+
+
+def test_polish_stops_at_the_rounding_floor():
+    # a start whose residual is already within the rounding bound of its
+    # Horner pass takes no Newton step: it comes back exactly as it went in
+    at_floor = 0
+    for c in _solver_inputs():
+        d = len(c) - 1
+        ac = [math.hypot(x.real, x.imag) for x in c]
+        for z in zeros._eigenvalues(c):
+            resid, scale = _horner(c, z)
+            if resid <= zeros._HORNER_ERR * d * scale:
+                at_floor += 1
+                assert zeros._polish(c, ac, z)[0] == z, (c, z)
+    assert at_floor >= 100
+
+
+def test_polish_still_converges_from_a_perturbed_start():
+    # starts moved by 1e-6 relative come back to the root they left, to
+    # within the error bounds of both polished points
+    checked = 0
+    for c in _solver_inputs():
+        ac = [math.hypot(x.real, x.imag) for x in c]
+        for k, z in enumerate(zeros._eigenvalues(c)):
+            root, rho = zeros._polish(c, ac, z)
+            moved = zeros._polish(c, ac, z * (1 + 1e-6 * cmath.exp(1j * k)))
+            assert moved is not None, (c, z)
+            assert abs(moved[0] - root) <= rho + moved[1], (c, z)
+            checked += 1
+    assert checked >= 100
+
+
 def test_analyze_runs_the_engine_once_and_z_polynomial_once_on_the_whole_graph(monkeypatch):
     engine, seen = [0], []
     z_coefficients, z_polynomial_ = _kernels.z_coefficients, zeros.z_polynomial
 
-    def counted(n, edges):
+    def counted(n, edges, *pairs):
         engine[0] += 1
-        return z_coefficients(n, edges)
+        return z_coefficients(n, edges, *pairs)
 
     def recorded(g):
         seen.append(g)
