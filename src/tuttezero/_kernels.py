@@ -150,6 +150,9 @@ def _pairwise_reduce(blocks: np.ndarray) -> np.ndarray:
     return cur[0]
 
 
+Z_OVERFLOW = "a partition-function coefficient overflows floating point"
+
+
 def z_coefficients(n: int, edges, pairs: tuple | None = None) -> np.ndarray:
     """Coefficients (ascending in q) of sum_A q^{k(A)} prod_{e in A} w_e.
 
@@ -175,7 +178,7 @@ def z_coefficients(n: int, edges, pairs: tuple | None = None) -> np.ndarray:
                     start += size
         out = _pairwise_reduce(blocks)
     if not np.isfinite(out).all():
-        raise OutOfDomain("a partition-function coefficient overflows floating point")
+        raise OutOfDomain(Z_OVERFLOW)
     return out
 
 

@@ -144,8 +144,8 @@ def connected_multigraph_structures(max_n: int) -> tuple[Structure, ...]:
     corpus covers the rest.  Built once per argument and shared, like the
     simple corpus.
     """
-    if max_n > 6:
-        raise OutOfDomain(f"multigraph corpus capped at 6 vertices, got {max_n}")
+    if not (1 <= max_n <= 6):
+        raise OutOfDomain(f"multigraph corpus covers 1..6 vertices, got {max_n}")
     out = []
     for n, pairs in connected_simple_structures(max_n):
         auts = _edge_automorphisms(n, pairs)

@@ -44,12 +44,17 @@ from .graph import MAX_ENUM_EDGES, MAX_SUPPORT_VERTICES, WeightedGraph, parallel
 
 @dataclass(frozen=True)
 class QPolynomial:
-    """Polynomial in q with complex coefficients, ascending by power."""
+    """Polynomial in q with complex coefficients, ascending by power.
+
+    z_polynomial also fills in what Z_G is built from: bridges, the
+    weights of the bridges of the parallel-reduced graph in edge order,
+    and core, the coefficients of the Z of its core, the graph with every
+    bridge contracted.
+    """
 
     coeffs: tuple[complex, ...]
-
-
-_Z_OVERFLOW = "a partition-function coefficient overflows floating point"
+    bridges: tuple[complex, ...] = ()
+    core: tuple[complex, ...] = ()
 
 
 def _check_size(g: WeightedGraph) -> None:
@@ -96,12 +101,13 @@ def _bridge_split(n: int, pairs: tuple[tuple[int, int], ...]):
     return bridges, core_n, core, tuple([(u, v) for _, u, v in core]) if bridges else pairs
 
 
-_last_split: tuple | None = None
+def z_polynomial(g: WeightedGraph) -> QPolynomial:
+    """The full polynomial Z_G(q), exact up to floating-point rounding,
+    with the bridge weights and the core's coefficients it is built from.
 
-
-def _split_z(g: WeightedGraph) -> tuple[list[complex], list[complex], tuple[complex, ...]]:
-    """Z_G from its parallel-reduced graph: the bridge weights, the core's
-    coefficients, and Z_G's own coefficients.
+    The leading coefficient (power |V|) is exactly 1 from the empty edge
+    subset, and coefficients below the component count of the nonzero-
+    weight edge set are exact zeros.
 
     Deleting a bridge e splits the graph, so Z_{G-e} = q Z_{G/e} and
     deletion-contraction gives Z_G = (q + w_e) Z_{G/e} (Sokal,
@@ -111,25 +117,15 @@ def _split_z(g: WeightedGraph) -> tuple[list[complex], list[complex], tuple[comp
     and its coefficients are the engine's.  A product that overflows
     raises OutOfDomain.
 
-    The engine gets the parallel-reduced graph, which has the same Z_G,
-    fewer terms to sum and so less rounding.  A multigraph is refused with
-    OutOfDomain when prod(1+|w_i|) over a parallel class overflows.  That
-    product bounds every sub-product of the class, which the sum over
-    unmerged edges overflows on, while the merged weight can come out
-    finite and wrong by cancellation: the class -1, 1e200, 1e200 merges
-    to 1e200 in floating point, not to -1.
-
-    The last result is kept, keyed on the vertex count and the input
-    edges, which fix the reduced ones, so that q_roots reads the split of
-    the Z that analyze has just computed without a second engine pass.
-    Weights compare by value, so a graph that differs from the last one
-    only in the sign of a zero part gets the last one's coefficients,
-    which have the same values.
+    The engine gets the parallel-reduced graph (each class one edge of
+    weight prod(1+w_i) - 1), which has the same Z_G, fewer terms to sum
+    and so less rounding, while the 24-edge cap counts the input edges.
+    A multigraph is refused with OutOfDomain when prod(1+|w_i|) over a
+    parallel class overflows.  That product bounds every sub-product of
+    the class, which the sum over unmerged edges overflows on, while the
+    merged weight can come out finite and wrong by cancellation: the
+    class -1, 1e200, 1e200 merges to 1e200 in floating point, not to -1.
     """
-    global _last_split
-    key = (g.n, g.edges)
-    if _last_split is not None and _last_split[0] == key:
-        return _last_split[1]
     _check_size(g)
     if not g.is_simple:
         bound: dict[tuple[int, int], float] = {}
@@ -137,38 +133,21 @@ def _split_z(g: WeightedGraph) -> tuple[list[complex], list[complex], tuple[comp
             pair = (u, v) if u < v else (v, u)
             bound[pair] = bound.get(pair, 1.0) * (1.0 + abs(w))
         if not all(map(math.isfinite, bound.values())):
-            raise OutOfDomain(_Z_OVERFLOW)
+            raise OutOfDomain(_kernels.Z_OVERFLOW)
     edges = parallel_reduce(g).edges
     bridges, core_n, core, core_pairs = _bridge_split(g.n, tuple([(u, v) for u, v, _ in edges]))
     if core:
         core_edges = [(u, v, edges[i][2]) for i, u, v in core] if bridges else edges
-        core_z = _kernels.z_coefficients(core_n, core_edges, core_pairs).tolist()
+        core_z = tuple(_kernels.z_coefficients(core_n, core_edges, core_pairs).tolist())
     else:
-        core_z = [0j] * core_n + [1 + 0j]
-    ws = [edges[i][2] for i in bridges]
+        core_z = (0j,) * core_n + (1 + 0j,)
+    ws = tuple([edges[i][2] for i in bridges])
     z = core_z
     for w in ws:
         z = [w * z[0]] + [w * a + b for a, b in zip(z[1:], z)] + [z[-1]]
     if ws and not all(map(cmath.isfinite, z)):
-        raise OutOfDomain(_Z_OVERFLOW)
-    out = ws, core_z, tuple(z)
-    _last_split = key, out
-    return out
-
-
-def z_polynomial(g: WeightedGraph) -> QPolynomial:
-    """The full polynomial Z_G(q), exact up to floating-point rounding.
-
-    The leading coefficient (power |V|) is exactly 1 from the empty edge
-    subset, and coefficients below the component count of the nonzero-
-    weight edge set are exact zeros.  A multigraph is summed over its
-    parallel-reduced graph (each class one edge of weight
-    prod(1+w_i) - 1), while the 24-edge cap counts its input edges; every
-    bridge of that graph is split off as a factor q + w_e.  Weights whose
-    products overflow raise OutOfDomain, as does a parallel class whose
-    prod(1+|w_i|) overflows.
-    """
-    return QPolynomial(_split_z(g)[2])
+        raise OutOfDomain(_kernels.Z_OVERFLOW)
+    return QPolynomial(tuple(z), ws, core_z)
 
 
 def connected_gen_poly(g: WeightedGraph) -> complex:
@@ -181,7 +160,7 @@ def connected_gen_poly(g: WeightedGraph) -> complex:
     """
     if g.n == 0:
         return 1 + 0j
-    return _split_z(g)[2][1]
+    return z_polynomial(g).coeffs[1]
 
 
 def connected_by_support(g: WeightedGraph) -> dict[int, complex]:
@@ -291,8 +270,9 @@ def component_count(n: int, edge_pairs: list[tuple[int, int]], mask: int) -> int
 def nonzero_component_count(g: WeightedGraph) -> int:
     """k(E+): components of (V, edges with nonzero weight).
 
-    Z_G is divisible by q to exactly this combinatorial power, so it is
-    the multiplicity of the root q = 0 used when stripping zero roots.
+    Z_G is divisible by q to at least this combinatorial power, and to a
+    higher one when weights cancel its next coefficients, so it is the
+    multiplicity of the root q = 0 that the nonzero-weight edges force.
     """
     pairs = [(u, v) for u, v, w in g.edges if w != 0]
     mask = (1 << len(pairs)) - 1

@@ -33,7 +33,7 @@ import numpy as np
 from .bounds import BoundSet, f_closed, graph_bounds
 from .errors import NoConvergence, OutOfDomain
 from .graph import WeightedGraph, parallel_reduce
-from .tutte import _split_z, nonzero_component_count, z_polynomial
+from .tutte import nonzero_component_count, z_polynomial
 
 
 # the most Newton steps after the eigenvalue solve, and the residual a
@@ -169,26 +169,27 @@ def q_roots(g: WeightedGraph) -> tuple[list[complex], int]:
 
     Z_G is the product of q + w_e over the bridges of the parallel-reduced
     graph and of the Z of its core, the graph with every bridge
-    contracted.  A bridge with w_e != 0 gives the root -w_e; the core's
-    coefficients, stripped of their zero roots, go to _solve, which
-    raises NoConvergence on a root set that misses them.  The lowest
-    nonzero coefficient of Z_G is the core's times the nonzero bridge
-    weights, in edge order.  When the core's or a partial product falls
-    below the normal floating-point range, Z_G keeps too few of its bits,
-    or none, to match the exact bridge roots, and OutOfDomain is raised.
+    contracted; z_polynomial returns both factors with it.  A bridge
+    with w_e != 0 gives the root -w_e; the core's coefficients, stripped
+    of their zero roots, go to _solve, which raises NoConvergence on a
+    root set that misses them.  The lowest nonzero coefficient of Z_G is
+    the core's times the nonzero bridge weights, in edge order.  When the
+    core's or a partial product falls below the normal floating-point
+    range, Z_G keeps too few of its bits, or none, to match the exact
+    bridge roots, and OutOfDomain is raised.
     """
-    z = z_polynomial(g).coeffs
+    zp = z_polynomial(g)
+    core = zp.core
     mult = nonzero_component_count(g)
-    extra = next(i for i, x in enumerate(z[mult:]) if x)
-    bridges, core, _ = _split_z(g)
+    extra = next(i for i, x in enumerate(zp.coeffs[mult:]) if x)
     low = next(i for i, x in enumerate(core) if x)
     chain = [core[low]]
-    for w in bridges:
+    for w in zp.bridges:
         if w:
             chain.append(w * chain[-1])
     if len(chain) > 1 and min(math.hypot(x.real, x.imag) for x in chain) < sys.float_info.min:
         raise OutOfDomain("a partition-function coefficient underflows floating point")
-    roots = [r for w in bridges if w for r in _solve([w, 1 + 0j])] + _solve(core[low:])
+    roots = [r for w in zp.bridges if w for r in _solve([w, 1 + 0j])] + _solve(core[low:])
     found = [0j] * extra + roots
     assert len(found) == g.n - mult
     return sorted(found, key=lambda r: (r.real, r.imag)), mult

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tuttezero import OutOfDomain
+from tuttezero import OutOfDomain, families
 from tuttezero.bounds import f_closed, f_lambda_variational
 from tuttezero.verify import (
     EXPANSION_F0,
@@ -15,6 +15,7 @@ from tuttezero.verify import (
     verify_constants,
     verify_parallel_reduction,
     verify_penrose_chains,
+    verify_polymer_identity,
     verify_zero_free,
 )
 
@@ -66,6 +67,18 @@ def test_parallel_reduction_rejects_negative_samples(monkeypatch):
     _no_draws(monkeypatch)
     with pytest.raises(OutOfDomain):
         verify_parallel_reduction(samples=-5)
+
+
+def test_bad_multigraph_bound_names_the_multigraph_corpus():
+    # a bound outside 1..6 is reported against the multigraph corpus, not
+    # against the simple atlas the multigraphs are built on
+    for max_n in (7, 0, -2):
+        with pytest.raises(OutOfDomain, match="multigraph corpus"):
+            families.connected_multigraph_structures(max_n)
+    with pytest.raises(OutOfDomain, match="multigraph corpus"):
+        verify_zero_free(max_vertices=3, draws=1, max_multi=-2)
+    with pytest.raises(OutOfDomain, match="multigraph corpus"):
+        verify_polymer_identity(max_simple=3, max_multi=-2, n_q=2)
 
 
 def test_examples_check_documents_known_gap():

@@ -19,7 +19,7 @@ from tuttezero import (
     q_roots,
     z_polynomial,
 )
-from tuttezero import _kernels, tutte, zeros
+from tuttezero import _kernels, zeros
 from tuttezero.families import (
     complete_graph,
     cycle_graph,
@@ -263,7 +263,7 @@ def _guard_graphs():
 
 def _core_degree(g):
     """Degree of the core's Z once its zero roots are stripped."""
-    core = tutte._split_z(g)[1]
+    core = z_polynomial(g).core
     return len(core) - 1 - next(i for i, x in enumerate(core) if x)
 
 
@@ -298,7 +298,7 @@ def _solver_inputs():
             graphs.append(families.weighted((n, pairs), ws))
     out = []
     for g in graphs:
-        core = tutte._split_z(g)[1]
+        core = z_polynomial(g).core
         c = core[next(i for i, x in enumerate(core) if x):]
         if len(c) > 2:
             out.append(c)
@@ -359,7 +359,6 @@ def test_analyze_runs_the_engine_once_and_z_polynomial_once_on_the_whole_graph(m
 
     monkeypatch.setattr(_kernels, "z_coefficients", counted)
     monkeypatch.setattr(zeros, "z_polynomial", recorded)
-    monkeypatch.setattr(tutte, "_last_split", None)
     forests = [path_graph(6, 0.5), build_graph(range(5), [(0, 1, 2.0), (2, 3, -1.0)]),
                build_graph(range(3), [(0, 1, 1.0), (0, 1, -0.5), (1, 2, 2.0)])]
     others = [cycle_graph(5, 0.3), complete_graph(4, 1j),
@@ -372,6 +371,20 @@ def test_analyze_runs_the_engine_once_and_z_polynomial_once_on_the_whole_graph(m
         assert engine[0] == engine_calls
         assert len(seen) == 1 and seen[0] is g
         assert len(rep.roots) == g.n - rep.q_zero_multiplicity
+
+
+def test_z_does_not_depend_on_call_history():
+    # -1 + 0j and -1 - 0j are equal weights, but Z's coefficients carry
+    # the sign of their zero parts: Z of one graph must come out the same
+    # bits whatever graph came before it
+    def bits(g):
+        return [(c.real.hex(), c.imag.hex()) for c in z_polynomial(g).coeffs]
+
+    edge = build_graph(range(2), [(0, 1, complex(-1.0, -0.0))])
+    z_polynomial(build_graph(range(2), [(0, 1, complex(-1.0, 0.0))]))
+    after_twin = bits(edge)
+    z_polynomial(cycle_graph(4, 0.5))
+    assert bits(edge) == after_twin
 
 
 @pytest.mark.parametrize("weights", [
