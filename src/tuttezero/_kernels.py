@@ -20,10 +20,10 @@ vertices.  The component count of a mask is therefore the number of
 vertices that carry their own label, plus the vertices no edge touches;
 the first block counts them once, from its final labels.
 
-The products are summed per component count within each block.  The
-block sums are then reduced pairwise in order of their high edges, which
-keeps the summation order deterministic and the rounding error
-logarithmic in the number of blocks.
+The products are summed per component count within each block, in the
+first block by its cached order.  The block sums are then reduced
+pairwise in order of their high edges, which keeps the summation order
+deterministic and the rounding error logarithmic in the number of blocks.
 
 connected_by_support works over vertex subsets instead, in O(3^n) time
 for any number of edges, by the Fortuin-Kasteleyn set-partition recursion
@@ -111,33 +111,6 @@ def _walk(e, high, labels, k, prod, b, eu, ev, weights):
                      prod * weights[e], b, eu, ev, weights)
 
 
-def _edge_subset_blocks(n: int, pairs: tuple, weights):
-    """Yield (high, order, sizes, prod) for every block of edge masks.
-
-    A block holds the masks low + (high << B) for every low below 2^B,
-    B = min(BLOCK_BITS, m), in ascending order of low.  prod is the
-    product of each mask's weights in increasing edge order; order is the
-    stable order that sorts the masks by k, the number of components of
-    (V, mask) with isolated vertices included, and sizes[c] the number of
-    masks with k = c.  Blocks come in depth-first order of the high
-    edges, not in order of high.
-    """
-    b = min(BLOCK_BITS, len(pairs))
-    eu, ev, labels, k, order, sizes = _layout(n, pairs, b)
-    prod = np.empty(1 << b, dtype=np.complex128)
-    prod[0] = 1
-    for j in range(b):
-        np.multiply(prod[:1 << j], weights[j], out=prod[1 << j:2 << j])
-
-    for high, block_k, block_prod in _walk(b, 0, labels, k, prod, b, eu, ev, weights):
-        if high:
-            block_sizes = np.bincount(block_k, minlength=n + 1).tolist()
-            yield high, np.argsort(block_k, kind="stable"), block_sizes, block_prod
-        else:
-            # no high edge is in the mask, so the counts are the first block's
-            yield 0, order, sizes, block_prod
-
-
 def _pairwise_reduce(blocks: np.ndarray) -> np.ndarray:
     """Tree-order sum of block rows; deterministic regardless of count."""
     cur = blocks
@@ -164,13 +137,24 @@ def z_coefficients(n: int, edges, pairs: tuple | None = None) -> np.ndarray:
     if pairs is None:
         pairs = tuple((u, v) for u, v, _ in edges)
     w = np.array([complex(x) for _, _, x in edges], dtype=np.complex128)
-    nhigh = max(0, len(pairs) - BLOCK_BITS)
-    blocks = np.zeros((1 << nhigh, n + 1), dtype=np.complex128)
+    b = min(BLOCK_BITS, len(pairs))
+    eu, ev, labels, k, order, sizes = _layout(n, pairs, b)
+    blocks = np.zeros((1 << len(pairs) - b, n + 1), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        for high, order, sizes, prod in _edge_subset_blocks(n, pairs, w):
+        # the products of the first block, each in increasing edge order
+        prod = np.empty(1 << b, dtype=np.complex128)
+        prod[0] = 1
+        for j in range(b):
+            np.multiply(prod[:1 << j], w[j], out=prod[1 << j:2 << j])
+        for high, block_k, block_prod in _walk(b, 0, labels, k, prod, b, eu, ev, w):
+            # the walk yields the first block (high == 0) first, with the
+            # layout's counts; every later block sorts its own
+            if high:
+                order = np.argsort(block_k, kind="stable")
+                sizes = np.bincount(block_k, minlength=n + 1).tolist()
             # group the products by k, keeping mask order, and sum each
             # non-empty group with numpy's pairwise summation
-            grouped = prod[order]
+            grouped = block_prod[order]
             start = 0
             for c, size in enumerate(sizes):
                 if size:
@@ -217,8 +201,8 @@ def _induced_connected(n: int, edges) -> list[bool]:
     return out
 
 
-def _support_products(n: int, edges, one, lift) -> list:
-    """F(S) = prod over edges inside S of lift(w), for every vertex mask S.
+def _support_products(n: int, edges) -> list[complex]:
+    """F(S) = prod over edges inside S of (1 + w), for every vertex mask S.
 
     Each mask extends the mask without its lowest vertex a by the factors
     of the edges joining a to the rest, so every edge factor is used once.
@@ -226,8 +210,8 @@ def _support_products(n: int, edges, one, lift) -> list:
     by_low: list[list] = [[] for _ in range(n)]
     for u, v, w in edges:
         a, b = (u, v) if u < v else (v, u)
-        by_low[a].append((b, lift(w)))
-    f = [one] * (1 << n)
+        by_low[a].append((b, 1.0 + w))
+    f = [1.0 + 0j] * (1 << n)
     for s in range(1, 1 << n):
         low = s & -s
         rest = s ^ low
@@ -260,7 +244,7 @@ def _float_table(n: int, edges, conn: list[bool]) -> list[complex] | None:
     non-finite weights) is returned as it is, since no comparison flags
     NaN; connected_by_support rejects it.
     """
-    f = _support_products(n, edges, 1.0 + 0j, lambda w: 1.0 + w)
+    f = _support_products(n, edges)
     a_f = [abs(x) for x in f]
     rel_f = len(edges) * (_U + _MUL)
     c = [0j] * (1 << n)

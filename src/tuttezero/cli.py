@@ -148,10 +148,17 @@ def _cmd_constants(args) -> int:
 # The sweeps import verify (and through it penrose, polymer, counting and
 # families) only when they run, so a cold `analyze` never loads them.
 
+def _sweep_cap(args) -> int | None:
+    """--max-vertices of a sweep, capped at the atlas before any sweep runs."""
+    from .families import ATLAS_MAX_VERTICES
+
+    return _cap(args.max_vertices, "--max-vertices", ATLAS_MAX_VERTICES)
+
+
 def _cmd_verify_penrose(args) -> int:
     from .verify import verify_penrose_chains, verify_penrose_partition
 
-    mv = _cap(args.max_vertices, "--max-vertices", HARD_MAX_VERTICES)
+    mv = _sweep_cap(args)
     results = [
         verify_penrose_partition(mv or 6),
         verify_penrose_chains(min(mv or 5, 5), draws=100, seed=args.seed),
@@ -168,7 +175,7 @@ def _cmd_verify_inequalities(args) -> int:
         verify_parallel_reduction,
     )
 
-    mv = _cap(args.max_vertices, "--max-vertices", HARD_MAX_VERTICES)
+    mv = _sweep_cap(args)
     results = [
         verify_constants(),
         verify_f_routes(),
@@ -182,7 +189,7 @@ def _cmd_verify_inequalities(args) -> int:
 def _cmd_verify_polymer(args) -> int:
     from .verify import verify_gkfp_pair, verify_polymer_identity
 
-    mv = _cap(args.max_vertices, "--max-vertices", HARD_MAX_VERTICES)
+    mv = _sweep_cap(args)
     results = [
         verify_polymer_identity(mv or 7, min(mv or 4, 4), seed=args.seed),
         verify_gkfp_pair(),

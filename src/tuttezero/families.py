@@ -79,6 +79,9 @@ def grid_graph(rows: int, cols: int, w: Weight = 1.0) -> WeightedGraph:
 
 Structure = tuple[int, tuple[tuple[int, int], ...]]
 
+# Largest vertex count of the shipped atlas table, and so of the simple corpus
+ATLAS_MAX_VERTICES = 7
+
 # Largest number of parallel copies of one edge in the multigraph corpus
 MAX_MULTIPLICITY = 3
 
@@ -92,8 +95,8 @@ def connected_simple_structures(max_n: int) -> tuple[Structure, ...]:
     in `_atlas`; atlas order, vertices 0..n-1, edges sorted.  The corpus is
     built once per argument and shared, so it is immutable.
     """
-    if not (1 <= max_n <= 7):
-        raise OutOfDomain(f"atlas covers 1..7 vertices, got {max_n}")
+    if not (1 <= max_n <= ATLAS_MAX_VERTICES):
+        raise OutOfDomain(f"atlas covers 1..{ATLAS_MAX_VERTICES} vertices, got {max_n}")
     out = []
     # the atlas is ordered by vertex count, so the corpus is a prefix of it
     for token in CONNECTED.split():

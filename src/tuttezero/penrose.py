@@ -51,8 +51,7 @@ class PartitionReport:
 
 
 def _require_connected(g: WeightedGraph) -> None:
-    pairs = [(u, v) for u, v, _ in g.edges]
-    if component_count(g.n, pairs, (1 << g.m) - 1) != 1:
+    if component_count(g.n, [(u, v) for u, v, _ in g.edges], (1 << g.m) - 1) != 1:
         raise Disconnected(f"graph with {g.n} vertices is not connected")
 
 
@@ -60,7 +59,7 @@ def enumerate_spanning_trees(g: WeightedGraph) -> list[int]:
     """All spanning trees as edge bitmasks; the graph must be connected."""
     _check_size(g)
     _require_connected(g)
-    return spanning_tree_masks(g.n, [(u, v) for u, v, _ in g.edges])
+    return list(spanning_tree_masks(g.n, tuple([(u, v) for u, v, _ in g.edges])))
 
 
 def _tree_layering(g: WeightedGraph, tree_mask: int, root: int):

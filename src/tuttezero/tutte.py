@@ -26,7 +26,9 @@ The connected values of all induced subgraphs at once
 (connected_by_support) come instead from a recursion over vertex
 subsets, guarded against cancellation by a rounding bound and an exact
 rational fallback; it keeps every edge and stays independent of Z_G, so
-the polymer identity checks one route against the other.
+the polymer identity checks one route against the other.  One union-find,
+_classes, answers every connectivity question here: k(A) and k(E+), the
+bridges and the core's vertex classes, and which n - 1 edges form a tree.
 """
 
 from __future__ import annotations
@@ -62,6 +64,30 @@ def _check_size(g: WeightedGraph) -> None:
         raise TooLarge(f"{g.m} edges exceeds the enumeration cap of {MAX_ENUM_EDGES}")
 
 
+def _classes(n: int, pairs) -> tuple[list[int], list[int]]:
+    """Union-find over the pairs, joined in order.
+
+    Returns the parent list and the indices of the pairs that joined two
+    classes.  The lower root becomes the root of a join, so the root of
+    a class is its lowest vertex and parent[x] <= x.  The joining pairs
+    form a spanning forest, so there are n minus its length classes.
+    """
+    parent = list(range(n))
+    forest = []
+    for i, (u, v) in enumerate(pairs):
+        while parent[u] != u:
+            u = parent[u]
+        while parent[v] != v:
+            v = parent[v]
+        if u < v:
+            parent[v] = u
+            forest.append(i)
+        elif v < u:
+            parent[u] = v
+            forest.append(i)
+    return parent, forest
+
+
 @functools.lru_cache(maxsize=4096)
 def _bridge_split(n: int, pairs: tuple[tuple[int, int], ...]):
     """The bridges of a simple graph, and its core: every bridge contracted.
@@ -70,26 +96,19 @@ def _bridge_split(n: int, pairs: tuple[tuple[int, int], ...]):
     other edge its index and its endpoints in the core, in edge order, and
     the core's endpoint pairs as one tuple (pairs itself when there is no
     bridge), which the edge engine takes as its structure key.  An edge is
-    a bridge when deleting it adds a component.  Contracting a bridge
-    makes no loop and, since a bridge lies on no cycle, no parallel edge
-    either, so the core is simple.  Core vertices are numbered in the
-    order of their lowest original vertex, which keeps a bridgeless graph
-    exactly as it is.  Memoized on the structure, as the sweeps revisit
-    it once per weight draw.
+    a bridge when deleting it adds a component; only an edge of a
+    spanning forest can, since any other edge closes a cycle.  Contracting
+    a bridge makes no loop and, since a bridge lies on no cycle, no
+    parallel edge either, so the core is simple.  Core vertices are
+    numbered in the order of their lowest original vertex, which keeps a
+    bridgeless graph exactly as it is.  Memoized on the structure, as the
+    sweeps revisit it once per weight draw.
     """
-    full = (1 << len(pairs)) - 1
-    k = component_count(n, pairs, full)
-    bridges = tuple(i for i in range(len(pairs))
-                    if component_count(n, pairs, full ^ 1 << i) > k)
-    parent = list(range(n))
-    for i in bridges:
-        u, v = pairs[i]
-        while parent[u] != u:
-            u = parent[u]
-        while parent[v] != v:
-            v = parent[v]
-        parent[max(u, v)] = min(u, v)
-    # the root of a class is its lowest vertex, and parent[x] <= x
+    _, forest = _classes(n, pairs)
+    bridges = tuple(i for i in forest
+                    if len(_classes(n, pairs[:i] + pairs[i + 1:])[1]) < len(forest))
+    parent, _ = _classes(n, [pairs[i] for i in bridges])
+    # parent[x] < x off the roots, so one ascending pass labels every class
     label = [0] * n
     core_n = 0
     for x in range(n):
@@ -190,81 +209,36 @@ def connected_by_support(g: WeightedGraph) -> dict[int, complex]:
 
 
 @functools.lru_cache(maxsize=4096)
-def _spanning_tree_masks_cached(n: int, edge_pairs: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
-    m = len(edge_pairs)
-    if n <= 1:
-        return (0,)
-    out = []
-    for combo in itertools.combinations(range(m), n - 1):
-        parent = list(range(n))
-        ok = True
-        for e in combo:
-            u, v = edge_pairs[e]
-            while parent[u] != u:
-                u = parent[u]
-            while parent[v] != v:
-                v = parent[v]
-            if u == v:
-                ok = False
-                break
-            parent[u] = v
-        if ok:
-            mask = 0
-            for e in combo:
-                mask |= 1 << e
-            out.append(mask)
-    return tuple(out)
-
-
-def spanning_tree_masks(n: int, edge_pairs) -> list[int]:
+def spanning_tree_masks(n: int, edge_pairs: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     """Bitmasks of all spanning trees (edge-index sets of size n-1).
 
-    Enumerates size-(n-1) edge combinations and keeps the acyclic
-    connected ones.  For n <= 1 the empty set is the single tree.
-    Results are memoized on the structure, which the sweep harnesses
-    revisit once per weight draw.
+    Enumerates size-(n-1) edge combinations and keeps those whose every
+    edge joins two classes.  For n <= 1 the empty set is the single tree.
+    Memoized on the structure, which the sweep harnesses revisit once per
+    weight draw.
     """
-    return list(_spanning_tree_masks_cached(n, tuple(tuple(p) for p in edge_pairs)))
+    if n <= 1:
+        return (0,)
+    # both enumerations run in the same lexicographic order
+    combos = zip(itertools.combinations(range(len(edge_pairs)), n - 1),
+                 itertools.combinations(edge_pairs, n - 1))
+    return tuple(sum(1 << e for e in combo) for combo, tree in combos
+                 if len(_classes(n, tree)[1]) == n - 1)
 
 
 def spanning_tree_gen_poly(g: WeightedGraph) -> complex:
     """T_G(w): sum of prod w_e over spanning trees of G (0 if disconnected)."""
     _check_size(g)
-    pairs = [(u, v) for u, v, _ in g.edges]
     w = g.weights()
     total = 0j
-    for mask in spanning_tree_masks(g.n, pairs):
-        pr = 1 + 0j
-        mm = mask
-        e = 0
-        while mm:
-            if mm & 1:
-                pr *= w[e]
-            mm >>= 1
-            e += 1
-        total += pr
+    for mask in spanning_tree_masks(g.n, tuple([(u, v) for u, v, _ in g.edges])):
+        total += math.prod((w[e] for e in range(g.m) if mask >> e & 1), start=1 + 0j)
     return total
 
 
-def component_count(n: int, edge_pairs: list[tuple[int, int]], mask: int) -> int:
+def component_count(n: int, edge_pairs, mask: int) -> int:
     """k(A) for the edge subset given as a bitmask over edge_pairs."""
-    parent = list(range(n))
-    k = n
-    e = 0
-    mm = mask
-    while mm:
-        if mm & 1:
-            u, v = edge_pairs[e]
-            while parent[u] != u:
-                u = parent[u]
-            while parent[v] != v:
-                v = parent[v]
-            if u != v:
-                parent[u] = v
-                k -= 1
-        mm >>= 1
-        e += 1
-    return k
+    return n - len(_classes(n, [p for i, p in enumerate(edge_pairs) if mask >> i & 1])[1])
 
 
 def nonzero_component_count(g: WeightedGraph) -> int:
@@ -274,6 +248,4 @@ def nonzero_component_count(g: WeightedGraph) -> int:
     higher one when weights cancel its next coefficients, so it is the
     multiplicity of the root q = 0 that the nonzero-weight edges force.
     """
-    pairs = [(u, v) for u, v, w in g.edges if w != 0]
-    mask = (1 << len(pairs)) - 1
-    return component_count(g.n, pairs, mask)
+    return g.n - len(_classes(g.n, [(u, v) for u, v, w in g.edges if w != 0])[1])

@@ -160,12 +160,12 @@ def _solve(c: list[complex]) -> list[complex]:
 def q_roots(g: WeightedGraph) -> tuple[list[complex], int]:
     """Roots other than the forced zeros, and the multiplicity of those.
 
-    The forced multiplicity at q = 0 is the component count of the
-    subgraph kept by the nonzero-weight edges, an exact integer.  Weights
-    can cancel further low coefficients exactly (the triangle with every
-    weight -3 has Z = q^3 - 9 q^2); each such coefficient is one more
-    root at 0, listed with the others, so the list always has n - mult
-    entries.  Both counts are read from Z_G.
+    The forced multiplicity mult at q = 0 is nonzero_component_count(g),
+    the component count of the nonzero-weight edges, an exact integer
+    read off the edges.  Weights can cancel further low coefficients
+    exactly (the triangle with every weight -3 has Z = q^3 - 9 q^2); each
+    such coefficient is one more root at 0, read from Z_G and listed with
+    the others, so the list always has n - mult entries.
 
     Z_G is the product of q + w_e over the bridges of the parallel-reduced
     graph and of the Z of its core, the graph with every bridge

@@ -443,6 +443,23 @@ def test_max_vertices_flag_validated(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["verify-penrose", "verify-inequalities", "verify-polymer"])
+def test_sweep_max_vertices_past_the_atlas_is_refused_before_any_sweep(
+        capsys, monkeypatch, command):
+    from tuttezero import verify
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    for name in dir(verify):
+        if name.startswith("verify_"):
+            monkeypatch.setattr(verify, name, forbidden)
+    code, out, err = run_cli(capsys, command, "--max-vertices", "8")
+    assert code == 2
+    assert out == ""
+    assert err == "tuttezero: error: --max-vertices must be in 1..7\n"
+
+
 def test_verify_penrose_small(capsys):
     code, out, _ = run_cli(capsys, "verify-penrose", "--max-vertices", "4")
     assert code == 0

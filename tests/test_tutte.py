@@ -1,5 +1,6 @@
 import cmath
 import gc
+import itertools
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from tuttezero import _kernels, families
 from tuttezero.families import cycle_one_heavy
 from tuttezero.graph import parallel_reduce
 from tuttezero.polymer import polymer_profile
-from tuttezero.tutte import component_count, spanning_tree_masks
+from tuttezero.tutte import _bridge_split, component_count, spanning_tree_masks
 from tuttezero.verify import verify_polymer_identity
 
 from conftest import (
@@ -487,6 +488,78 @@ def test_bridge_route_matches_oracle_and_engine_on_every_edge(corpus):
                 want = _kernels.z_coefficients(n, reduced)
                 assert z.tobytes() == want.tobytes(), (n, pairs)
     assert bridgeless > 0
+
+
+def _oracle_structures():
+    """The connected simple structures to 6 vertices, then seeded simple
+    graphs on 2-9 vertices, many with isolated vertices and several
+    components, with shuffled edges and endpoints."""
+    out = list(families.connected_simple_structures(6))
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        n = int(rng.integers(2, 10))
+        every = list(itertools.combinations(range(n), 2))
+        keep = [p for p in every if rng.random() < rng.uniform(0.05, 0.6)]
+        pairs = [(v, u) if rng.random() < 0.5 else (u, v)
+                 for u, v in (keep[i] for i in rng.permutation(len(keep)))]
+        out.append((n, tuple(pairs)))
+    return out
+
+
+def _nx_components(n, pairs):
+    import networkx as nx
+
+    g = nx.MultiGraph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(pairs)
+    return list(nx.connected_components(g))
+
+
+def test_bridge_split_matches_networkx():
+    # networkx is a test oracle only: its bridges, and the components of
+    # the bridge subgraph numbered by lowest vertex, must be the split's
+    import networkx as nx
+
+    seen = {"bridged": 0, "disconnected": 0, "isolated": 0}
+    for n, pairs in _oracle_structures():
+        bridges, core_n, core, core_pairs = _bridge_split(n, pairs)
+        g = nx.Graph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from(pairs)
+        want = {frozenset(e) for e in nx.bridges(g)}
+        assert bridges == tuple(i for i, p in enumerate(pairs) if frozenset(p) in want)
+        classes = sorted(_nx_components(n, [pairs[i] for i in bridges]), key=min)
+        label = {x: c for c, cls in enumerate(classes) for x in cls}
+        assert core_n == len(classes)
+        assert core == tuple((i, label[u], label[v])
+                             for i, (u, v) in enumerate(pairs) if i not in bridges)
+        assert core_pairs == (tuple((u, v) for _, u, v in core) if bridges else pairs)
+        seen["bridged"] += bool(bridges)
+        seen["disconnected"] += nx.number_connected_components(g) > 1
+        seen["isolated"] += nx.number_of_isolates(g) > 0
+    assert min(seen.values()) >= 50, seen
+
+
+def test_component_counts_match_networkx():
+    # parallel copies and zero weights on the same structures: k(A) for
+    # the whole edge set and for a random subset, and k(E+), against the
+    # components of the networkx multigraph
+    rng = np.random.default_rng(4)
+    for n, pairs in _oracle_structures():
+        edges = []
+        for u, v in pairs:
+            for _ in range(int(rng.integers(1, 4))):
+                w = 0j if rng.random() < 0.3 else complex(rng.normal(), rng.normal())
+                edges.append((u, v, w))
+        g = build_graph(range(n), edges)
+        epairs = [(u, v) for u, v, _ in g.edges]
+        full = (1 << g.m) - 1
+        mask = sum(1 << i for i in range(g.m) if rng.random() < 0.5)
+        for m in (full, mask):
+            chosen = [p for i, p in enumerate(epairs) if m >> i & 1]
+            assert component_count(n, epairs, m) == len(_nx_components(n, chosen))
+        nonzero = [(u, v) for u, v, w in g.edges if w != 0]
+        assert nonzero_component_count(g) == len(_nx_components(n, nonzero))
 
 
 def _bits(table):
