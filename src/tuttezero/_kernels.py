@@ -12,8 +12,11 @@ in a per-mask loop.
 
 What does not depend on the weights (the vertex labels and component
 counts of the first block, and the order that groups its masks by
-component count) is built once per edge structure and kept in a small
-cache, since a sweep draws several weightings of one structure in a row.
+component count) is built once per edge structure and cached.  The
+sweeps revisit a structure once per weight regime, after every other
+structure of their corpus, so the cache holds 64 of them; an entry takes
+at most about 60 KB, and needs no labels when every edge lies in the
+first block.
 A join relabels the class of v with the label of u, which is the label of
 a vertex in u's class, so every class keeps the label of one of its own
 vertices.  The component count of a mask is therefore the number of
@@ -66,7 +69,7 @@ def _join(labels: np.ndarray, u: int, v: int) -> np.ndarray:
     return labels + (labels == b) * (a - b)
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=64)
 def _layout(n: int, pairs: tuple, b: int):
     """The weight-free part of the engine for one edge structure.
 
@@ -74,9 +77,21 @@ def _layout(n: int, pairs: tuple, b: int):
     first block (the masks over the first b edges) the vertex labels, the
     component counts k, the stable order that sorts k and the number of
     masks at each k.  k counts the vertices that keep their own label and
-    the n - |used| vertices no edge touches.  Cached per structure, since
-    a sweep draws several weightings of one structure in a row; the
-    arrays are read-only.
+    the n - |used| vertices no edge touches.  labels is None when b is
+    the number of edges, since only the walk over high edges reads it,
+    and order is held in the narrowest unsigned type that indexes 2^b
+    masks.  The arrays are read-only.
+
+    Cached per structure.  verify_zero_free loops regime, then structure,
+    then draw, so a structure comes back once per regime after every
+    other one of the corpus, and analyze-wide passes over its cores again
+    and again.  64 entries hold every core of the sweeps to 5 vertices and
+    of analyze-wide; the 99 cores to 6 vertices cycle past them.  At 12
+    vertices and 12 low edges an entry takes 60 KB (labels 48 KB, k 4 KB,
+    order 8 KB), so the cache is bounded by about 3.8 MB.  128 entries
+    would hold the 6-vertex corpus too, at twice the memory: the peak RSS
+    of verify_polymer_identity(7, 4, 20), 46.1 MB with 4 entries, is
+    48.5 MB with 64 and 51.1 MB with 128 (CPython 3.11, numpy 2.4).
     """
     used = sorted({x for p in pairs for x in p})
     index = {x: i for i, x in enumerate(used)}
@@ -88,26 +103,31 @@ def _layout(n: int, pairs: tuple, b: int):
         labels = np.concatenate([labels, _join(labels, eu[j], ev[j])], axis=1)
     count_type = np.min_scalar_type(n)
     k = (labels == own).sum(axis=0, dtype=count_type) + count_type.type(n - len(used))
-    order = np.argsort(k, kind="stable")
+    order = np.argsort(k, kind="stable").astype(np.min_scalar_type((1 << b) - 1))
     sizes = tuple(np.bincount(k, minlength=n + 1).tolist())
-    for a in (labels, k, order):
-        a.flags.writeable = False
+    k.flags.writeable = order.flags.writeable = False
+    if b < len(pairs):
+        labels.flags.writeable = False
+    else:
+        labels = None
     return eu, ev, labels, k, order, sizes
 
 
 def _walk(e, high, labels, k, prod, b, eu, ev, weights):
     """Yield (high, k, prod) for every choice of the edges from e on.
 
-    Depth first, without edge e before with it.  A module-level generator
-    that takes its arrays as arguments, so a call leaves no reference
-    cycle behind for the cyclic garbage collector.
+    Depth first, without edge e before with it.  Past the last edge no
+    label is read, so the last edge makes no join.  A module-level
+    generator that takes its arrays as arguments, so a call leaves no
+    reference cycle behind for the cyclic garbage collector.
     """
     if e == len(eu):
         yield high, k, prod
         return
     yield from _walk(e + 1, high, labels, k, prod, b, eu, ev, weights)
     joined = labels[eu[e]] != labels[ev[e]]
-    yield from _walk(e + 1, high | 1 << (e - b), _join(labels, eu[e], ev[e]), k - joined,
+    after = _join(labels, eu[e], ev[e]) if e + 1 < len(eu) else None
+    yield from _walk(e + 1, high | 1 << (e - b), after, k - joined,
                      prod * weights[e], b, eu, ev, weights)
 
 

@@ -24,7 +24,7 @@ from tuttezero.families import cycle_one_heavy
 from tuttezero.graph import parallel_reduce
 from tuttezero.polymer import polymer_profile
 from tuttezero.tutte import _bridge_split, component_count, spanning_tree_masks
-from tuttezero.verify import verify_polymer_identity
+from tuttezero.verify import verify_polymer_identity, verify_zero_free
 
 from conftest import (
     brute_connected_sum,
@@ -286,6 +286,76 @@ def test_layout_cache_stays_bounded():
     info = _kernels._layout.cache_info()
     assert info.maxsize is not None
     assert info.currsize <= info.maxsize
+
+
+def test_walk_makes_no_join_at_the_last_edge():
+    # K4 at BLOCK_BITS = 2: two joins build the layout, and the walk over
+    # the four high edges joins on the with-branch of every edge but the
+    # last, 2^0 + 2^1 + 2^2 = 7 times
+    k4 = [(u, v, 0.5 + 0.25j * u) for u in range(4) for v in range(u + 1, 4)]
+    calls = []
+    join = _kernels._join
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "BLOCK_BITS", 2)
+        mp.setattr(_kernels, "_join", lambda *a: calls.append(a) or join(*a))
+        _kernels._layout.cache_clear()
+        _kernels.z_coefficients(4, k4)
+    assert len(calls) == 2 + 7
+
+
+def _cores(structures):
+    """The distinct nonempty bridge-contracted cores, as layout keys."""
+    out = []
+    for n, pairs in structures:
+        _, core_n, core, core_pairs = _bridge_split(n, pairs)
+        if core and (core_n, core_pairs) not in out:
+            out.append((core_n, core_pairs))
+    return out
+
+
+def test_zero_free_sweep_builds_each_layout_once():
+    # the sweep loops regime, then structure, then draw: every structure
+    # comes back once per regime, so the cache must hold the whole corpus
+    _kernels._layout.cache_clear()
+    verify_zero_free(5, 2, seed=0)
+    first = _kernels._layout.cache_info().misses
+    assert first == len(_cores(families.connected_simple_structures(5))) == 20
+    verify_zero_free(5, 2, seed=0)
+    assert _kernels._layout.cache_info().misses == first
+
+
+def test_layout_cache_evicts_and_rebuilds_the_same_bits():
+    structures = families.connected_simple_structures(6)
+    assert len(_cores(structures)) > _kernels._layout.cache_info().maxsize
+
+    def z(n, pairs):
+        g = build_graph(range(n), [(u, v, 0.5 - 0.25j) for u, v in pairs])
+        return np.array(z_polynomial(g).coeffs).tobytes()
+
+    with_core = [(n, pairs) for n, pairs in structures if _bridge_split(n, pairs)[2]]
+    _kernels._layout.cache_clear()
+    first = [z(n, pairs) for n, pairs in with_core]
+    info = _kernels._layout.cache_info()
+    assert info.currsize == info.maxsize
+    # the first core was evicted, so its layout is built again
+    assert z(*with_core[0]) == first[0]
+    assert _kernels._layout.cache_info().misses == info.misses + 1
+
+
+def _layout_bytes(n, pairs):
+    _, _, labels, k, order, _ = _kernels._layout(n, pairs, min(_kernels.BLOCK_BITS, len(pairs)))
+    return labels, sum(a.nbytes for a in (labels, k, order) if a is not None)
+
+
+def test_layout_entry_size_is_bounded():
+    cycle = tuple((i, i + 1) for i in range(11)) + ((0, 11),)
+    chorded = cycle + ((0, 6), (2, 8), (3, 9), (4, 10))
+    # a byte per vertex and one for k per mask, two for order: 15 * 2^12
+    labels, size = _layout_bytes(12, chorded)
+    assert labels is not None and size <= 61_440
+    # every edge in the first block: no labels, k and order only
+    labels, size = _layout_bytes(12, cycle)
+    assert labels is None and size <= 12_288
 
 
 def _spanning_by_union_find(n, pairs):
