@@ -9,7 +9,7 @@ neither sees the other's modules.  Z splits off every bridge of the
 parallel-reduced graph as a factor q + w_e, so only bridgeless graphs
 keep the engine's exact bits; graphs with a bridge may move in the last
 bits.  Roots are polished by Newton steps that stop at the rounding
-floor of Horner's rule, so every root may move in the last bits.  Four
+floor of Horner's rule, so every root may move in the last bits.  Five
 parts:
 
 1. Byte-compared stdout and exit code of `verify-polymer`,
@@ -35,6 +35,12 @@ parts:
    at each seed, without elapsed, with a fault injected so that the
    failure path runs: polymer_profile scaled by 1 + 1e-6 on 4-vertex
    graphs.
+
+5. Bit-compared PenroseBounds fields at every root and T_G of the
+   connected simple structures to 5 vertices and the connected
+   multigraph structures to 3, three mixed draws each from
+   default_rng(0).  verify-penrose prints pass counts only, so this is
+   the part that sees a chain value move.
 
 Prints one line per item and a JSON summary last; exits 1 if a part that
 must be identical is not, if a flag or exit status moves, or if a root
@@ -100,6 +106,29 @@ for seed in range(int(sys.argv[1])):
     r = verify.verify_polymer_identity(4, 0, n_q=5, seed=seed)
     del r["elapsed"]
     print(json.dumps(r, sort_keys=True))
+"""
+
+PENROSE_DUMP = """
+from dataclasses import astuple
+import numpy as np
+from tuttezero import TutteZeroError, extended_penrose_bounds, families, spanning_tree_gen_poly
+
+def bits(x):
+    return x.hex() if isinstance(x, float) else repr(x)
+
+rng = np.random.default_rng(0)
+for n, pairs in (families.connected_simple_structures(5)
+                 + families.connected_multigraph_structures(3)):
+    for _ in range(3):
+        g = families.weighted((n, pairs), families.sample_weights(len(pairs), "mixed", rng))
+        t = spanning_tree_gen_poly(g)
+        out = [f"{t.real.hex()},{t.imag.hex()}"]
+        for x in range(n):
+            try:
+                out.append(" ".join(map(bits, astuple(extended_penrose_bounds(g, x)))))
+            except TutteZeroError as exc:
+                out.append(type(exc).__name__)
+        print(" | ".join(out))
 """
 
 # each example's report is matched to the graph that analyze was called on
@@ -340,6 +369,14 @@ def main() -> int:
                 for side, tree in trees.items()}
         same = runs["parent"] == runs["change"] and runs["change"][0] == 0
         label = f"verify_polymer_identity with a faulted profile ({args.seeds} seeds)"
+        summary["identical"][label] = same
+        print(f"{'same' if same else 'DIFF'}  {label}", flush=True)
+
+        script = work / "penrose_dump.py"
+        script.write_text(PENROSE_DUMP)
+        runs = {side: _run(tree, [str(script)], work) for side, tree in trees.items()}
+        same = runs["parent"] == runs["change"] and runs["change"][0] == 0
+        label = f"PenroseBounds and T_G bits ({len(runs['change'][1].splitlines())} graphs)"
         summary["identical"][label] = same
         print(f"{'same' if same else 'DIFF'}  {label}", flush=True)
 

@@ -260,9 +260,10 @@ def _float_table(n: int, edges, conn: list[bool]) -> list[complex] | None:
     propagated from the errors of the C(T) and F(S minus T) it is built
     from plus one rounding per product and per subtraction.  The moduli
     in the bound are never subtracted, so cancellation in C(S) shows as a
-    bound large against |C(S)|.  A non-finite table (overflow or
-    non-finite weights) is returned as it is, since no comparison flags
-    NaN; connected_by_support rejects it.
+    bound large against |C(S)|.  A table with a non-finite entry (a
+    product that overflows) is returned as it is, since no comparison
+    flags NaN, and abs() raises OverflowError on finite parts whose
+    modulus overflows; connected_by_support turns both into OutOfDomain.
     """
     f = _support_products(n, edges)
     a_f = [abs(x) for x in f]
@@ -359,18 +360,19 @@ def connected_by_support(n: int, edges) -> np.ndarray:
     heavy and light weights mix, so the float pass carries a rounding
     bound per mask; if any bound exceeds CANCEL_TOL times |C(S)|, the
     table is recomputed in exact scaled-integer arithmetic.  Raises
-    OutOfDomain when a value does not fit in floating point.
+    OutOfDomain when a value, or its modulus, does not fit in floating
+    point.
     """
     conn = _induced_connected(n, edges)
-    table = _float_table(n, edges, conn)
-    if table is None:
-        try:
+    try:
+        table = _float_table(n, edges, conn)
+        if table is None:
             table = _exact_table(n, edges, conn)
-        except OverflowError:
-            raise OutOfDomain(_TABLE_OVERFLOW) from None
+    except OverflowError:
+        raise OutOfDomain(_TABLE_OVERFLOW) from None
     for v in range(n):
         table[1 << v] = 0j
     out = np.asarray(table, dtype=np.complex128)
-    if not np.isfinite(out).all():
+    if not np.isfinite(np.abs(out)).all():
         raise OutOfDomain(_TABLE_OVERFLOW)
     return out

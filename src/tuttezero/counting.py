@@ -87,7 +87,10 @@ def counting_bound_sokal(delta: float, m: int) -> float:
         raise OutOfDomain(f"delta must be >= 0, got {delta}")
     if m < 0:
         raise OutOfDomain(f"m must be >= 0, got {m}")
-    return cmk(m, 1.0) * delta ** m
+    try:
+        return cmk(m, 1.0) * delta ** m
+    except OverflowError:
+        raise OutOfDomain(f"delta^{m} does not fit in floating point at delta = {delta}") from None
 
 
 def counting_bound_rooted(d: float, big_d: float, m: int) -> float:
@@ -98,13 +101,16 @@ def counting_bound_rooted(d: float, big_d: float, m: int) -> float:
         raise OutOfDomain(f"m must be >= 0, got {m}")
     if m == 0:
         return 1.0
-    if m <= 20:
-        return d * (d + m * big_d) ** (m - 1) / math.factorial(m)
-    if d == 0.0:
-        return 0.0
-    return math.exp(
-        math.log(d) + (m - 1) * math.log(d + m * big_d) - math.lgamma(m + 1)
-    )
+    try:
+        if m <= 20:
+            return d * (d + m * big_d) ** (m - 1) / math.factorial(m)
+        if d == 0.0:
+            return 0.0
+        return math.exp(
+            math.log(d) + (m - 1) * math.log(d + m * big_d) - math.lgamma(m + 1)
+        )
+    except OverflowError:
+        raise OutOfDomain(f"the rooted bound at m = {m} does not fit in floating point") from None
 
 
 def cmk(m: int, kappa: float) -> float:
@@ -113,13 +119,14 @@ def cmk(m: int, kappa: float) -> float:
         raise OutOfDomain(f"m must be >= 0, got {m}")
     if m == 0:
         return 1.0
-    if m <= 20:
+    try:
+        if m > 20 and kappa > 0 and m + kappa > 0:
+            return math.exp(
+                math.log(kappa) + (m - 1) * math.log(m + kappa) - math.lgamma(m + 1)
+            )
         return kappa * (m + kappa) ** (m - 1) / math.factorial(m)
-    if kappa > 0 and m + kappa > 0:
-        return math.exp(
-            math.log(kappa) + (m - 1) * math.log(m + kappa) - math.lgamma(m + 1)
-        )
-    return kappa * (m + kappa) ** (m - 1) / math.factorial(m)
+    except OverflowError:
+        raise OutOfDomain(f"C({m}, {kappa}) does not fit in floating point") from None
 
 
 def _compositions(total: int, parts: int):

@@ -42,6 +42,9 @@ class WeightedGraph:
     vertices holds arbitrary hashable labels; edges are (u, v, w) triples
     with 0-based endpoint indices into the vertex tuple.  Edge order is
     preserved from construction and is part of the graph's identity.
+    Every way of making a graph checks its edges here: a bad endpoint
+    raises BadIndex, a loop LoopEdge, and a weight of non-finite modulus
+    (a NaN or infinite part, or finite parts too large) NonFiniteWeight.
     """
 
     vertices: tuple
@@ -49,11 +52,14 @@ class WeightedGraph:
 
     def __post_init__(self):
         n = len(self.vertices)
-        for u, v, _ in self.edges:
+        for i, (u, v, w) in enumerate(self.edges):
             if not (0 <= u < n and 0 <= v < n):
                 raise BadIndex(f"edge endpoint out of range: ({u}, {v}) with {n} vertices")
             if u == v:
                 raise LoopEdge(f"loop at vertex {u} is not allowed")
+            # hypot, unlike abs, gives inf rather than raising on overflow
+            if not math.isfinite(math.hypot(w.real, w.imag)):
+                raise NonFiniteWeight(f"edge {i} has weight {w} of non-finite modulus")
 
     @property
     def n(self) -> int:
@@ -98,15 +104,9 @@ def build_graph(vertex_labels: Sequence, edge_list: Iterable[tuple]) -> Weighted
     """Validate and construct a WeightedGraph.
 
     edge_list items are (u, v, w) with integer endpoints and a weight
-    convertible to complex.  Loops raise LoopEdge, bad endpoints BadIndex,
-    and a weight whose modulus is not finite (a NaN or infinite part, or
-    finite parts whose modulus overflows) NonFiniteWeight.
+    convertible to complex; WeightedGraph checks the edges.
     """
     edges = tuple((int(u), int(v), complex(w)) for u, v, w in edge_list)
-    for i, (_, _, w) in enumerate(edges):
-        # hypot, unlike abs, gives inf rather than raising on overflow
-        if not math.isfinite(math.hypot(w.real, w.imag)):
-            raise NonFiniteWeight(f"edge {i} has weight {w} of non-finite modulus")
     return WeightedGraph(tuple(vertex_labels), edges)
 
 

@@ -11,19 +11,24 @@ exhaustive, and the resulting identity
     C_H(w) = sum over trees of  prod_T w_e * prod_{R(T) \\ T} (1 + w_e)
 
 is the engine behind every tree-sum bound in this package.
+
+extended_penrose_bounds majorizes |C_H(w)| by tree sums at damped moduli,
+which the loop behind spanning_tree_gen_poly takes as a plain list.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .errors import BadIndex, Disconnected, NotATree, NotSimple
-from .graph import EdgeModuli, WeightedGraph, _damped, degree_quantities, edge_moduli
+from . import _kernels
+from .errors import BadIndex, Disconnected, NotATree, NotSimple, OutOfDomain
+from .graph import WeightedGraph, _damped, degree_quantities, edge_moduli
 from .tutte import (
     _check_size,
+    _tree_sum,
     component_count,
     connected_gen_poly,
-    spanning_tree_gen_poly,
     spanning_tree_masks,
 )
 
@@ -130,12 +135,14 @@ def verify_partition(g: WeightedGraph, root: int = 0) -> PartitionReport:
     the visits.  Each element contains a spanning tree, so it is itself
     connected and spanning; the intervals cover when the distinct
     elements number as many as the connected spanning sets.  That count
-    is C_G at unit weights, a sum of ones exact in binary64.
+    is C_G at unit weights, the q^1 coefficient of the edge engine's Z at
+    those weights: a sum of ones, exact in binary64.
     """
     if not g.is_simple:
         raise NotSimple("interval construction needs a simple graph")
     trees = enumerate_spanning_trees(g)
-    connected_count = int(connected_gen_poly(g.with_weights([1.0] * g.m)).real)
+    unit = [(u, v, 1.0) for u, v, _ in g.edges]
+    connected_count = int(_kernels.z_coefficients(g.n, unit)[1].real)
     seen: set[int] = set()
     sizes = []
     clear = True
@@ -201,10 +208,10 @@ class PenroseBounds:
     lhs: float
     rhs_damped_prod: float
     rhs_damped_psi: float
-    rhs_root_raw_prod: float | None
-    rhs_root_raw_psi: float | None
-    rhs_root_half_psi: float | None
-    rhs_undamped_psi: float | None
+    rhs_root_raw_prod: float | None = None
+    rhs_root_raw_psi: float | None = None
+    rhs_root_half_psi: float | None = None
+    rhs_undamped_psi: float | None = None
 
     def chain_all(self) -> tuple[float, ...]:
         return (self.lhs, self.rhs_damped_prod, self.rhs_damped_psi)
@@ -221,73 +228,48 @@ class PenroseBounds:
         )
 
 
-def _damped_tree_sum(g: WeightedGraph, mods: EdgeModuli, x: int,
-                     e_root: float, e_rest: float) -> float:
-    """|T_G| at the weights min(|w|, |w|/|1+w|^e), with e = e_root on the
-    edges at x and e = e_rest on every other edge.
-
-    mods is edge_moduli(g).  e = 0 keeps the raw modulus |w|.
-    """
-    ws = [_damped(aw, a1, e_root if x in (u, v) else e_rest) for u, v, aw, a1 in mods]
-    return abs(spanning_tree_gen_poly(g.with_weights(ws)))
-
-
 def extended_penrose_bounds(g: WeightedGraph, x: int = 0) -> PenroseBounds:
     """Evaluate both bound chains for the connected generating value.
 
     The root-sensitive chain entries are None when g has parallel edges,
-    where only the damped chain applies.
+    where only the damped chain applies.  A power of psi beyond the
+    float range raises OutOfDomain.
     """
     if not (0 <= x < g.n):
         raise BadIndex(f"root {x} outside 0..{g.n - 1}")
     _require_connected(g)
     n = g.n
     mods = edge_moduli(g)
-    deg = degree_quantities(g, mods)
-    psi = deg.psi
-    lhs = abs(connected_gen_poly(g))
-
+    psi = degree_quantities(g, mods).psi
+    try:
+        psi_half_n, psi_half_nm1 = psi ** (n / 2.0), psi ** ((n - 1) / 2.0)
+    except OverflowError:
+        raise OutOfDomain(f"psi^({n}/2) does not fit in floating point at psi = {psi}") from None
+    at_x = [x in (u, v) for u, v, _, _ in mods]
     amp = [max(1.0, a1) for _, _, _, a1 in mods]
-    prod_all = 1.0
-    for a in amp:
-        prod_all *= a
 
-    t_prime = _damped_tree_sum(g, mods, x, 1.0, 1.0)
-    rhs_damped_prod = t_prime * prod_all
-    rhs_damped_psi = t_prime * psi ** (n / 2.0)
+    def tree_sum(e_root: float, e_rest: float) -> float:
+        """|T_G| at the weights min(|w|, |w|/|1+w|^e), with e = e_root on
+        the edges at x and e = e_rest on every other edge; e = 0 keeps
+        the raw modulus |w|."""
+        return abs(_tree_sum(g, [_damped(aw, a1, e_root if r else e_rest)
+                                 for (_, _, aw, a1), r in zip(mods, at_x)]))
 
-    if not g.is_simple:
-        return PenroseBounds(
-            root=x,
-            lhs=lhs,
-            rhs_damped_prod=rhs_damped_prod,
-            rhs_damped_psi=rhs_damped_psi,
-            rhs_root_raw_prod=None,
-            rhs_root_raw_psi=None,
-            rhs_root_half_psi=None,
-            rhs_undamped_psi=None,
+    t_prime = tree_sum(1.0, 1.0)
+    rooted = {}
+    if g.is_simple:
+        t_double = tree_sum(0.0, 1.0)
+        root_half = math.prod(a ** 0.5 for a, r in zip(amp, at_x) if r)
+        rooted = dict(
+            rhs_root_raw_prod=t_double * math.prod(a for a, r in zip(amp, at_x) if not r),
+            rhs_root_raw_psi=t_double * psi_half_nm1 / root_half,
+            rhs_root_half_psi=tree_sum(0.5, 1.0) * psi_half_nm1,
+            rhs_undamped_psi=tree_sum(0.0, 0.0) * psi_half_nm1,
         )
-
-    prod_off_root = 1.0
-    prod_root_half = 1.0
-    for (u, v, _, _), a in zip(mods, amp):
-        if x in (u, v):
-            prod_root_half *= a ** 0.5
-        else:
-            prod_off_root *= a
-
-    t_double = _damped_tree_sum(g, mods, x, 0.0, 1.0)
-    t_tilde = _damped_tree_sum(g, mods, x, 0.5, 1.0)
-    t_abs = _damped_tree_sum(g, mods, x, 0.0, 0.0)
-    psi_half_nm1 = psi ** ((n - 1) / 2.0)
-
     return PenroseBounds(
         root=x,
-        lhs=lhs,
-        rhs_damped_prod=rhs_damped_prod,
-        rhs_damped_psi=rhs_damped_psi,
-        rhs_root_raw_prod=t_double * prod_off_root,
-        rhs_root_raw_psi=t_double * psi_half_nm1 / prod_root_half,
-        rhs_root_half_psi=t_tilde * psi_half_nm1,
-        rhs_undamped_psi=t_abs * psi_half_nm1,
+        lhs=abs(connected_gen_poly(g)),
+        rhs_damped_prod=t_prime * math.prod(amp),
+        rhs_damped_psi=t_prime * psi_half_n,
+        **rooted,
     )

@@ -228,8 +228,13 @@ def spanning_tree_masks(n: int, edge_pairs: tuple[tuple[int, int], ...]) -> tupl
 
 def spanning_tree_gen_poly(g: WeightedGraph) -> complex:
     """T_G(w): sum of prod w_e over spanning trees of G (0 if disconnected)."""
+    return _tree_sum(g, g.weights())
+
+
+def _tree_sum(g: WeightedGraph, w) -> complex:
+    """Sum over the spanning trees of g of prod w_e, for weights w given
+    one per edge in edge order: T_G, or a Penrose chain's damped moduli."""
     _check_size(g)
-    w = g.weights()
     total = 0j
     for mask in spanning_tree_masks(g.n, tuple([(u, v) for u, v, _ in g.edges])):
         total += math.prod((w[e] for e in range(g.m) if mask >> e & 1), start=1 + 0j)

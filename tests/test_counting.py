@@ -76,6 +76,21 @@ def test_c_m_input_validation(triangle):
         c_m_table(triangle, 0, -1)
 
 
+def test_cmk_overflow_is_typed():
+    with pytest.raises(OutOfDomain):
+        cmk(20, 1e20)
+
+
+def test_rooted_bound_overflow_is_typed():
+    with pytest.raises(OutOfDomain):
+        counting_bound_rooted(1e20, 1e20, 20)
+
+
+def test_sokal_bound_overflow_is_typed():
+    with pytest.raises(OutOfDomain):
+        counting_bound_sokal(1e20, 20)
+
+
 def test_cmk_small_values():
     assert cmk(0, 1.0) == 1.0
     assert cmk(1, 1.0) == 1.0

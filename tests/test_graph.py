@@ -12,6 +12,7 @@ from tuttezero import (
     DegenerateLambda,
     LoopEdge,
     NonFiniteWeight,
+    analyze,
     build_graph,
     degree_quantities,
     delta_prime_a,
@@ -22,6 +23,7 @@ from tuttezero import (
     parse_edge_lines,
 )
 from tuttezero.errors import OutOfDomain
+from tuttezero.families import cycle_graph, k2_parallel
 
 from conftest import dc_z_coeffs
 
@@ -45,6 +47,21 @@ def test_build_rejects_bad_endpoint():
 def test_build_rejects_non_finite_weight(w):
     with pytest.raises(NonFiniteWeight):
         build_graph(range(3), [(0, 1, 1.0), (1, 2, w)])
+
+
+@pytest.mark.parametrize("w", [float("nan"), complex(1.5e308, 1.5e308)])
+def test_with_weights_rejects_non_finite_weight(w):
+    with pytest.raises(NonFiniteWeight):
+        cycle_graph(4, 0.5).with_weights([w, 0.5, 0.5, 0.5])
+
+
+def test_parallel_reduce_rejects_overflowing_merge():
+    # 1e200 + 1e200 + 1e400 is inf; analyze refuses the class before it merges
+    g = k2_parallel(2, 1e200)
+    with pytest.raises(NonFiniteWeight):
+        parallel_reduce(g)
+    with pytest.raises(OutOfDomain):
+        analyze(g)
 
 
 def test_basic_attributes(triangle):

@@ -8,6 +8,8 @@ from tuttezero import (
     Disconnected,
     NotATree,
     NotSimple,
+    OutOfDomain,
+    PenroseBounds,
     TooLarge,
     build_graph,
     connected_gen_poly,
@@ -17,7 +19,16 @@ from tuttezero import (
     penrose_map,
     verify_partition,
 )
-from tuttezero.families import complete_graph, connected_simple_structures, cycle_graph
+from tuttezero.families import (
+    complete_graph,
+    connected_multigraph_structures,
+    connected_simple_structures,
+    cycle_graph,
+    sample_weights,
+    weighted,
+)
+
+from conftest import kirchhoff_tree_sum
 
 
 def _rand_graph(n, pairs, rng):
@@ -166,6 +177,60 @@ def test_bounds_start_at_connected_magnitude(rng):
     g = _rand_graph(n, pairs, rng)
     b = extended_penrose_bounds(g, 0)
     assert abs(b.lhs - abs(connected_gen_poly(g))) <= 1e-12 * max(1.0, b.lhs)
+
+
+def _damped_modulus(w, e):
+    """min(|w|, |w| / |1+w|^e) without dividing by zero."""
+    return abs(w) / max(1.0, abs(1 + w) ** e)
+
+
+def test_chain_tree_sums_against_kirchhoff():
+    # each chain entry, with its psi or amplification factor divided out,
+    # is a tree sum at damped moduli, which the matrix-tree theorem redoes
+    rng = np.random.default_rng(7)
+    for n, pairs in connected_simple_structures(5):
+        for _ in range(3):
+            g = weighted((n, pairs), sample_weights(len(pairs), "mixed", rng))
+            amp = [max(1.0, abs(1 + w)) for _, _, w in g.edges]
+            psi = max(math.prod(a for (u, v, _), a in zip(g.edges, amp) if y in (u, v))
+                      for y in range(n))
+            for x in range(n):
+                b = extended_penrose_bounds(g, x)
+
+                def oracle(e_root, e_rest):
+                    return kirchhoff_tree_sum(n, [
+                        (u, v, _damped_modulus(w, e_root if x in (u, v) else e_rest))
+                        for u, v, w in g.edges])
+
+                off_root = math.prod(a for (u, v, _), a in zip(g.edges, amp) if x not in (u, v))
+                for got, want in (
+                    (b.rhs_damped_prod / math.prod(amp), oracle(1.0, 1.0)),
+                    (b.rhs_root_raw_prod / off_root, oracle(0.0, 1.0)),
+                    (b.rhs_root_half_psi / psi ** ((n - 1) / 2), oracle(0.5, 1.0)),
+                    (b.rhs_undamped_psi / psi ** ((n - 1) / 2), oracle(0.0, 0.0)),
+                ):
+                    assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
+def test_multigraph_bounds_keep_the_damped_chain_only(rng):
+    for n, pairs in connected_multigraph_structures(3):
+        g = weighted((n, pairs), sample_weights(len(pairs), "mixed", rng))
+        for x in range(n):
+            b = extended_penrose_bounds(g, x)
+            # the root-sensitive fields are None by default
+            assert b == PenroseBounds(x, b.lhs, b.rhs_damped_prod, b.rhs_damped_psi)
+            assert b.chain_rooted() is None
+            assert b.lhs == abs(connected_gen_poly(g))
+            chain = b.chain_all()
+            for lo, hi in zip(chain, chain[1:]):
+                assert lo <= hi * (1 + 1e-9) + 1e-300
+
+
+def test_psi_overflow_is_typed():
+    # the star K1,3 with weights 1e100 has psi = 1e300, and psi^2 overflows
+    g = build_graph(range(4), [(0, 1, 1e100), (0, 2, 1e100), (0, 3, 1e100)])
+    with pytest.raises(OutOfDomain):
+        extended_penrose_bounds(g, 0)
 
 
 def test_partition_report_json(triangle):

@@ -22,7 +22,7 @@ from tuttezero import (
 from tuttezero import _kernels, families
 from tuttezero.families import cycle_one_heavy
 from tuttezero.graph import parallel_reduce
-from tuttezero.polymer import polymer_profile
+from tuttezero.polymer import polymer_profile, tutte_polymer_weights
 from tuttezero.tutte import _bridge_split, component_count, spanning_tree_masks
 from tuttezero.verify import verify_polymer_identity, verify_zero_free
 
@@ -503,6 +503,16 @@ def test_overflowing_support_table_rejected():
     g = build_graph(range(3), [(0, 1, 1e300 + 1e300j), (1, 2, 1e300), (0, 2, 1e-300)])
     with pytest.raises(OutOfDomain):
         connected_by_support(g)
+
+
+def test_support_table_modulus_overflow_is_typed():
+    # every F(S) has finite parts, but |F(V)| overflows: abs() in the
+    # float pass raised a bare OverflowError
+    g = build_graph(range(3), [(0, 1, 1e200), (1, 2, 1.5e108 + 1.5e108j)])
+    for call in (connected_by_support, polymer_profile,
+                 lambda g: tutte_polymer_weights(g, 2.0)):
+        with pytest.raises(OutOfDomain, match="connected-subgraph value overflows"):
+            call(g)
 
 
 def test_zero_weight_edges_do_not_count_for_divisibility():
