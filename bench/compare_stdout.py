@@ -9,18 +9,19 @@ neither sees the other's modules.  Z splits off every bridge of the
 parallel-reduced graph as a factor q + w_e, so only bridgeless graphs
 keep the engine's exact bits; graphs with a bridge may move in the last
 bits.  Roots are polished by Newton steps that stop at the rounding
-floor of Horner's rule, so every root may move in the last bits.  Five
+floor of Horner's rule, so every root may move in the last bits.  Six
 parts:
 
 1. Byte-compared stdout and exit code of `verify-polymer`,
-   `verify-inequalities` and `verify-penrose` at each seed.
+   `verify-inequalities` and `verify-penrose` at each seed, as JSON and
+   as CSV, and of `constants --format csv` at two parameter sets.
 2. Bit-compared z_polynomial coefficients of the bridgeless simple
    graphs among the analyze-wide inputs of seeds 0-39 and the connected
    simple structures to 6 vertices under mixed weights from
    default_rng(0).
 3. Outputs that may move in the last bits, in four groups:
    - analyze: `analyze` on the cli-analyze inputs of the seeds, every
-     graph as an edge list and as JSON;
+     graph as an edge list and as JSON, and with `--format csv`;
    - examples: `examples` as JSON and CSV, and the analyze report of
      every example graph;
    - z graphs: Z and the analyze roots of every part-2 graph, with a
@@ -41,6 +42,10 @@ parts:
    multigraph structures to 3, three mixed draws each from
    default_rng(0).  verify-penrose prints pass counts only, so this is
    the part that sees a chain value move.
+
+6. Bit-compared counting ceilings cmk(m, a), counting_bound_sokal(a, m)
+   and counting_bound_rooted(a, b, m) for m = 0..40 and a, b on a grid
+   from 0 to 1e3, where every value fits in floating point.
 
 Prints one line per item and a JSON summary last; exits 1 if a part that
 must be identical is not, if a flag or exit status moves, or if a root
@@ -129,6 +134,23 @@ for n, pairs in (families.connected_simple_structures(5)
             except TutteZeroError as exc:
                 out.append(type(exc).__name__)
         print(" | ".join(out))
+"""
+
+COUNTING_DUMP = """
+from tuttezero import TutteZeroError, cmk, counting_bound_rooted, counting_bound_sokal
+
+GRID = (0.0, 1e-3, 0.1, 0.5, 1.0, 2.5, 10.0, 100.0, 1e3)
+
+def bits(f, *args):
+    try:
+        return f(*args).hex()
+    except TutteZeroError as exc:
+        return type(exc).__name__
+
+for m in range(41):
+    print(m, " ".join(bits(cmk, m, a) for a in GRID), "|",
+          " ".join(bits(counting_bound_sokal, a, m) for a in GRID), "|",
+          " ".join(bits(counting_bound_rooted, a, b, m) for a in GRID for b in GRID))
 """
 
 # each example's report is matched to the graph that analyze was called on
@@ -292,15 +314,18 @@ def main() -> int:
     moved = {group: _Moved(oracle) for group in ("analyze", "examples", "z graphs", "multigraphs")}
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for seed in range(args.seeds):
-            for cmd in ("verify-polymer", "verify-inequalities", "verify-penrose"):
-                label = f"{cmd} seed {seed}"
-                out = {side: _cli(tree, [cmd, "--seed", str(seed)], work)
-                       for side, tree in trees.items()}
-                same = out["parent"] == out["change"]
-                summary["identical"][label] = same
-                print(f"{'same' if same else 'DIFF'}  exit {out['change'][0]}  {label}", flush=True)
-                _report_diff(summary, label, out)
+        byte_stable = [[cmd, "--seed", str(seed), *fmt]
+                       for seed in range(args.seeds) for fmt in ([], ["--format", "csv"])
+                       for cmd in ("verify-polymer", "verify-inequalities", "verify-penrose")]
+        byte_stable += [["constants", *p, "--format", "csv"]
+                        for p in ([], ["--psi", "2.5", "--lambda", "0.5", "--beta", "0.7"])]
+        for argv in byte_stable:
+            label = " ".join(argv)
+            out = {side: _cli(tree, argv, work) for side, tree in trees.items()}
+            same = out["parent"] == out["change"]
+            summary["identical"][label] = same
+            print(f"{'same' if same else 'DIFF'}  exit {out['change'][0]}  {label}", flush=True)
+            _report_diff(summary, label, out)
 
         for seed in range(args.seeds):
             for name, n, edges in inputs.cli_graphs(seed):
@@ -319,6 +344,13 @@ def main() -> int:
                     moved["analyze"].output(same)
                     moved["analyze"].add(label, n, edges, {
                         side: json.loads(text) for side, (code, text) in out.items() if code == 0})
+                    out = {side: _cli(tree, ["analyze", "--input", str(path), "--seed", str(seed),
+                                             "--format", "csv"], work)
+                           for side, tree in trees.items()}
+                    same = out["parent"] == out["change"]
+                    print(f"{'same' if same else 'moved'}  exit {out['change'][0]}  {label} csv",
+                          flush=True)
+                    moved["analyze"].output(same)
 
         for label, argv in (("examples json", ["examples"]),
                             ("examples csv", ["examples", "--format", "csv"])):
@@ -377,6 +409,14 @@ def main() -> int:
         runs = {side: _run(tree, [str(script)], work) for side, tree in trees.items()}
         same = runs["parent"] == runs["change"] and runs["change"][0] == 0
         label = f"PenroseBounds and T_G bits ({len(runs['change'][1].splitlines())} graphs)"
+        summary["identical"][label] = same
+        print(f"{'same' if same else 'DIFF'}  {label}", flush=True)
+
+        script = work / "counting_dump.py"
+        script.write_text(COUNTING_DUMP)
+        runs = {side: _run(tree, [str(script)], work) for side, tree in trees.items()}
+        same = runs["parent"] == runs["change"] and runs["change"][0] == 0
+        label = "counting ceiling bits (m = 0..40)"
         summary["identical"][label] = same
         print(f"{'same' if same else 'DIFF'}  {label}", flush=True)
 

@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BadLambda, NoConvergence, OutOfDomain
-from .graph import WeightedGraph, degree_quantities, delta_prime_a, edge_moduli
+from .graph import WeightedGraph, degree_quantities, delta_prime_a
 
 _E = math.e
 _SERIES_CAP = 5000
@@ -495,13 +495,12 @@ class BoundSet:
 def graph_bounds(g: WeightedGraph) -> BoundSet:
     """Evaluate every applicable zero-free disc radius for g.
 
-    The edge moduli |w| and |1+w| are taken once and shared by the degree
-    quantities, the subcritical test and the interpolated radii.  Raises
-    OutOfDomain when Kstar(psi) or a radius is not finite, where a disc
-    check would hold vacuously.
+    The degree quantities, the subcritical test and the interpolated radii
+    all read g.moduli, the edge moduli |w| and |1+w| that the graph
+    computes once.  Raises OutOfDomain when Kstar(psi) or a radius is not
+    finite, where a disc check would hold vacuously.
     """
-    mods = edge_moduli(g)
-    deg = degree_quantities(g, mods)
+    deg = degree_quantities(g)
     K = sokal_K()
     kpsi = kstar_psi(deg.psi)
     r_general = kpsi * deg.delta_prime
@@ -519,7 +518,7 @@ def graph_bounds(g: WeightedGraph) -> BoundSet:
         dprime = deg.delta_prime
 
         def radius_interpolated(a: float) -> float:
-            da = delta_prime_a(g, a, mods)
+            da = delta_prime_a(g, a)
             if da <= 0.0:
                 return 0.0
             lam_a = dprime / da
@@ -529,7 +528,7 @@ def graph_bounds(g: WeightedGraph) -> BoundSet:
 
         interp = radius_interpolated
 
-    subcrit = all(a1 <= 1.0 + 1e-12 for _, _, _, a1 in mods)
+    subcrit = all(a1 <= 1.0 + 1e-12 for _, _, _, a1 in g.moduli)
     r_subcritical = K * deg.delta if subcrit else None
     for name, x in (("kstar_psi", kpsi), ("radius_general", r_general),
                     ("radius_simple", r_simple), ("radius_subcritical", r_subcritical)):

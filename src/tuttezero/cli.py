@@ -37,35 +37,24 @@ def _emit_json(obj) -> None:
     sys.stdout.write(json.dumps(_strip_timing(obj), sort_keys=True, indent=2) + "\n")
 
 
-def _emit_kv_csv(obj: dict) -> None:
+def _emit_csv(header: list[str], rows) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["key", "value"])
-    flat = _strip_timing(obj)
-
-    def walk(prefix, value):
-        if isinstance(value, dict):
-            for k in sorted(value):
-                walk(f"{prefix}.{k}" if prefix else str(k), value[k])
-        elif isinstance(value, list):
-            writer.writerow([prefix, json.dumps(value, sort_keys=True)])
-        else:
-            writer.writerow([prefix, value])
-
-    walk("", flat)
+    writer.writerow(header)
+    writer.writerows(rows)
     sys.stdout.write(buf.getvalue())
 
 
-def _emit_harness_csv(results: list[dict]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["name", "passed", "checked", "failure_count", "failures"])
-    for r in results:
-        writer.writerow([
-            r["name"], r["passed"], r["checked"], r.get("failure_count", 0),
-            json.dumps(r.get("failures", [])),
-        ])
-    sys.stdout.write(buf.getvalue())
+def _kv_rows(prefix: str, value):
+    """(dotted key, value) rows of a JSON object, keys sorted at each level;
+    a list is one row, its value serialized as JSON."""
+    if isinstance(value, dict):
+        for k in sorted(value):
+            yield from _kv_rows(f"{prefix}.{k}" if prefix else str(k), value[k])
+    elif isinstance(value, list):
+        yield [prefix, json.dumps(value, sort_keys=True)]
+    else:
+        yield [prefix, value]
 
 
 def _cap(value: int | None, flag: str, hard: int) -> int | None:
@@ -83,7 +72,9 @@ def _finish_verify(results: list[dict], args) -> int:
     report = {"seed": args.seed, "results": results,
               "passed": all(r["passed"] for r in results)}
     if args.output_format == "csv":
-        _emit_harness_csv(results)
+        _emit_csv(["name", "passed", "checked", "failure_count", "failures"],
+                  ([r["name"], r["passed"], r["checked"], r.get("failure_count", 0),
+                    json.dumps(r.get("failures", []))] for r in results))
     else:
         _emit_json(report)
     return 0 if report["passed"] else 1
@@ -114,7 +105,7 @@ def _cmd_analyze(args) -> int:
         r = rep.bounds.radius_interpolated
         out["radius_interpolated_at_a"] = None if r is None else r(args.a)
     if args.output_format == "csv":
-        _emit_kv_csv(out)
+        _emit_csv(["key", "value"], _kv_rows("", _strip_timing(out)))
     else:
         _emit_json(out)
     return 0
@@ -139,7 +130,7 @@ def _cmd_constants(args) -> int:
         "g_ratio": g_ratio(args.lam) if args.lam > 0 else None,
     }
     if args.output_format == "csv":
-        _emit_kv_csv(out)
+        _emit_csv(["key", "value"], _kv_rows("", _strip_timing(out)))
     else:
         _emit_json(out)
     return 0
@@ -200,21 +191,17 @@ def _cmd_verify_polymer(args) -> int:
 def _cmd_examples(args) -> int:
     suite = example_suite(args.seed)
     if args.output_format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([
-            "name", "n", "m", "q_max", "radius_general", "radius_simple",
-            "general_disc_verified", "simple_disc_verified", "commentary",
-        ])
+        rows = []
         for rec in suite:
             rep = rec["report"]
-            writer.writerow([
+            rows.append([
                 rec["name"], rep["n"], rep["m"], rep["q_max"],
                 rep["bounds"]["radius_general"], rep["bounds"]["radius_simple"],
                 rep["general_disc_verified"], rep["simple_disc_verified"],
                 json.dumps(_strip_timing(rec["commentary"]), sort_keys=True),
             ])
-        sys.stdout.write(buf.getvalue())
+        _emit_csv(["name", "n", "m", "q_max", "radius_general", "radius_simple",
+                   "general_disc_verified", "simple_disc_verified", "commentary"], rows)
     else:
         _emit_json({"seed": args.seed, "examples": suite})
     return 0

@@ -81,52 +81,50 @@ def c_m_table(g: WeightedGraph, x: int, m_max: int) -> list[float]:
     return out
 
 
-def counting_bound_sokal(delta: float, m: int) -> float:
-    """(m+1)^{m-1}/m! * delta^m."""
-    if delta < 0:
-        raise OutOfDomain(f"delta must be >= 0, got {delta}")
+def _ceiling(a: float, b: float, m: int, delta: float = 1.0) -> float:
+    """a (a + m b)^{m-1} / m! * delta^m, the closed form of every ceiling
+    here: 1 at m = 0, and 0 at a = 0 for m > 0.
+
+    Past m = 20 a positive a goes through logarithms.  A value that is not
+    finite raises OutOfDomain, whether Python raises on the overflow or a
+    product rounds to inf, so no comparison with a ceiling holds vacuously.
+    """
     if m < 0:
         raise OutOfDomain(f"m must be >= 0, got {m}")
+    if m == 0:
+        return 1.0
+    if a == 0:
+        return 0.0
     try:
-        return cmk(m, 1.0) * delta ** m
+        if m > 20 and a > 0 and a + m * b > 0:
+            x = math.exp(math.log(a) + (m - 1) * math.log(a + m * b) - math.lgamma(m + 1))
+        else:
+            x = a * (a + m * b) ** (m - 1) / math.factorial(m)
+        x *= delta ** m
     except OverflowError:
-        raise OutOfDomain(f"delta^{m} does not fit in floating point at delta = {delta}") from None
+        x = math.inf
+    if not math.isfinite(x):
+        raise OutOfDomain(f"the ceiling at m = {m} does not fit in floating point")
+    return x
+
+
+def counting_bound_sokal(delta: float, m: int) -> float:
+    """(m+1)^{m-1}/m! * delta^m, that is C(m, 1) * delta^m."""
+    if delta < 0:
+        raise OutOfDomain(f"delta must be >= 0, got {delta}")
+    return _ceiling(1.0, 1.0, m, delta)
 
 
 def counting_bound_rooted(d: float, big_d: float, m: int) -> float:
     """d(d + m D)^{m-1}/m! with D the largest weighted degree off the root."""
     if d < 0 or big_d < 0:
         raise OutOfDomain("degrees must be >= 0")
-    if m < 0:
-        raise OutOfDomain(f"m must be >= 0, got {m}")
-    if m == 0:
-        return 1.0
-    try:
-        if m <= 20:
-            return d * (d + m * big_d) ** (m - 1) / math.factorial(m)
-        if d == 0.0:
-            return 0.0
-        return math.exp(
-            math.log(d) + (m - 1) * math.log(d + m * big_d) - math.lgamma(m + 1)
-        )
-    except OverflowError:
-        raise OutOfDomain(f"the rooted bound at m = {m} does not fit in floating point") from None
+    return _ceiling(d, big_d, m)
 
 
 def cmk(m: int, kappa: float) -> float:
     """C(m, kappa) = kappa (m + kappa)^{m-1} / m!, with C(0, kappa) = 1."""
-    if m < 0:
-        raise OutOfDomain(f"m must be >= 0, got {m}")
-    if m == 0:
-        return 1.0
-    try:
-        if m > 20 and kappa > 0 and m + kappa > 0:
-            return math.exp(
-                math.log(kappa) + (m - 1) * math.log(m + kappa) - math.lgamma(m + 1)
-            )
-        return kappa * (m + kappa) ** (m - 1) / math.factorial(m)
-    except OverflowError:
-        raise OutOfDomain(f"C({m}, {kappa}) does not fit in floating point") from None
+    return _ceiling(kappa, 1.0, m)
 
 
 def _compositions(total: int, parts: int):
@@ -159,10 +157,8 @@ def counting_recursion_rhs(g: WeightedGraph, x: int, m: int) -> float:
     root_edges = g.edges_at(x)
     tables: dict[int, list[float]] = {}
     total = 0.0
-    for f in range(1, len(root_edges) + 1):
+    for f in range(1, min(len(root_edges), m) + 1):
         for chosen in combinations(root_edges, f):
-            if f > m:
-                continue
             wprod = 1.0
             far = set()
             for i in chosen:

@@ -2,11 +2,16 @@
 
 A graph here is a finite loopless multigraph on vertices 0..n-1 with one
 complex weight per edge.  Instances are immutable; every operation returns
-a new graph.  Beyond construction and serialization this module provides
+a new graph.  Each graph computes once, on first use, what every layer
+reads of it: is_simple, pairs (the (u, v) endpoint pairs in edge order,
+the structure that the caches in tutte and _kernels are keyed on) and
+moduli ((u, v, |w|, |1+w|) in edge order, the only inputs of the disc
+radii and the Penrose majorants).  Beyond construction and serialization
+this module provides
 
 * the parallel-class reduction  w -> prod(1+w_i) - 1,
-* the edge moduli |w| and |1+w|, and the damped weights
-  min(|w|, |w|/|1+w|^e) built from them for the zero-free disc bounds,
+* the damped weights min(|w|, |w|/|1+w|^e) built from the moduli for the
+  zero-free disc bounds,
 * the degree-style quantities Delta, Delta', Delta~, Psi and their ratio.
 """
 
@@ -83,6 +88,20 @@ class WeightedGraph:
             seen.add(key)
         return True
 
+    @cached_property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The (u, v) endpoint pairs, in edge order."""
+        return tuple([(u, v) for u, v, _ in self.edges])
+
+    @cached_property
+    def moduli(self) -> tuple[tuple[int, int, float, float], ...]:
+        """(u, v, |w|, |1+w|) for every edge, in edge order.
+
+        Every degree-style quantity of the graph is a function of these
+        two moduli.
+        """
+        return tuple([(u, v, abs(w), abs(1 + w)) for u, v, w in self.edges])
+
     def weights(self) -> list[complex]:
         return [w for _, _, w in self.edges]
 
@@ -91,13 +110,6 @@ class WeightedGraph:
         if not (0 <= x < self.n):
             raise BadIndex(f"vertex {x} out of range")
         return [i for i, (u, v, _) in enumerate(self.edges) if u == x or v == x]
-
-    def with_weights(self, weights: Sequence[complex]) -> "WeightedGraph":
-        """Same structure, new weights (one per edge, in edge order)."""
-        if len(weights) != self.m:
-            raise BadIndex(f"expected {self.m} weights, got {len(weights)}")
-        new_edges = tuple((u, v, complex(w)) for (u, v, _), w in zip(self.edges, weights))
-        return WeightedGraph(self.vertices, new_edges)
 
 
 def build_graph(vertex_labels: Sequence, edge_list: Iterable[tuple]) -> WeightedGraph:
@@ -149,18 +161,6 @@ def _damped(aw: float, a1: float, exponent: float) -> float:
     return aw / d
 
 
-EdgeModuli = list[tuple[int, int, float, float]]
-
-
-def edge_moduli(g: WeightedGraph) -> EdgeModuli:
-    """(u, v, |w|, |1+w|) for every edge, in edge order.
-
-    Every degree-style quantity below is a function of these two moduli,
-    so a caller that needs several of them takes the moduli once.
-    """
-    return [(u, v, abs(w), abs(1 + w)) for u, v, w in g.edges]
-
-
 @dataclass(frozen=True)
 class DegreeReport:
     """Weighted-degree summary of a graph.
@@ -186,19 +186,19 @@ class DegreeReport:
         return self._lam
 
 
-def degree_quantities(g: WeightedGraph, moduli: EdgeModuli | None = None) -> DegreeReport:
-    """Compute Delta, Delta', Delta~, Psi and per-vertex strengths.
+def degree_quantities(g: WeightedGraph) -> DegreeReport:
+    """Compute Delta, Delta', Delta~, Psi and per-vertex strengths from
+    g.moduli.
 
-    moduli, if given, is edge_moduli(g).  An edgeless graph reports zeros
-    with Psi = 1 and an undefined lambda.  Always 1/sqrt(psi) <= lam <= 1
-    when lam is defined.
+    An edgeless graph reports zeros with Psi = 1 and an undefined lambda.
+    Always 1/sqrt(psi) <= lam <= 1 when lam is defined.
     """
     n = g.n
     s_raw = [0.0] * n
     s_prime = [0.0] * n
     s_tilde = [0.0] * n
     p_psi = [1.0] * n
-    for u, v, aw, a1 in edge_moduli(g) if moduli is None else moduli:
+    for u, v, aw, a1 in g.moduli:
         dp = _damped(aw, a1, 1.0)
         dt = _damped(aw, a1, 0.5)
         mx = a1 if a1 > 1.0 else 1.0
@@ -218,17 +218,17 @@ def degree_quantities(g: WeightedGraph, moduli: EdgeModuli | None = None) -> Deg
     return DegreeReport(delta, dprime, dtilde, psi, tuple(s_raw), lam)
 
 
-def delta_prime_a(g: WeightedGraph, a: float, moduli: EdgeModuli | None = None) -> float:
+def delta_prime_a(g: WeightedGraph, a: float) -> float:
     """Max vertex sum of min(|w|, |w|/|1+w|^(1-a/2)) over all edges.
 
     Interpolates between Delta' at a = 0 and Delta~ at a = 1, and is
-    nondecreasing in a.  moduli, if given, is edge_moduli(g).
+    nondecreasing in a.
     """
     if not (0.0 <= a <= 1.0):
         raise OutOfDomain(f"a must lie in [0, 1], got {a}")
     expo = 1.0 - a / 2.0
     s = [0.0] * g.n
-    for u, v, aw, a1 in edge_moduli(g) if moduli is None else moduli:
+    for u, v, aw, a1 in g.moduli:
         d = _damped(aw, a1, expo)
         s[u] += d
         s[v] += d

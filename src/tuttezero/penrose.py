@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from . import _kernels
 from .errors import BadIndex, Disconnected, NotATree, NotSimple, OutOfDomain
-from .graph import WeightedGraph, _damped, degree_quantities, edge_moduli
+from .graph import WeightedGraph, _damped, degree_quantities
 from .tutte import (
     _check_size,
     _tree_sum,
@@ -56,7 +56,7 @@ class PartitionReport:
 
 
 def _require_connected(g: WeightedGraph) -> None:
-    if component_count(g.n, [(u, v) for u, v, _ in g.edges], (1 << g.m) - 1) != 1:
+    if component_count(g.n, g.pairs, (1 << g.m) - 1) != 1:
         raise Disconnected(f"graph with {g.n} vertices is not connected")
 
 
@@ -64,7 +64,7 @@ def enumerate_spanning_trees(g: WeightedGraph) -> list[int]:
     """All spanning trees as edge bitmasks; the graph must be connected."""
     _check_size(g)
     _require_connected(g)
-    return list(spanning_tree_masks(g.n, tuple([(u, v) for u, v, _ in g.edges])))
+    return list(spanning_tree_masks(g.n, g.pairs))
 
 
 def _tree_layering(g: WeightedGraph, tree_mask: int, root: int):
@@ -142,7 +142,7 @@ def verify_partition(g: WeightedGraph, root: int = 0) -> PartitionReport:
         raise NotSimple("interval construction needs a simple graph")
     trees = enumerate_spanning_trees(g)
     unit = [(u, v, 1.0) for u, v, _ in g.edges]
-    connected_count = int(_kernels.z_coefficients(g.n, unit)[1].real)
+    connected_count = int(_kernels.z_coefficients(g.n, unit, g.pairs)[1].real)
     seen: set[int] = set()
     sizes = []
     clear = True
@@ -239,8 +239,8 @@ def extended_penrose_bounds(g: WeightedGraph, x: int = 0) -> PenroseBounds:
         raise BadIndex(f"root {x} outside 0..{g.n - 1}")
     _require_connected(g)
     n = g.n
-    mods = edge_moduli(g)
-    psi = degree_quantities(g, mods).psi
+    mods = g.moduli
+    psi = degree_quantities(g).psi
     try:
         psi_half_n, psi_half_nm1 = psi ** (n / 2.0), psi ** ((n - 1) / 2.0)
     except OverflowError:

@@ -153,8 +153,9 @@ def z_polynomial(g: WeightedGraph) -> QPolynomial:
             bound[pair] = bound.get(pair, 1.0) * (1.0 + abs(w))
         if not all(map(math.isfinite, bound.values())):
             raise OutOfDomain(_kernels.Z_OVERFLOW)
-    edges = parallel_reduce(g).edges
-    bridges, core_n, core, core_pairs = _bridge_split(g.n, tuple([(u, v) for u, v, _ in edges]))
+    reduced = parallel_reduce(g)
+    edges = reduced.edges
+    bridges, core_n, core, core_pairs = _bridge_split(g.n, reduced.pairs)
     if core:
         core_edges = [(u, v, edges[i][2]) for i, u, v in core] if bridges else edges
         core_z = tuple(_kernels.z_coefficients(core_n, core_edges, core_pairs).tolist())
@@ -236,7 +237,7 @@ def _tree_sum(g: WeightedGraph, w) -> complex:
     one per edge in edge order: T_G, or a Penrose chain's damped moduli."""
     _check_size(g)
     total = 0j
-    for mask in spanning_tree_masks(g.n, tuple([(u, v) for u, v, _ in g.edges])):
+    for mask in spanning_tree_masks(g.n, g.pairs):
         total += math.prod((w[e] for e in range(g.m) if mask >> e & 1), start=1 + 0j)
     return total
 

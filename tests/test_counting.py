@@ -76,19 +76,24 @@ def test_c_m_input_validation(triangle):
         c_m_table(triangle, 0, -1)
 
 
+# the second input of each overflows only in the last product, which rounds
+# to inf without Python raising
 def test_cmk_overflow_is_typed():
-    with pytest.raises(OutOfDomain):
-        cmk(20, 1e20)
+    for kappa in (1e20, 1e16):
+        with pytest.raises(OutOfDomain):
+            cmk(20, kappa)
 
 
 def test_rooted_bound_overflow_is_typed():
-    with pytest.raises(OutOfDomain):
-        counting_bound_rooted(1e20, 1e20, 20)
+    for d, big_d in ((1e20, 1e20), (1e16, 1e14)):
+        with pytest.raises(OutOfDomain):
+            counting_bound_rooted(d, big_d, 20)
 
 
 def test_sokal_bound_overflow_is_typed():
-    with pytest.raises(OutOfDomain):
-        counting_bound_sokal(1e20, 20)
+    for delta in (1e20, 2.5e15):
+        with pytest.raises(OutOfDomain):
+            counting_bound_sokal(delta, 20)
 
 
 def test_cmk_small_values():
@@ -96,6 +101,8 @@ def test_cmk_small_values():
     assert cmk(1, 1.0) == 1.0
     assert abs(cmk(2, 1.0) - 1.5) < 1e-15
     assert abs(cmk(3, 1.0) - 8.0 / 3.0) < 1e-14
+    # a zero leading factor gives 0 even where (m + kappa)^(m-1) overflows
+    assert cmk(200, 0.0) == counting_bound_rooted(0.0, 1e300, 20) == 0.0
     # kappa = 1 gives the Sokal coefficients (m+1)^(m-1)/m!
     for m in range(9):
         assert abs(cmk(m, 1.0) - (m + 1) ** (m - 1) / math.factorial(m)) < 1e-12 * cmk(m, 1.0)

@@ -23,7 +23,7 @@ from tuttezero import (
     parse_edge_lines,
 )
 from tuttezero.errors import OutOfDomain
-from tuttezero.families import cycle_graph, k2_parallel
+from tuttezero.families import k2_parallel
 
 from conftest import dc_z_coeffs
 
@@ -47,12 +47,6 @@ def test_build_rejects_bad_endpoint():
 def test_build_rejects_non_finite_weight(w):
     with pytest.raises(NonFiniteWeight):
         build_graph(range(3), [(0, 1, 1.0), (1, 2, w)])
-
-
-@pytest.mark.parametrize("w", [float("nan"), complex(1.5e308, 1.5e308)])
-def test_with_weights_rejects_non_finite_weight(w):
-    with pytest.raises(NonFiniteWeight):
-        cycle_graph(4, 0.5).with_weights([w, 0.5, 0.5, 0.5])
 
 
 def test_parallel_reduce_rejects_overflowing_merge():
@@ -106,6 +100,33 @@ def test_parallel_reduce_preserves_polynomial():
     a = dc_z_coeffs(3, [(u, v, w) for u, v, w in g.edges])
     b = dc_z_coeffs(3, [(u, v, w) for u, v, w in red.edges])
     assert np.allclose(a, b, rtol=1e-13, atol=1e-13)
+
+
+_MULTI = [(0, 1, 0.5 + 1j), (0, 1, -0.25 + 0.75j), (1, 2, 2 + 0j), (0, 2, 1j), (2, 3, -1.5 + 0j)]
+_LINES = "".join(f"{u} {v} {w.real!r} {w.imag!r}\n" for u, v, w in _MULTI)
+_CONSTRUCTORS = {
+    "build_graph": lambda: build_graph(range(4), _MULTI),
+    "graph_from_json": lambda: graph_from_json(graph_to_json(build_graph(range(4), _MULTI))),
+    "parse_edge_lines": lambda: parse_edge_lines(_LINES),
+    "parallel_reduce": lambda: parallel_reduce(build_graph(range(4), _MULTI)),
+    "induced_subgraph": lambda: induced_subgraph(build_graph(range(4), _MULTI), [0, 2, 3]),
+}
+
+
+@pytest.mark.parametrize("make", _CONSTRUCTORS.values(), ids=_CONSTRUCTORS.keys())
+def test_pairs_and_moduli_match_edges_and_are_cached(make):
+    g = make()
+    assert g.pairs == tuple((u, v) for u, v, _ in g.edges)
+    assert g.moduli == tuple((u, v, abs(w), abs(1 + w)) for u, v, w in g.edges)
+    assert g.pairs is g.pairs
+    assert g.moduli is g.moduli
+
+
+def test_degree_functions_read_the_graph_moduli(small_weighted):
+    with pytest.raises(TypeError):
+        degree_quantities(small_weighted, moduli=None)
+    with pytest.raises(TypeError):
+        delta_prime_a(small_weighted, 0.5, moduli=None)
 
 
 def test_weight_views_on_one_edge():

@@ -234,7 +234,7 @@ def test_roots_agree_with_mpmath_on_dense_graphs(rng):
     for n in (5, 6):
         for _ in range(5):
             weights = families.sample_weights(n * (n - 1) // 2, "mixed", rng)
-            g = complete_graph(n).with_weights(weights)
+            g = families.weighted((n, complete_graph(n).pairs), weights)
             roots, mult = q_roots(g)
             coeffs = z_polynomial(g).coeffs[mult:]
             with mpmath.workdps(50):
