@@ -18,14 +18,19 @@ parts:
 2. Bit-compared z_polynomial coefficients of the bridgeless simple
    graphs among the analyze-wide inputs of seeds 0-39 and the connected
    simple structures to 6 vertices under mixed weights from
-   default_rng(0).
+   default_rng(0).  Reported apart: the bridgeless cores past the
+   engine's layout cache limit (more than 16 edges), whose block
+   groupings are streamed rather than cached; these are the 19 connected
+   7-vertex structures of more than 16 edges, one mixed draw each from
+   a second default_rng(0), and a 12-cycle with chords at 20 and 24
+   edges, weighted by the same generator.
 3. Outputs that may move in the last bits, in four groups:
    - analyze: `analyze` on the cli-analyze inputs of the seeds, every
      graph as an edge list and as JSON, and with `--format csv`;
    - examples: `examples` as JSON and CSV, and the analyze report of
      every example graph;
    - z graphs: Z and the analyze roots of every part-2 graph, with a
-     bridge or without;
+     bridge or without, but for the cores past the cache limit;
    - multigraphs: `analyze` on seeded random 2-4-vertex multigraph files.
    Reported per group: the number of outputs that differ, the largest
    relative movement of a root (the roots of the two trees matched by
@@ -76,9 +81,13 @@ sys.path.insert(0, sys.argv[1])
 from tuttezero import TutteZeroError, analyze, build_graph, families, z_polynomial
 from inputs import wide_graphs
 
-def dump(g):
+def dump(g, past_cache_limit=False):
     out = {"n": g.n, "edges": [[u, v, w.real, w.imag] for u, v, w in g.edges],
-           "z": " ".join(f"{c.real.hex()},{c.imag.hex()}" for c in z_polynomial(g).coeffs)}
+           "z": " ".join(f"{c.real.hex()},{c.imag.hex()}" for c in z_polynomial(g).coeffs),
+           "past_cache_limit": past_cache_limit}
+    if past_cache_limit:  # only the bits of Z are compared for these
+        print(json.dumps(out))
+        return
     try:
         rep = analyze(g)
         out.update(roots=[[r.real, r.imag] for r in rep.roots], mult=rep.q_zero_multiplicity,
@@ -93,6 +102,15 @@ for seed in range(int(sys.argv[2])):
 rng = np.random.default_rng(0)
 for n, pairs in families.connected_simple_structures(6):
     dump(families.weighted((n, pairs), families.sample_weights(len(pairs), "mixed", rng)))
+# cores past the layout cache limit: 17 to 24 edges
+rng = np.random.default_rng(0)
+cycle = tuple((i, (i + 1) % 12) for i in range(12))
+chords = ((0, 6), (2, 8), (3, 9), (4, 10), (1, 7), (5, 11),
+          (0, 4), (1, 5), (2, 6), (3, 7), (4, 8), (5, 9))
+large = [(n, pairs) for n, pairs in families.connected_simple_structures(7) if len(pairs) > 16]
+for n, pairs in large + [(12, cycle + chords[:m - 12]) for m in (20, 24)]:
+    dump(families.weighted((n, pairs), families.sample_weights(len(pairs), "mixed", rng)),
+         past_cache_limit=True)
 """
 
 FAULTED_POLYMER = """
@@ -374,26 +392,34 @@ def main() -> int:
         dumps = {side: _run(tree, [str(script), str(tree / "perfbench"), str(WIDE_SEEDS)], work)
                  for side, tree in trees.items()}
         lines = {side: text.splitlines() for side, (_, text) in dumps.items()}
-        same = (dumps["parent"][0] == dumps["change"][0] == 0
-                and len(lines["parent"]) == len(lines["change"]))
-        bridgeless = 0
+        ran = (dumps["parent"][0] == dumps["change"][0] == 0
+               and len(lines["parent"]) == len(lines["change"]))
+        # keyed by past_cache_limit: the part-2 graphs, then the large cores
+        same = {False: ran, True: ran}
+        bridgeless = {False: 0, True: 0}
         for i, (a, b) in enumerate(zip(lines["parent"], lines["change"])):
             recs = {"parent": json.loads(a), "change": json.loads(b)}
             n, edges = recs["change"]["n"], recs["change"]["edges"]
-            same = same and recs["parent"]["edges"] == edges
+            large = recs["change"]["past_cache_limit"]
+            same[large] = same[large] and recs["parent"]["edges"] == edges
             edges = [(u, v, complex(re, im)) for u, v, re, im in edges]
             if not _has_bridge(n, edges):
-                bridgeless += 1
-                same = same and recs["parent"]["z"] == recs["change"]["z"]
+                bridgeless[large] += 1
+                same[large] = same[large] and recs["parent"]["z"] == recs["change"]["z"]
+            if large:
+                continue
             moved["z graphs"].output(a == b)
             moved["z graphs"].add(f"z graph {i}", n, edges, {
                 side: {"roots": r["roots"], "q_zero_multiplicity": r["mult"],
                        "general_disc_verified": r["flags"][0],
                        "simple_disc_verified": r["flags"][1]}
                 for side, r in recs.items() if "roots" in r})
-        label = f"z_polynomial bits, bridgeless simple graphs ({bridgeless} graphs)"
-        summary["identical"][label] = same
-        print(f"{'same' if same else 'DIFF'}  {label}", flush=True)
+        for large, label in ((False, f"bridgeless simple graphs ({bridgeless[False]} graphs)"),
+                             (True, f"cores past the layout cache limit "
+                                    f"({bridgeless[True]} graphs)")):
+            label = f"z_polynomial bits, {label}"
+            summary["identical"][label] = same[large]
+            print(f"{'same' if same[large] else 'DIFF'}  {label}", flush=True)
 
         script = work / "faulted_polymer.py"
         script.write_text(FAULTED_POLYMER)

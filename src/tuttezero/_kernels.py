@@ -10,23 +10,26 @@ step, so a block is a fixed set of high edges together with every subset
 of the low ones.  Every product is multiplied in increasing edge order, as
 in a per-mask loop.
 
-What does not depend on the weights (the vertex labels and component
-counts of the first block, and the order that groups its masks by
-component count) is built once per edge structure and cached.  The
-sweeps revisit a structure once per weight regime, after every other
-structure of their corpus, so the cache holds 64 of them; an entry takes
-at most about 60 KB, and needs no labels when every edge lies in the
-first block.
+The walk is two generators that visit the blocks in the same order.  The
+weight-free one joins labels, carries the component counts k and yields
+each block's grouping: the stable order that sorts its masks by k and the
+number of masks at each k.  The other only multiplies weights into the
+products.  A grouping depends only on the edge structure, which the
+sweeps and analyze-wide revisit, so the groupings of a structure with at
+most CACHED_HIGH_EDGES edges past the first block (16 blocks) are cached
+whole; a larger one (17 to 24 edges) is streamed block by block and
+cached nowhere, since its orders would take up to 32 MB.
+
 A join relabels the class of v with the label of u, which is the label of
 a vertex in u's class, so every class keeps the label of one of its own
 vertices.  The component count of a mask is therefore the number of
 vertices that carry their own label, plus the vertices no edge touches;
 the first block counts them once, from its final labels.
 
-The products are summed per component count within each block, in the
-first block by its cached order.  The block sums are then reduced
-pairwise in order of their high edges, which keeps the summation order
-deterministic and the rounding error logarithmic in the number of blocks.
+The products of each block are gathered by its order and summed per
+component count.  The block sums are then reduced pairwise in order of
+their high edges, which keeps the summation order deterministic and the
+rounding error logarithmic in the number of blocks.
 
 connected_by_support works over vertex subsets instead, in O(3^n) time
 for any number of edges, by the Fortuin-Kasteleyn set-partition recursion
@@ -56,6 +59,10 @@ from .errors import OutOfDomain
 # host rather than the work.
 BLOCK_BITS = 12
 
+# A structure with at most this many edges past the first block has the
+# groupings of all its blocks cached; past it they are streamed.
+CACHED_HIGH_EDGES = 4
+
 
 def _join(labels: np.ndarray, u: int, v: int) -> np.ndarray:
     """Add edge uv to every mask of a vertex-class label matrix.
@@ -69,29 +76,33 @@ def _join(labels: np.ndarray, u: int, v: int) -> np.ndarray:
     return labels + (labels == b) * (a - b)
 
 
-@functools.lru_cache(maxsize=64)
-def _layout(n: int, pairs: tuple, b: int):
-    """The weight-free part of the engine for one edge structure.
+def _groupings(e, high, labels, k, b, eu, ev, n):
+    """Yield (high, order, sizes) for every choice of the edges from e on.
 
-    Returns the endpoint indices eu and ev of every edge, and for the
-    first block (the masks over the first b edges) the vertex labels, the
-    component counts k, the stable order that sorts k and the number of
-    masks at each k.  k counts the vertices that keep their own label and
-    the n - |used| vertices no edge touches.  labels is None when b is
-    the number of edges, since only the walk over high edges reads it,
-    and order is held in the narrowest unsigned type that indexes 2^b
-    masks.  The arrays are read-only.
+    Depth first, without edge e before with it.  order is the stable
+    order that sorts the block's component counts k, and sizes the
+    number of masks at each k.  Past the last edge no label is read, so
+    the last edge makes no join.  A module-level generator that takes its
+    arrays as arguments, so a call leaves no reference cycle behind for
+    the cyclic garbage collector.
+    """
+    if e == len(eu):
+        sizes = tuple(np.bincount(k, minlength=n + 1).tolist())
+        yield high, np.argsort(k, kind="stable"), sizes
+        return
+    yield from _groupings(e + 1, high, labels, k, b, eu, ev, n)
+    joined = labels[eu[e]] != labels[ev[e]]
+    after = _join(labels, eu[e], ev[e]) if e + 1 < len(eu) else None
+    yield from _groupings(e + 1, high | 1 << (e - b), after, k - joined, b, eu, ev, n)
 
-    Cached per structure.  verify_zero_free loops regime, then structure,
-    then draw, so a structure comes back once per regime after every
-    other one of the corpus, and analyze-wide passes over its cores again
-    and again.  64 entries hold every core of the sweeps to 5 vertices and
-    of analyze-wide; the 99 cores to 6 vertices cycle past them.  At 12
-    vertices and 12 low edges an entry takes 60 KB (labels 48 KB, k 4 KB,
-    order 8 KB), so the cache is bounded by about 3.8 MB.  128 entries
-    would hold the 6-vertex corpus too, at twice the memory: the peak RSS
-    of verify_polymer_identity(7, 4, 20), 46.1 MB with 4 entries, is
-    48.5 MB with 64 and 51.1 MB with 128 (CPython 3.11, numpy 2.4).
+
+def _blocks(n: int, pairs: tuple, b: int):
+    """Yield the grouping (high, order, sizes) of every block of one edge
+    structure, the first block (high == 0) first.
+
+    The first block is built by doubling over the first b edges; its
+    component counts k count the vertices that keep their own label and
+    the n - |used| vertices no edge touches.
     """
     used = sorted({x for p in pairs for x in p})
     index = {x: i for i, x in enumerate(used)}
@@ -103,32 +114,51 @@ def _layout(n: int, pairs: tuple, b: int):
         labels = np.concatenate([labels, _join(labels, eu[j], ev[j])], axis=1)
     count_type = np.min_scalar_type(n)
     k = (labels == own).sum(axis=0, dtype=count_type) + count_type.type(n - len(used))
-    order = np.argsort(k, kind="stable").astype(np.min_scalar_type((1 << b) - 1))
-    sizes = tuple(np.bincount(k, minlength=n + 1).tolist())
-    k.flags.writeable = order.flags.writeable = False
-    if b < len(pairs):
-        labels.flags.writeable = False
-    else:
-        labels = None
-    return eu, ev, labels, k, order, sizes
+    yield from _groupings(b, 0, labels, k, b, eu, ev, n)
 
 
-def _walk(e, high, labels, k, prod, b, eu, ev, weights):
-    """Yield (high, k, prod) for every choice of the edges from e on.
+@functools.lru_cache(maxsize=64)
+def _layout(n: int, pairs: tuple, b: int) -> tuple:
+    """Every block's grouping for one edge structure, from _blocks.
 
-    Depth first, without edge e before with it.  Past the last edge no
-    label is read, so the last edge makes no join.  A module-level
-    generator that takes its arrays as arguments, so a call leaves no
-    reference cycle behind for the cyclic garbage collector.
+    An entry holds one (high, order, sizes) per block and no labels or
+    component counts, since the weights need only the order and sizes.
+    z_coefficients caches a structure only when at most
+    CACHED_HIGH_EDGES edges lie past the first block, so an entry holds
+    at most 16 orders.  At 12 low edges an order takes 8 KB: an entry
+    takes at most 128 KB, and the cache is bounded by 64 x 128 KB, about
+    8 MB (it was about 3.8 MB when an entry held the first block's
+    labels, counts and order only).
+
+    verify_zero_free loops regime, then structure, then draw, so a
+    structure comes back once per regime after every other one of the
+    corpus, and analyze-wide passes over its cores again and again.  64
+    entries hold every core of the sweeps to 5 vertices and of
+    analyze-wide; the 99 cores to 6 vertices cycle past them.  The peak
+    RSS of verify_polymer_identity(7, 4, 20), which meets cores of 13 to
+    16 edges, went from 48.5 MB with first-block entries to 51.8 MB with
+    whole entries (CPython 3.11, numpy 2.4).
     """
-    if e == len(eu):
-        yield high, k, prod
+    narrow = np.min_scalar_type((1 << b) - 1)
+    entry = []
+    for high, order, sizes in _blocks(n, pairs, b):
+        order = order.astype(narrow)
+        order.flags.writeable = False
+        entry.append((high, order, sizes))
+    return tuple(entry)
+
+
+def _products(e, prod, w):
+    """Yield the products of every block, in the order of _groupings.
+
+    Depth first, without edge e before with it, each product multiplied
+    in increasing edge order.
+    """
+    if e == len(w):
+        yield prod
         return
-    yield from _walk(e + 1, high, labels, k, prod, b, eu, ev, weights)
-    joined = labels[eu[e]] != labels[ev[e]]
-    after = _join(labels, eu[e], ev[e]) if e + 1 < len(eu) else None
-    yield from _walk(e + 1, high | 1 << (e - b), after, k - joined,
-                     prod * weights[e], b, eu, ev, weights)
+    yield from _products(e + 1, prod, w)
+    yield from _products(e + 1, prod * w[e], w)
 
 
 def _pairwise_reduce(blocks: np.ndarray) -> np.ndarray:
@@ -158,7 +188,10 @@ def z_coefficients(n: int, edges, pairs: tuple | None = None) -> np.ndarray:
         pairs = tuple((u, v) for u, v, _ in edges)
     w = np.array([complex(x) for _, _, x in edges], dtype=np.complex128)
     b = min(BLOCK_BITS, len(pairs))
-    eu, ev, labels, k, order, sizes = _layout(n, pairs, b)
+    if len(pairs) - b <= CACHED_HIGH_EDGES:
+        groupings = _layout(n, pairs, b)
+    else:
+        groupings = _blocks(n, pairs, b)
     blocks = np.zeros((1 << len(pairs) - b, n + 1), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         # the products of the first block, each in increasing edge order
@@ -166,15 +199,10 @@ def z_coefficients(n: int, edges, pairs: tuple | None = None) -> np.ndarray:
         prod[0] = 1
         for j in range(b):
             np.multiply(prod[:1 << j], w[j], out=prod[1 << j:2 << j])
-        for high, block_k, block_prod in _walk(b, 0, labels, k, prod, b, eu, ev, w):
-            # the walk yields the first block (high == 0) first, with the
-            # layout's counts; every later block sorts its own
-            if high:
-                order = np.argsort(block_k, kind="stable")
-                sizes = np.bincount(block_k, minlength=n + 1).tolist()
+        for (high, order, sizes), block_prod in zip(groupings, _products(b, prod, w)):
             # group the products by k, keeping mask order, and sum each
             # non-empty group with numpy's pairwise summation
-            grouped = block_prod[order]
+            grouped = block_prod.take(order)
             start = 0
             for c, size in enumerate(sizes):
                 if size:

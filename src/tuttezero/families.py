@@ -200,6 +200,8 @@ def sample_weights(m: int, regime: str, rng: np.random.Generator) -> list[comple
 
 
 def weighted(structure: Structure, weights) -> WeightedGraph:
-    """Attach weights to a corpus structure."""
+    """Attach weights to a corpus structure, one per edge in edge order."""
     n, pairs = structure
+    if len(weights) != len(pairs):
+        raise OutOfDomain(f"{len(pairs)} edges but {len(weights)} weights")
     return build_graph(range(n), [(u, v, w) for (u, v), w in zip(pairs, weights)])

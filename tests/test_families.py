@@ -169,3 +169,10 @@ def test_weighted_attaches_in_order(rng):
     g = weighted((n, pairs), ws)
     assert [e[2] for e in g.edges] == list(ws)
     assert [(u, v) for u, v, _ in g.edges] == pairs
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_weighted_rejects_a_weight_count_that_differs_from_the_edges(count):
+    triangle = (3, ((0, 1), (1, 2), (0, 2)))
+    with pytest.raises(OutOfDomain, match=f"3 edges but {count} weights"):
+        weighted(triangle, [0.5] * count)

@@ -2,6 +2,7 @@ import cmath
 import gc
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,23 +218,23 @@ def sparse_multigraphs(draw, max_n=7, max_m=9):
 @settings(max_examples=60, deadline=None)
 @given(sparse_multigraphs())
 def test_layout_component_counts(block_bits, data):
-    # k is counted from the final labels of the first block and carried
-    # through the walk over the high edges; both must count components
+    # every block's order sorts the component counts of its masks stably
+    # and its sizes count the masks at each k, whether the groupings are
+    # streamed or held in a cache entry
     n, edges = data
     pairs = tuple((u, v) for u, v, _ in edges)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_kernels, "BLOCK_BITS", block_bits)
-        b = min(_kernels.BLOCK_BITS, len(pairs))
-        eu, ev, labels, k, order, sizes = _kernels._layout(n, pairs, b)
-        w = np.array([complex(x) for _, _, x in edges], dtype=np.complex128)
-        blocks = list(_kernels._walk(b, 0, labels, k, np.ones(1 << b), b, eu, ev, w))
-    assert k.tolist() == [component_count(n, list(pairs), low) for low in range(1 << b)]
-    assert np.array_equal(order, np.argsort(k, kind="stable"))
-    assert list(sizes) == np.bincount(k, minlength=n + 1).tolist()
-    assert len(blocks) == 1 << (len(pairs) - b)
-    for high, block_k, _ in blocks:
-        assert block_k.tolist() == [
-            component_count(n, list(pairs), low | high << b) for low in range(1 << b)]
+    b = min(block_bits, len(pairs))
+    blocks = list(_kernels._blocks(n, pairs, b))
+    assert sorted(high for high, _, _ in blocks) == list(range(1 << (len(pairs) - b)))
+    assert blocks[0][0] == 0
+    for high, order, sizes in blocks:
+        k = np.array([component_count(n, list(pairs), low | high << b) for low in range(1 << b)])
+        assert np.array_equal(order, np.argsort(k, kind="stable"))
+        assert list(sizes) == np.bincount(k, minlength=n + 1).tolist()
+    entry = _kernels._layout(n, pairs, b)
+    assert len(entry) == len(blocks)
+    for (high, order, sizes), (h, o, s) in zip(entry, blocks):
+        assert (high, sizes) == (h, s) and np.array_equal(order, o)
 
 
 def _layout_corpus():
@@ -289,9 +290,10 @@ def test_layout_cache_stays_bounded():
 
 
 def test_walk_makes_no_join_at_the_last_edge():
-    # K4 at BLOCK_BITS = 2: two joins build the layout, and the walk over
-    # the four high edges joins on the with-branch of every edge but the
-    # last, 2^0 + 2^1 + 2^2 = 7 times
+    # K4 at BLOCK_BITS = 2: two joins build the first block, and the walk
+    # over the four high edges joins on the with-branch of every edge but
+    # the last, 2^0 + 2^1 + 2^2 = 7 times; a warm call reads the cached
+    # groupings and joins nothing
     k4 = [(u, v, 0.5 + 0.25j * u) for u in range(4) for v in range(u + 1, 4)]
     calls = []
     join = _kernels._join
@@ -299,6 +301,8 @@ def test_walk_makes_no_join_at_the_last_edge():
         mp.setattr(_kernels, "BLOCK_BITS", 2)
         mp.setattr(_kernels, "_join", lambda *a: calls.append(a) or join(*a))
         _kernels._layout.cache_clear()
+        _kernels.z_coefficients(4, k4)
+        assert len(calls) == 2 + 7
         _kernels.z_coefficients(4, k4)
     assert len(calls) == 2 + 7
 
@@ -342,20 +346,67 @@ def test_layout_cache_evicts_and_rebuilds_the_same_bits():
     assert _kernels._layout.cache_info().misses == info.misses + 1
 
 
-def _layout_bytes(n, pairs):
-    _, _, labels, k, order, _ = _kernels._layout(n, pairs, min(_kernels.BLOCK_BITS, len(pairs)))
-    return labels, sum(a.nbytes for a in (labels, k, order) if a is not None)
+CYCLE_12 = tuple((i, i + 1) for i in range(11)) + ((0, 11),)
+CHORDS_12 = ((0, 6), (2, 8), (3, 9), (4, 10), (1, 7), (5, 11),
+             (0, 4), (1, 5), (2, 6), (3, 7), (4, 8), (5, 9))
+
+
+def _chorded_cycle(m):
+    """A 12-cycle with m - 12 chords and fixed complex weights: a
+    bridgeless core of m edges."""
+    pairs = CYCLE_12 + CHORDS_12[:m - 12]
+    return [(u, v, complex(0.5 - 0.1 * i, 0.3 * (-1) ** i)) for i, (u, v) in enumerate(pairs)]
+
+
+def _layout_blocks_and_bytes(n, pairs):
+    entry = _kernels._layout(n, pairs, min(_kernels.BLOCK_BITS, len(pairs)))
+    assert all(len(grouping) == 3 for grouping in entry)  # no labels or counts
+    return len(entry), sum(order.nbytes for _, order, _ in entry)
 
 
 def test_layout_entry_size_is_bounded():
-    cycle = tuple((i, i + 1) for i in range(11)) + ((0, 11),)
-    chorded = cycle + ((0, 6), (2, 8), (3, 9), (4, 10))
-    # a byte per vertex and one for k per mask, two for order: 15 * 2^12
-    labels, size = _layout_bytes(12, chorded)
-    assert labels is not None and size <= 61_440
-    # every edge in the first block: no labels, k and order only
-    labels, size = _layout_bytes(12, cycle)
-    assert labels is None and size <= 12_288
+    # two bytes of order per mask and block: 2^4 blocks of 2^12 masks at
+    # the cache limit, and a single order when every edge is in the first
+    chorded = CYCLE_12 + CHORDS_12[:_kernels.CACHED_HIGH_EDGES]
+    assert _layout_blocks_and_bytes(12, chorded) == (16, 131_072)
+    assert _layout_blocks_and_bytes(12, CYCLE_12) == (1, 8_192)
+
+
+@pytest.mark.parametrize("m", [17, 20])
+def test_core_past_the_cache_limit_leaves_the_layout_cache_alone(m):
+    edges = _chorded_cycle(m)
+    assert m - _kernels.BLOCK_BITS > _kernels.CACHED_HIGH_EDGES
+    _kernels.z_coefficients(12, edges)
+    info = _kernels._layout.cache_info()
+    _kernels.z_coefficients(12, edges)
+    assert _kernels._layout.cache_info() == info
+
+
+@pytest.mark.parametrize("m", [17, 20])
+def test_streamed_core_has_the_bits_of_a_cached_one(m):
+    edges = _chorded_cycle(m)
+    streamed = _kernels.z_coefficients(12, edges).tobytes()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "CACHED_HIGH_EDGES", m - _kernels.BLOCK_BITS)
+        misses = _kernels._layout.cache_info().misses
+        cached = _kernels.z_coefficients(12, edges).tobytes()
+        assert _kernels._layout.cache_info().misses == misses + 1
+    _kernels._layout.cache_clear()
+    assert cached == streamed
+
+
+def test_24_edge_core_streams_its_groupings():
+    # kept, the 4096 orders of a 24-edge core take 32 MB (a 37 MB peak);
+    # streamed, the call holds the products and labels of one path of the
+    # walk and the 4096 block sums, about 2.6 MB
+    edges = _chorded_cycle(24)
+    tracemalloc.start()
+    try:
+        _kernels.z_coefficients(12, edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 def _spanning_by_union_find(n, pairs):
