@@ -9,7 +9,7 @@ neither sees the other's modules.  Z splits off every bridge of the
 parallel-reduced graph as a factor q + w_e, so only bridgeless graphs
 keep the engine's exact bits; graphs with a bridge may move in the last
 bits.  Roots are polished by Newton steps that stop at the rounding
-floor of Horner's rule, so every root may move in the last bits.  Six
+floor of Horner's rule, so every root may move in the last bits.  Seven
 parts:
 
 1. Byte-compared stdout and exit code of `verify-polymer`,
@@ -51,6 +51,12 @@ parts:
 6. Bit-compared counting ceilings cmk(m, a), counting_bound_sokal(a, m)
    and counting_bound_rooted(a, b, m) for m = 0..40 and a, b on a grid
    from 0 to 1e3, where every value fits in floating point.
+
+7. Bit-compared results of verify_zero_free(5, 15, seed=s) and
+   verify_zero_free(4, 5, seed=s, max_multi=3) at each seed, without
+   elapsed, and the graph, roots, q_max, zero multiplicity and disc
+   flags of every report the sweep made.  No CLI command runs this
+   sweep, so no other part sees its reports.
 
 Prints one line per item and a JSON summary last; exits 1 if a part that
 must be identical is not, if a flag or exit status moves, or if a root
@@ -169,6 +175,34 @@ for m in range(41):
     print(m, " ".join(bits(cmk, m, a) for a in GRID), "|",
           " ".join(bits(counting_bound_sokal, a, m) for a in GRID), "|",
           " ".join(bits(counting_bound_rooted, a, b, m) for a in GRID for b in GRID))
+"""
+
+ZERO_FREE_DUMP = """
+import json
+import sys
+from tuttezero import verify
+
+analyze = verify.analyze
+reports = []
+
+def recorded(g, *args):
+    rep = analyze(g, *args)
+    reports.append({"n": g.n, "edges": [[u, v, w.real.hex(), w.imag.hex()] for u, v, w in g.edges],
+                    "roots": [[r.real.hex(), r.imag.hex()] for r in rep.roots],
+                    "q_max": rep.q_max.hex(), "mult": rep.q_zero_multiplicity,
+                    "flags": [rep.general_disc_verified, rep.simple_disc_verified]})
+    return rep
+
+verify.analyze = recorded
+for seed in range(int(sys.argv[1])):
+    for kwargs in ({"max_vertices": 5, "draws": 15},
+                   {"max_vertices": 4, "draws": 5, "max_multi": 3}):
+        r = verify.verify_zero_free(seed=seed, **kwargs)
+        del r["elapsed"]
+        print(json.dumps(r, sort_keys=True))
+        for rep in reports:
+            print(json.dumps(rep))
+        reports.clear()
 """
 
 # each example's report is matched to the graph that analyze was called on
@@ -443,6 +477,16 @@ def main() -> int:
         runs = {side: _run(tree, [str(script)], work) for side, tree in trees.items()}
         same = runs["parent"] == runs["change"] and runs["change"][0] == 0
         label = "counting ceiling bits (m = 0..40)"
+        summary["identical"][label] = same
+        print(f"{'same' if same else 'DIFF'}  {label}", flush=True)
+
+        script = work / "zero_free_dump.py"
+        script.write_text(ZERO_FREE_DUMP)
+        runs = {side: _run(tree, [str(script), str(args.seeds)], work)
+                for side, tree in trees.items()}
+        same = runs["parent"] == runs["change"] and runs["change"][0] == 0
+        reports = len(runs["change"][1].splitlines()) - 2 * args.seeds
+        label = f"verify_zero_free results and reports ({reports} reports, {args.seeds} seeds)"
         summary["identical"][label] = same
         print(f"{'same' if same else 'DIFF'}  {label}", flush=True)
 

@@ -31,6 +31,15 @@ component count.  The block sums are then reduced pairwise in order of
 their high edges, which keeps the summation order deterministic and the
 rounding error logarithmic in the number of blocks.
 
+The weights may come as rows, one per graph of one edge structure
+(z_coefficient_rows): a pass walks the groupings once for all its rows.
+Each row's products lie contiguous in memory, and the gathers and the
+per-count sums run along them, so every row gets the bits of its own
+single-row call (z_coefficients).  A pass takes rows until they walk
+ROW_SUBSETS = 2^16 edge subsets between them, so its products take at
+most 1 MB; a core of 16 edges or more goes one row a pass.  A single
+row keeps 1-D arrays, whose numpy calls cost less than 2-D ones.
+
 connected_by_support works over vertex subsets instead, in O(3^n) time
 for any number of edges, by the Fortuin-Kasteleyn set-partition recursion
 (Bjorklund, Husfeldt, Kaski and Koivisto, "Computing the Tutte polynomial
@@ -148,17 +157,18 @@ def _layout(n: int, pairs: tuple, b: int) -> tuple:
     return tuple(entry)
 
 
-def _products(e, prod, w):
+def _products(e, prod, by_edge):
     """Yield the products of every block, in the order of _groupings.
 
     Depth first, without edge e before with it, each product multiplied
-    in increasing edge order.
+    in increasing edge order.  by_edge[e] is edge e's weight: one number,
+    or one per row, with prod indexed by mask first and row second.
     """
-    if e == len(w):
+    if e == len(by_edge):
         yield prod
         return
-    yield from _products(e + 1, prod, w)
-    yield from _products(e + 1, prod * w[e], w)
+    yield from _products(e + 1, prod, by_edge)
+    yield from _products(e + 1, prod * by_edge[e], by_edge)
 
 
 def _pairwise_reduce(blocks: np.ndarray) -> np.ndarray:
@@ -175,6 +185,48 @@ def _pairwise_reduce(blocks: np.ndarray) -> np.ndarray:
 
 Z_OVERFLOW = "a partition-function coefficient overflows floating point"
 
+# The rows of one engine pass walk at most this many edge subsets between
+# them, so that its products take at most 1 MB (16 bytes a subset).
+ROW_SUBSETS = 1 << 16
+
+
+def _z_sums(n: int, pairs: tuple, w: np.ndarray) -> np.ndarray:
+    """The engine: Z's coefficients for one weight row w (edges,), or for
+    each row of w (rows x edges), as an array of the same rank.
+
+    Every row's products are contiguous, so its gathers and per-count sums
+    are those of a single row, and each row keeps the bits it gets on its
+    own.  The arrays are handled through views indexed by mask first, so
+    that one row takes the plain 1-D indexing of numpy's cheapest calls.
+    """
+    b = min(BLOCK_BITS, len(pairs))
+    if len(pairs) - b <= CACHED_HIGH_EDGES:
+        groupings = _layout(n, pairs, b)
+    else:
+        groupings = _blocks(n, pairs, b)
+    rows = w.shape[:-1]
+    by_edge = w.T
+    blocks = np.zeros((1 << len(pairs) - b, n + 1) + rows, dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the products of the first block, each in increasing edge order
+        prod = np.empty(rows + (1 << b,), dtype=np.complex128).T
+        prod[0] = 1
+        for j in range(b):
+            np.multiply(prod[:1 << j], by_edge[j], out=prod[1 << j:2 << j])
+        for (high, order, sizes), block_prod in zip(groupings, _products(b, prod, by_edge)):
+            # group each row's products by k, keeping mask order, and sum
+            # each non-empty group with numpy's pairwise summation
+            grouped = block_prod.T.take(order, -1).T
+            start = 0
+            for c, size in enumerate(sizes):
+                if size:
+                    blocks[high, c] = np.add.reduce(grouped[start:start + size])
+                    start += size
+        out = _pairwise_reduce(blocks).T
+    if not np.isfinite(out).all():
+        raise OutOfDomain(Z_OVERFLOW)
+    return out
+
 
 def z_coefficients(n: int, edges, pairs: tuple | None = None) -> np.ndarray:
     """Coefficients (ascending in q) of sum_A q^{k(A)} prod_{e in A} w_e.
@@ -187,31 +239,23 @@ def z_coefficients(n: int, edges, pairs: tuple | None = None) -> np.ndarray:
     if pairs is None:
         pairs = tuple((u, v) for u, v, _ in edges)
     w = np.array([complex(x) for _, _, x in edges], dtype=np.complex128)
-    b = min(BLOCK_BITS, len(pairs))
-    if len(pairs) - b <= CACHED_HIGH_EDGES:
-        groupings = _layout(n, pairs, b)
-    else:
-        groupings = _blocks(n, pairs, b)
-    blocks = np.zeros((1 << len(pairs) - b, n + 1), dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # the products of the first block, each in increasing edge order
-        prod = np.empty(1 << b, dtype=np.complex128)
-        prod[0] = 1
-        for j in range(b):
-            np.multiply(prod[:1 << j], w[j], out=prod[1 << j:2 << j])
-        for (high, order, sizes), block_prod in zip(groupings, _products(b, prod, w)):
-            # group the products by k, keeping mask order, and sum each
-            # non-empty group with numpy's pairwise summation
-            grouped = block_prod.take(order)
-            start = 0
-            for c, size in enumerate(sizes):
-                if size:
-                    blocks[high, c] = np.add.reduce(grouped[start:start + size])
-                    start += size
-        out = _pairwise_reduce(blocks)
-    if not np.isfinite(out).all():
-        raise OutOfDomain(Z_OVERFLOW)
-    return out
+    return _z_sums(n, pairs, w)
+
+
+def z_coefficient_rows(n: int, pairs: tuple, weights) -> np.ndarray:
+    """z_coefficients for many weightings of one edge structure: row i of
+    the result has the coefficients, and the bits, that z_coefficients
+    gives for the weights in row i of weights (rows x edges).
+
+    The rows share one walk over the structure's groupings; they go
+    through the engine in passes of at most ROW_SUBSETS edge subsets in
+    all, one row per pass from 2^16 subsets on.  Raises OutOfDomain when
+    any row overflows.
+    """
+    w = np.array(weights, dtype=np.complex128)
+    step = max(1, ROW_SUBSETS >> len(pairs))
+    return np.concatenate([_z_sums(n, pairs, w[i:i + step])
+                           for i in range(0, len(w), step)])
 
 
 # Unit roundoff of binary64, and a bound on the relative rounding error of

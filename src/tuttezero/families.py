@@ -20,7 +20,7 @@ import numpy as np
 
 from ._atlas import CONNECTED
 from .errors import OutOfDomain
-from .graph import WeightedGraph, build_graph
+from .graph import MAX_ENUM_EDGES, WeightedGraph, build_graph
 
 Weight = complex | float
 
@@ -85,6 +85,12 @@ ATLAS_MAX_VERTICES = 7
 # Largest number of parallel copies of one edge in the multigraph corpus
 MAX_MULTIPLICITY = 3
 
+# Largest vertex count of the multigraph corpus: the largest n whose
+# complete skeleton, every edge at MAX_MULTIPLICITY, stays within the
+# enumeration cap, so every structure of the corpus can be analyzed
+MULTI_MAX_VERTICES = max(n for n in range(1, ATLAS_MAX_VERTICES + 1)
+                         if MAX_MULTIPLICITY * n * (n - 1) // 2 <= MAX_ENUM_EDGES)
+
 
 @functools.lru_cache(maxsize=16)
 def connected_simple_structures(max_n: int) -> tuple[Structure, ...]:
@@ -147,8 +153,9 @@ def connected_multigraph_structures(max_n: int) -> tuple[Structure, ...]:
     corpus covers the rest.  Built once per argument and shared, like the
     simple corpus.
     """
-    if not (1 <= max_n <= 6):
-        raise OutOfDomain(f"multigraph corpus covers 1..6 vertices, got {max_n}")
+    if not (1 <= max_n <= MULTI_MAX_VERTICES):
+        raise OutOfDomain(
+            f"multigraph corpus covers 1..{MULTI_MAX_VERTICES} vertices, got {max_n}")
     out = []
     for n, pairs in connected_simple_structures(max_n):
         auts = _edge_automorphisms(n, pairs)

@@ -19,7 +19,11 @@ most n(n-1)/2 edges; the cap still counts the input edges, and a simple
 graph is its own reduction.  Each bridge e of that graph is a factor
 q + w_e of Z_G, so the engine runs only on the core, the graph with every
 bridge contracted, and not at all on a forest; a bridgeless graph is its
-own core, so its Z_G keeps the engine's bits.  T_G, and the
+own core, so its Z_G keeps the engine's bits.  The zero-free sweep
+computes the Z_G of every weight draw of one structure at once
+(_z_polynomials): one bridge split, and one engine pass with a row of
+core weights per draw, which gives each draw the bits of its own
+z_polynomial call.  T_G, and the
 Penrose tree sums built on spanning_tree_masks, walk the spanning trees
 over every edge, since a tree sum is not invariant under the reduction.
 The connected values of all induced subgraphs at once
@@ -145,6 +149,20 @@ def z_polynomial(g: WeightedGraph) -> QPolynomial:
     merged weight can come out finite and wrong by cancellation: the
     class -1, 1e200, 1e200 merges to 1e200 in floating point, not to -1.
     """
+    reduced = _reduced(g)
+    edges = reduced.edges
+    bridges, core_n, core, core_pairs = _bridge_split(g.n, reduced.pairs)
+    if core:
+        core_edges = [(u, v, edges[i][2]) for i, u, v in core] if bridges else edges
+        core_z = tuple(_kernels.z_coefficients(core_n, core_edges, core_pairs).tolist())
+    else:
+        core_z = (0j,) * core_n + (1 + 0j,)
+    return _with_bridges(core_z, [edges[i][2] for i in bridges])
+
+
+def _reduced(g: WeightedGraph) -> WeightedGraph:
+    """g's parallel-reduced graph, once the edge cap and the parallel
+    classes of a multigraph pass z_polynomial's checks."""
     _check_size(g)
     if not g.is_simple:
         bound: dict[tuple[int, int], float] = {}
@@ -153,21 +171,45 @@ def z_polynomial(g: WeightedGraph) -> QPolynomial:
             bound[pair] = bound.get(pair, 1.0) * (1.0 + abs(w))
         if not all(map(math.isfinite, bound.values())):
             raise OutOfDomain(_kernels.Z_OVERFLOW)
-    reduced = parallel_reduce(g)
-    edges = reduced.edges
-    bridges, core_n, core, core_pairs = _bridge_split(g.n, reduced.pairs)
-    if core:
-        core_edges = [(u, v, edges[i][2]) for i, u, v in core] if bridges else edges
-        core_z = tuple(_kernels.z_coefficients(core_n, core_edges, core_pairs).tolist())
-    else:
-        core_z = (0j,) * core_n + (1 + 0j,)
-    ws = tuple([edges[i][2] for i in bridges])
+    return parallel_reduce(g)
+
+
+def _with_bridges(core_z: tuple, bridge_weights: list) -> QPolynomial:
+    """The Z record of a graph from its core's coefficients and the
+    weights of its bridges, in edge order: each bridge a factor q + w_e."""
+    ws = tuple(bridge_weights)
     z = core_z
     for w in ws:
         z = [w * z[0]] + [w * a + b for a, b in zip(z[1:], z)] + [z[-1]]
     if ws and not all(map(cmath.isfinite, z)):
         raise OutOfDomain(_kernels.Z_OVERFLOW)
     return QPolynomial(tuple(z), ws, core_z)
+
+
+def _z_polynomials(graphs) -> list[QPolynomial]:
+    """z_polynomial of each graph, for graphs that share one structure:
+    the same vertex count and the same edge pairs in the same order.
+
+    The graphs share one bridge split, and their cores go through the
+    edge engine together, one row of weights per graph, which gives each
+    core the bits of its own call; a single graph takes z_polynomial.
+    Graphs of different structures are refused with OutOfDomain, and so
+    is the whole list when z_polynomial refuses one of its graphs.
+    """
+    if len(graphs) < 2:
+        return [z_polynomial(g) for g in graphs]
+    n, pairs = graphs[0].n, graphs[0].pairs
+    if any(g.n != n or g.pairs != pairs for g in graphs):
+        raise OutOfDomain("the graphs do not share one edge structure")
+    reduced = [_reduced(g) for g in graphs]
+    bridges, core_n, core, core_pairs = _bridge_split(n, reduced[0].pairs)
+    edges = [r.edges for r in reduced]
+    if core:
+        weights = [[e[i][2] for i, _, _ in core] for e in edges]
+        cores = map(tuple, _kernels.z_coefficient_rows(core_n, core_pairs, weights).tolist())
+    else:
+        cores = [(0j,) * core_n + (1 + 0j,)] * len(graphs)
+    return [_with_bridges(core_z, [e[i][2] for i in bridges]) for e, core_z in zip(edges, cores)]
 
 
 def connected_gen_poly(g: WeightedGraph) -> complex:

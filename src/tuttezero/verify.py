@@ -37,7 +37,7 @@ from .polymer import (
     polymer_profile,
     tutte_polymer_weights,
 )
-from .tutte import connected_by_support, connected_gen_poly, z_polynomial
+from .tutte import _z_polynomials, connected_by_support, connected_gen_poly, z_polynomial
 from .zeros import analyze, example_suite
 
 LAMBDA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -628,10 +628,13 @@ def verify_zero_free(
     for corpus in corpora:
         for regime in families.WEIGHT_REGIMES:
             for n, pairs in corpus:
-                for i in range(draws):
-                    ws = families.sample_weights(len(pairs), regime, rng)
-                    g = families.weighted((n, pairs), ws)
-                    rep = analyze(g)
+                # every draw's weights, in the order of one draw at a time,
+                # and the Z of all of them in one engine pass
+                gs = [families.weighted((n, pairs),
+                                        families.sample_weights(len(pairs), regime, rng))
+                      for _ in range(draws)]
+                for i, (g, z) in enumerate(zip(gs, _z_polynomials(gs))):
+                    rep = analyze(g, z)
                     checked += 1
                     multi_checked += not rep.simple
                     if not rep.general_disc_verified:

@@ -33,7 +33,7 @@ import numpy as np
 from .bounds import BoundSet, f_closed, graph_bounds
 from .errors import NoConvergence, OutOfDomain
 from .graph import WeightedGraph, parallel_reduce
-from .tutte import nonzero_component_count, z_polynomial
+from .tutte import QPolynomial, nonzero_component_count, z_polynomial
 
 
 # the most Newton steps after the eigenvalue solve, and the residual a
@@ -157,7 +157,7 @@ def _solve(c: list[complex]) -> list[complex]:
     return [r for r, _ in polished]
 
 
-def q_roots(g: WeightedGraph) -> tuple[list[complex], int]:
+def q_roots(g: WeightedGraph, z: QPolynomial | None = None) -> tuple[list[complex], int]:
     """Roots other than the forced zeros, and the multiplicity of those.
 
     The forced multiplicity mult at q = 0 is nonzero_component_count(g),
@@ -176,9 +176,10 @@ def q_roots(g: WeightedGraph) -> tuple[list[complex], int]:
     the core's times the nonzero bridge weights, in edge order.  When the
     core's or a partial product falls below the normal floating-point
     range, Z_G keeps too few of its bits, or none, to match the exact
-    bridge roots, and OutOfDomain is raised.
+    bridge roots, and OutOfDomain is raised.  z, if given, is
+    z_polynomial(g), computed already.
     """
-    zp = z_polynomial(g)
+    zp = z_polynomial(g) if z is None else z
     core = zp.core
     mult = nonzero_component_count(g)
     extra = next(i for i, x in enumerate(zp.coeffs[mult:]) if x)
@@ -242,9 +243,13 @@ class ZeroFreeReport:
         }
 
 
-def analyze(g: WeightedGraph) -> ZeroFreeReport:
-    """Roots, radii, and containment flags for one weighted graph."""
-    roots, mult = q_roots(g)
+def analyze(g: WeightedGraph, z: QPolynomial | None = None) -> ZeroFreeReport:
+    """Roots, radii, and containment flags for one weighted graph.
+
+    z, if given, is z_polynomial(g), computed already: the zero-free
+    sweep computes the Z of all draws of a structure in one engine pass.
+    """
+    roots, mult = q_roots(g, z)
     b = graph_bounds(g)
     qmx = max((abs(r) for r in roots), default=0.0)
     general_ok = all(abs(r) < b.radius_general for r in roots)

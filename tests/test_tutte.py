@@ -3,6 +3,7 @@ import gc
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from tuttezero import _kernels, families
 from tuttezero.families import cycle_one_heavy
 from tuttezero.graph import parallel_reduce
 from tuttezero.polymer import polymer_profile, tutte_polymer_weights
-from tuttezero.tutte import _bridge_split, component_count, spanning_tree_masks
+from tuttezero.tutte import _bridge_split, _z_polynomials, component_count, spanning_tree_masks
 from tuttezero.verify import verify_polymer_identity, verify_zero_free
 
 from conftest import (
@@ -407,6 +408,90 @@ def test_24_edge_core_streams_its_groupings():
     finally:
         tracemalloc.stop()
     assert peak < 4_000_000
+
+
+def _z_bits(z):
+    """Every bit of a Z record: coefficients, bridge weights and core."""
+    return [(c.real.hex(), c.imag.hex()) for part in (z.coeffs, z.bridges, z.core) for c in part]
+
+
+def _draws(structure, rows, seed=0):
+    """rows graphs of one structure, under weights of every regime."""
+    rng = np.random.default_rng(seed)
+    m, regimes = len(structure[1]), families.WEIGHT_REGIMES
+    return [families.weighted(structure, families.sample_weights(m, regimes[i % 3], rng))
+            for i in range(rows)]
+
+
+def _assert_batched_bits(graphs):
+    assert [_z_bits(z) for z in _z_polynomials(graphs)] == [_z_bits(z_polynomial(g))
+                                                            for g in graphs]
+
+
+def test_batched_z_has_the_bits_of_single_calls_on_cached_cores():
+    # every simple structure to 5 vertices: forests, bridged graphs and
+    # bridgeless ones, in one pass per structure
+    for structure in families.connected_simple_structures(5):
+        _assert_batched_bits(_draws(structure, 7))
+    # cores of 13 and 16 edges: blocks past the first, all cached
+    for m in (13, 16):
+        _assert_batched_bits(_draws((12, CYCLE_12 + CHORDS_12[:m - 12]), 3))
+
+
+def test_batched_z_has_the_bits_of_single_calls_on_special_structures():
+    forest = (5, ((0, 1), (1, 2), (1, 3), (3, 4)))
+    bridged = (5, ((0, 1), (0, 2), (1, 2), (2, 3), (3, 4)))
+    multi = next(s for s in families.connected_multigraph_structures(3)
+                 if _bridge_split(s[0], tuple(sorted(set(s[1]))))[0])
+    for structure in (forest, bridged, multi):
+        _assert_batched_bits(_draws(structure, 4))
+    assert not _bridge_split(*forest)[2] and _bridge_split(*bridged)[0]
+
+
+@pytest.mark.parametrize("row_subsets", [_kernels.ROW_SUBSETS, 1 << 18])
+def test_batched_z_has_the_bits_of_single_calls_on_a_streamed_core(row_subsets):
+    # 17 edges: one row per pass by default, two with a larger row bound
+    pairs = CYCLE_12 + CHORDS_12[:5]
+    assert len(pairs) - _kernels.BLOCK_BITS > _kernels.CACHED_HIGH_EDGES
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "ROW_SUBSETS", row_subsets)
+        _assert_batched_bits(_draws((12, pairs), 3))
+
+
+def test_one_row_and_row_bound_split_keep_the_bits():
+    graphs = _draws((4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))), 5)
+    rows = [[w for _, _, w in g.edges] for g in graphs]
+    single = [_kernels.z_coefficients(4, g.edges).tobytes() for g in graphs]
+    passes = []
+    z_sums = _kernels._z_sums
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_z_sums", lambda n, p, w: passes.append(len(w)) or z_sums(n, p, w))
+        assert _kernels.z_coefficient_rows(4, graphs[0].pairs, rows[:1])[0].tobytes() == single[0]
+        # K4 walks 2^6 subsets a row: a bound of 2^7 takes two rows a pass
+        mp.setattr(_kernels, "ROW_SUBSETS", 1 << 7)
+        split = _kernels.z_coefficient_rows(4, graphs[0].pairs, rows)
+    assert passes == [1, 2, 2, 1]
+    assert [row.tobytes() for row in split] == single
+    assert [_z_bits(z) for z in _z_polynomials(graphs[:1])] == [_z_bits(z_polynomial(graphs[0]))]
+
+
+def test_batched_z_refuses_an_overflowing_row_without_a_warning():
+    triangle = (3, ((0, 1), (1, 2), (0, 2)))
+    graphs = [families.weighted(triangle, ws) for ws in ([0.5] * 3, [1e200] * 3, [2j] * 3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfDomain, match=_kernels.Z_OVERFLOW):
+            _z_polynomials(graphs)
+
+
+def test_batched_z_refuses_graphs_of_different_structures():
+    triangle = build_graph(range(3), [(0, 1, 0.5), (1, 2, 0.5), (0, 2, 0.5)])
+    path = build_graph(range(3), [(0, 1, 0.5), (1, 2, 0.5)])
+    wider = build_graph(range(4), [(0, 1, 0.5), (1, 2, 0.5), (0, 2, 0.5)])
+    for other in (path, wider):
+        with pytest.raises(OutOfDomain, match="one edge structure"):
+            _z_polynomials([triangle, other])
+    assert _z_polynomials([]) == []
 
 
 def _spanning_by_union_find(n, pairs):

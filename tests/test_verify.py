@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tuttezero import OutOfDomain, families
+from tuttezero import OutOfDomain, analyze, families, verify, z_polynomial
 from tuttezero.bounds import f_closed, f_lambda_variational
+from tuttezero.graph import MAX_ENUM_EDGES
 from tuttezero.verify import (
     EXPANSION_F0,
     EXPANSION_F1,
@@ -70,7 +71,7 @@ def test_parallel_reduction_rejects_negative_samples(monkeypatch):
 
 
 def test_bad_multigraph_bound_names_the_multigraph_corpus():
-    # a bound outside 1..6 is reported against the multigraph corpus, not
+    # a bound outside 1..4 is reported against the multigraph corpus, not
     # against the simple atlas the multigraphs are built on
     for max_n in (7, 0, -2):
         with pytest.raises(OutOfDomain, match="multigraph corpus"):
@@ -79,6 +80,59 @@ def test_bad_multigraph_bound_names_the_multigraph_corpus():
         verify_zero_free(max_vertices=3, draws=1, max_multi=-2)
     with pytest.raises(OutOfDomain, match="multigraph corpus"):
         verify_polymer_identity(max_simple=3, max_multi=-2, n_q=2)
+
+
+def test_multigraph_corpus_stops_at_the_edge_cap(monkeypatch):
+    # tripled, K4 has 18 edges and K5 30, past the cap of 24: a sweep over
+    # 5-vertex multigraphs could not finish, so it is refused before any
+    # structure is built or analyzed
+    assert families.MULTI_MAX_VERTICES == 4
+    assert (families.MAX_MULTIPLICITY * 6 <= MAX_ENUM_EDGES
+            < families.MAX_MULTIPLICITY * 10)
+    assert max(len(p) for _, p in families.connected_multigraph_structures(4)) == 18
+
+    def fail(*args):
+        raise AssertionError("work done before the bound was checked")
+
+    monkeypatch.setattr(families, "_edge_automorphisms", fail)
+    monkeypatch.setattr(verify, "analyze", fail)
+    for max_n in (5, 6):
+        with pytest.raises(OutOfDomain, match="multigraph corpus covers 1..4 vertices"):
+            families.connected_multigraph_structures(max_n)
+        with pytest.raises(OutOfDomain, match="multigraph corpus"):
+            verify_zero_free(max_vertices=1, draws=1, max_multi=max_n)
+        with pytest.raises(OutOfDomain, match="multigraph corpus"):
+            verify_polymer_identity(max_simple=1, max_multi=max_n, n_q=1)
+
+
+def _report_bits(rep):
+    """What a report says about its graph's roots; whole reports do not
+    compare, since their BoundSet holds a closure."""
+    return ([(r.real.hex(), r.imag.hex()) for r in rep.roots], rep.q_max.hex(),
+            rep.q_zero_multiplicity, rep.general_disc_verified, rep.simple_disc_verified)
+
+
+def test_zero_free_sweep_reports_match_a_fresh_analyze(monkeypatch):
+    # the sweep computes the Z of a structure's draws in one engine pass
+    # and hands each to analyze; every report must be the one analyze(g)
+    # gives on its own
+    seen = []
+    sweep_analyze = verify.analyze
+
+    def recorded(g, *args):
+        rep = sweep_analyze(g, *args)
+        seen.append((g, rep))
+        return rep
+
+    monkeypatch.setattr(verify, "analyze", recorded)
+    r = verify_zero_free(max_vertices=4, draws=5, seed=3, max_multi=3)
+    corpus = (families.connected_simple_structures(4)
+              + families.connected_multigraph_structures(3))
+    assert r["passed"] and len(seen) == len(corpus) * 3 * 5
+    assert r["multigraph_checked"] == sum(not g.is_simple for g, _ in seen) > 0
+    for g, rep in seen:
+        assert _report_bits(rep) == _report_bits(analyze(g))
+        assert _report_bits(analyze(g, z_polynomial(g))) == _report_bits(rep)
 
 
 def test_examples_check_documents_known_gap():
