@@ -52,11 +52,13 @@ parts:
    and counting_bound_rooted(a, b, m) for m = 0..40 and a, b on a grid
    from 0 to 1e3, where every value fits in floating point.
 
-7. Bit-compared results of verify_zero_free(5, 15, seed=s) and
-   verify_zero_free(4, 5, seed=s, max_multi=3) at each seed, without
-   elapsed, and the graph, roots, q_max, zero multiplicity and disc
-   flags of every report the sweep made.  No CLI command runs this
-   sweep, so no other part sees its reports.
+7. Bit-compared results of verify_zero_free(5, 15, seed=s),
+   verify_zero_free(4, 5, seed=s, max_multi=3) and
+   verify_zero_free(6, 4, seed=s) at each seed, without elapsed, and
+   the graph, roots, q_max, zero multiplicity and disc flags of every
+   report the sweep made.  The last adds the 112 structures of 6
+   vertices and their cores of degree 5.  No CLI command runs this sweep,
+   so no other part sees its reports.
 
 Prints one line per item and a JSON summary last; exits 1 if a part that
 must be identical is not, if a flag or exit status moves, or if a root
@@ -196,7 +198,8 @@ def recorded(g, *args):
 verify.analyze = recorded
 for seed in range(int(sys.argv[1])):
     for kwargs in ({"max_vertices": 5, "draws": 15},
-                   {"max_vertices": 4, "draws": 5, "max_multi": 3}):
+                   {"max_vertices": 4, "draws": 5, "max_multi": 3},
+                   {"max_vertices": 6, "draws": 4}):
         r = verify.verify_zero_free(seed=seed, **kwargs)
         del r["elapsed"]
         print(json.dumps(r, sort_keys=True))
@@ -485,7 +488,7 @@ def main() -> int:
         runs = {side: _run(tree, [str(script), str(args.seeds)], work)
                 for side, tree in trees.items()}
         same = runs["parent"] == runs["change"] and runs["change"][0] == 0
-        reports = len(runs["change"][1].splitlines()) - 2 * args.seeds
+        reports = len(runs["change"][1].splitlines()) - 3 * args.seeds
         label = f"verify_zero_free results and reports ({reports} reports, {args.seeds} seeds)"
         summary["identical"][label] = same
         print(f"{'same' if same else 'DIFF'}  {label}", flush=True)

@@ -38,7 +38,7 @@ from .polymer import (
     tutte_polymer_weights,
 )
 from .tutte import _z_polynomials, connected_by_support, connected_gen_poly, z_polynomial
-from .zeros import analyze, example_suite
+from .zeros import _q_roots_rows, analyze, example_suite
 
 LAMBDA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 BETA_GRID = (0.05, 0.1, 0.3, 1.0, 3.0, 5.0, 10.0, 20.0)
@@ -613,7 +613,11 @@ def verify_zero_free(
     """Every nonzero root sits inside every applicable disc.
 
     With max_multi, multigraphs up to that many vertices follow the simple
-    corpus; only the general disc applies to them.
+    corpus; only the general disc applies to them.  The draws of one
+    structure are solved together: one engine pass gives the Z of all of
+    them, and one root solve, with one eigvals call per core degree,
+    gives every draw's roots, which analyze then places against the
+    draw's disc radii.  Every report is the one analyze(g) gives alone.
     """
     if draws < 0:
         raise OutOfDomain(f"draws must be >= 0, got {draws}")
@@ -628,13 +632,16 @@ def verify_zero_free(
     for corpus in corpora:
         for regime in families.WEIGHT_REGIMES:
             for n, pairs in corpus:
-                # every draw's weights, in the order of one draw at a time,
-                # and the Z of all of them in one engine pass
-                gs = [families.weighted((n, pairs),
-                                        families.sample_weights(len(pairs), regime, rng))
-                      for _ in range(draws)]
-                for i, (g, z) in enumerate(zip(gs, _z_polynomials(gs))):
-                    rep = analyze(g, z)
+                # every draw's weights from one call, the values that one
+                # call per draw would give; the Z of all draws in one engine
+                # pass, and their roots from one solve
+                m = len(pairs)
+                ws = families.sample_weights(m * draws, regime, rng)
+                gs = [families.weighted((n, pairs), ws[i * m:(i + 1) * m])
+                      for i in range(draws)]
+                solved = _q_roots_rows(gs, _z_polynomials(gs))
+                for i, (g, roots) in enumerate(zip(gs, solved)):
+                    rep = analyze(g, roots)
                     checked += 1
                     multi_checked += not rep.simple
                     if not rep.general_disc_verified:

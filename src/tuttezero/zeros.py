@@ -8,15 +8,19 @@ factor q + w_e, whose root -w_e is exact, so only the polynomial of the
 core, the graph with every bridge contracted, goes to the solver.  Its
 roots start as the eigenvalues of its companion matrix, which are
 backward stable and which LAPACK balances against badly scaled
-coefficients (Edelman and Murakami, Math. Comp. 64, 1995); the matrix
-is built in place, with one eigvals call per polynomial.  Newton steps
-in scalar complex arithmetic polish each one, since numpy's per-call
-cost dominates at these degrees, and stop once |p| is within the
-rounding bound of the Horner pass that computed it (Bini, Numer.
+coefficients (Edelman and Murakami, Math. Comp. 64, 1995).  The solver
+takes a list of cores, every draw of a structure in the zero-free sweep
+and a list of one for a single graph; the companion matrices of the
+cores of one degree are built in place as one stack, with one eigvals
+call per degree, which solves each matrix as it would alone.  Newton
+steps in scalar complex arithmetic polish each root, since numpy's
+per-call cost dominates at these degrees, and stop once |p| is within
+the rounding bound of the Horner pass that computed it (Bini, Numer.
 Algorithms 13, 1996), which most eigenvalues meet at once.  Two checks
-reject a root set that still misses: a scaled residual per root, and
-the product of (q - r) over all roots against the coefficients, which
-catches two roots on one root of the polynomial while another is lost.
+per core reject a root set that still misses: a scaled residual per
+root, and the product of (q - r) over all roots against the
+coefficients, which catches two roots on one root of the polynomial
+while another is lost.
 An analysis report places every nonzero root against the disc radii of
 graph_bounds, and the example suite reproduces the named small-graph
 phenomena end to end.
@@ -46,15 +50,20 @@ _RESIDUAL_TOL = 1e-8
 _HORNER_ERR = 4 * 2.0 ** -53
 
 
-def _eigenvalues(c: list[complex]) -> list[complex]:
-    """Eigenvalues of the companion matrix np.roots builds for c.
+def _eigenvalues(cs: list[list[complex]]) -> list[list[complex]]:
+    """Eigenvalues of the companion matrix np.roots builds for each of cs,
+    polynomials of one degree d >= 2, in one eigvals call on a (k, d, d)
+    stack.
 
-    The matrix is built in place: ones below the diagonal, and a first
-    row of -c_k / c_d from the highest power down.
+    The stack is built in place: ones below each diagonal, and a first
+    row of -c_k / c_d from the highest power down.  eigvals solves each
+    matrix of a stack as it solves that matrix alone, so each core gets
+    the bits of its own solve.
     """
-    d = len(c) - 1
-    a = np.eye(d, k=-1, dtype=np.complex128)
-    a[0] = [-x / c[d] for x in c[d - 1::-1]]
+    k, d = len(cs), len(cs[0]) - 1
+    a = np.zeros((k, d, d), dtype=np.complex128)
+    a.reshape(k, d * d)[:, d::d + 1] = 1
+    a[:, 0] = [[-x / c[d] for x in c[d - 1::-1]] for c in cs]
     return np.linalg.eigvals(a).tolist()
 
 
@@ -128,36 +137,49 @@ def _expansion_ok(c: list[complex], polished: list[tuple[complex, float]]) -> bo
                for x, y, l, h in zip(e, c, lo, hi))
 
 
-def _solve(c: list[complex]) -> list[complex]:
-    """The roots of the monic polynomial c, ascending by power, whose
-    constant term is nonzero.
+def _solve(cs: list[list[complex]]) -> list[list[complex]]:
+    """The roots of each monic polynomial of cs, ascending by power, whose
+    constant terms are nonzero.
 
-    Degree 1 gives -c0/c1.  From degree 2 on, the roots are the
-    eigenvalues of the companion matrix, built in place and solved by one
-    eigvals call, each polished by up to _NEWTON_STEPS Newton steps in
-    scalar complex arithmetic, which stop at the rounding floor of
-    Horner's rule.
-    NoConvergence is raised when a root fails its residual check, or when
-    the product of (q - r) over the roots misses c.
+    Degree 1 gives -c0/c1.  From degree 2 on, the roots start as the
+    eigenvalues of the companion matrices, one eigvals call for all the
+    polynomials of one degree; each is polished by up to _NEWTON_STEPS
+    Newton steps in scalar complex arithmetic, which stop at the rounding
+    floor of Horner's rule.
+    NoConvergence is raised when an eigenvalue solve fails (for the whole
+    call, since one failing matrix fails its stack), when a root fails
+    its residual check, or when the product of (q - r) over the roots
+    misses the coefficients; the checks run in the order of cs.
     """
-    d = len(c) - 1
-    if d <= 1:
-        return [-c[0] / c[1]] if d == 1 else []
-    # an eigenvalue solve that overflows returns non-finite points, which
-    # fail the residual check; numpy's warnings would only repeat that on
-    # stderr
-    with np.errstate(all="ignore"):
-        start = _eigenvalues(c)
-    ac = [math.hypot(x.real, x.imag) for x in c]
-    polished = [_polish(c, ac, z) for z in start]
-    if None in polished:
-        raise NoConvergence("root finder failed the residual check")
-    if not _expansion_ok(c, polished):
-        raise NoConvergence("root finder lost a root: the roots' product misses the coefficients")
-    return [r for r, _ in polished]
+    by_degree: dict[int, list[int]] = {}
+    for i, c in enumerate(cs):
+        if len(c) > 2:
+            by_degree.setdefault(len(c), []).append(i)
+    starts = {}
+    for rows in by_degree.values():
+        # eigvals ignores overflow itself, so an overflowing solve returns
+        # non-finite points, which fail the residual check; a QR iteration
+        # that does not converge, or a non-finite matrix, raises
+        try:
+            starts.update(zip(rows, _eigenvalues([cs[i] for i in rows])))
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(f"root finder's eigenvalue solve failed: {exc}") from exc
+    out = []
+    for i, c in enumerate(cs):
+        if len(c) <= 2:
+            out.append([-c[0] / c[1]] if len(c) == 2 else [])
+            continue
+        ac = [math.hypot(x.real, x.imag) for x in c]
+        polished = [_polish(c, ac, z) for z in starts[i]]
+        if None in polished:
+            raise NoConvergence("root finder failed the residual check")
+        if not _expansion_ok(c, polished):
+            raise NoConvergence("root finder lost a root: the roots' product misses the coefficients")
+        out.append([r for r, _ in polished])
+    return out
 
 
-def q_roots(g: WeightedGraph, z: QPolynomial | None = None) -> tuple[list[complex], int]:
+def q_roots(g: WeightedGraph) -> tuple[list[complex], int]:
     """Roots other than the forced zeros, and the multiplicity of those.
 
     The forced multiplicity mult at q = 0 is nonzero_component_count(g),
@@ -176,24 +198,45 @@ def q_roots(g: WeightedGraph, z: QPolynomial | None = None) -> tuple[list[comple
     the core's times the nonzero bridge weights, in edge order.  When the
     core's or a partial product falls below the normal floating-point
     range, Z_G keeps too few of its bits, or none, to match the exact
-    bridge roots, and OutOfDomain is raised.  z, if given, is
-    z_polynomial(g), computed already.
+    bridge roots, and OutOfDomain is raised.
     """
-    zp = z_polynomial(g) if z is None else z
-    core = zp.core
-    mult = nonzero_component_count(g)
-    extra = next(i for i, x in enumerate(zp.coeffs[mult:]) if x)
-    low = next(i for i, x in enumerate(core) if x)
-    chain = [core[low]]
-    for w in zp.bridges:
-        if w:
-            chain.append(w * chain[-1])
-    if len(chain) > 1 and min(math.hypot(x.real, x.imag) for x in chain) < sys.float_info.min:
-        raise OutOfDomain("a partition-function coefficient underflows floating point")
-    roots = [r for w in zp.bridges if w for r in _solve([w, 1 + 0j])] + _solve(core[low:])
-    found = [0j] * extra + roots
-    assert len(found) == g.n - mult
-    return sorted(found, key=lambda r: (r.real, r.imag)), mult
+    return _q_roots_rows([g], [z_polynomial(g)])[0]
+
+
+def _q_roots_rows(
+    gs: list[WeightedGraph], zs: list[QPolynomial]
+) -> list[tuple[list[complex], int]]:
+    """q_roots of each graph of gs, whose z_polynomial are zs.
+
+    Every graph's bridge roots and stripped core go to one _solve call,
+    so the cores of one degree share one eigenvalue solve: the zero-free
+    sweep solves all draws of a structure at once.  Each graph gets the
+    bits of its own q_roots call.  OutOfDomain is raised for the first
+    graph whose bridge product underflows, before any root is solved.
+    """
+    polys, spans = [], []
+    for g, zp in zip(gs, zs):
+        core = zp.core
+        mult = nonzero_component_count(g)
+        extra = next(i for i, x in enumerate(zp.coeffs[mult:]) if x)
+        low = next(i for i, x in enumerate(core) if x)
+        chain = [core[low]]
+        for w in zp.bridges:
+            if w:
+                chain.append(w * chain[-1])
+        if len(chain) > 1 and min(math.hypot(x.real, x.imag) for x in chain) < sys.float_info.min:
+            raise OutOfDomain("a partition-function coefficient underflows floating point")
+        start = len(polys)
+        polys += [[w, 1 + 0j] for w in zp.bridges if w]
+        polys.append(core[low:])
+        spans.append((start, len(polys), extra, g.n - mult, mult))
+    solved = _solve(polys)
+    out = []
+    for start, stop, extra, count, mult in spans:
+        found = [0j] * extra + [r for roots in solved[start:stop] for r in roots]
+        assert len(found) == count
+        out.append((sorted(found, key=lambda r: (r.real, r.imag)), mult))
+    return out
 
 
 def q_max(g: WeightedGraph) -> float:
@@ -243,13 +286,15 @@ class ZeroFreeReport:
         }
 
 
-def analyze(g: WeightedGraph, z: QPolynomial | None = None) -> ZeroFreeReport:
+def analyze(
+    g: WeightedGraph, solved: tuple[list[complex], int] | None = None
+) -> ZeroFreeReport:
     """Roots, radii, and containment flags for one weighted graph.
 
-    z, if given, is z_polynomial(g), computed already: the zero-free
-    sweep computes the Z of all draws of a structure in one engine pass.
+    solved, if given, is q_roots(g), computed already: the zero-free
+    sweep solves all draws of a structure together.
     """
-    roots, mult = q_roots(g, z)
+    roots, mult = q_roots(g) if solved is None else solved
     b = graph_bounds(g)
     qmx = max((abs(r) for r in roots), default=0.0)
     general_ok = all(abs(r) < b.radius_general for r in roots)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tuttezero import OutOfDomain, analyze, families, verify, z_polynomial
+from tuttezero import OutOfDomain, analyze, families, q_roots, verify
 from tuttezero.bounds import f_closed, f_lambda_variational
 from tuttezero.graph import MAX_ENUM_EDGES
 from tuttezero.verify import (
@@ -132,7 +132,7 @@ def test_zero_free_sweep_reports_match_a_fresh_analyze(monkeypatch):
     assert r["multigraph_checked"] == sum(not g.is_simple for g, _ in seen) > 0
     for g, rep in seen:
         assert _report_bits(rep) == _report_bits(analyze(g))
-        assert _report_bits(analyze(g, z_polynomial(g))) == _report_bits(rep)
+        assert _report_bits(analyze(g, q_roots(g))) == _report_bits(rep)
 
 
 def test_examples_check_documents_known_gap():

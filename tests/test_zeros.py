@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,7 +58,7 @@ def _assert_exact_bridge_roots(g):
 def _assert_path_roots(weights):
     # the solver on the expanded q prod (q + w_e), stripped of its zero root
     g = build_graph(range(len(weights) + 1), [(i, i + 1, w) for i, w in enumerate(weights)])
-    got = sorted(_solve(_engine_coefficients(g)), key=lambda z: (z.real, z.imag))
+    got = sorted(_solve([_engine_coefficients(g)])[0], key=lambda z: (z.real, z.imag))
     want = sorted((-w for w in weights), key=lambda z: (z.real, z.imag))
     assert len(got) == len(want)
     for a, b in zip(got, want):
@@ -89,7 +90,7 @@ WIDELY_SCALED_PATH = [8.6e29, 1.9e5, 1.5e-18, 2.2e-25]
 def test_root_lost_to_scaling_raises_no_convergence():
     g = build_graph(range(5), [(i, i + 1, w) for i, w in enumerate(WIDELY_SCALED_PATH)])
     with pytest.raises(NoConvergence):
-        _solve(_engine_coefficients(g))
+        _solve([_engine_coefficients(g)])
     # every edge of a path is a bridge, so analyze never solves that product
     _assert_exact_bridge_roots(g)
 
@@ -104,7 +105,7 @@ def test_multiple_roots_pass_the_root_checks(edges, root):
     # of weight (1 + w)^2 - 1, so equal weights give one root of order m.
     # Its computed copies spread by about 1e-16^(1/m), 1e-4 at m = 4.
     g = build_graph(range(1 + max(v for _, v, _ in edges)), edges)
-    roots = _solve(_engine_coefficients(g))
+    roots, = _solve([_engine_coefficients(g)])
     assert len(roots) == g.n - 1
     assert all(abs(r - root) <= 1e-3 * abs(root) for r in roots)
     _assert_exact_bridge_roots(g)
@@ -322,7 +323,7 @@ def test_polish_stops_at_the_rounding_floor():
     for c in _solver_inputs():
         d = len(c) - 1
         ac = [math.hypot(x.real, x.imag) for x in c]
-        for z in zeros._eigenvalues(c):
+        for z in zeros._eigenvalues([c])[0]:
             resid, scale = _horner(c, z)
             if resid <= zeros._HORNER_ERR * d * scale:
                 at_floor += 1
@@ -336,13 +337,118 @@ def test_polish_still_converges_from_a_perturbed_start():
     checked = 0
     for c in _solver_inputs():
         ac = [math.hypot(x.real, x.imag) for x in c]
-        for k, z in enumerate(zeros._eigenvalues(c)):
+        for k, z in enumerate(zeros._eigenvalues([c])[0]):
             root, rho = zeros._polish(c, ac, z)
             moved = zeros._polish(c, ac, z * (1 + 1e-6 * cmath.exp(1j * k)))
             assert moved is not None, (c, z)
             assert abs(moved[0] - root) <= rho + moved[1], (c, z)
             checked += 1
     assert checked >= 100
+
+
+def _root_bits(roots):
+    return [(r.real.hex(), r.imag.hex()) for r in roots]
+
+
+def test_stacked_solve_gives_each_core_the_bits_of_its_own_solve():
+    # the cores come in mixed degrees and in corpus order, so each stack
+    # gathers cores from across the list
+    cs = _solver_inputs()
+    assert len({len(c) for c in cs}) >= 5
+    assert [_root_bits(r) for r in _solve(cs)] == [_root_bits(_solve([c])[0]) for c in cs]
+
+
+def test_root_rows_of_mixed_core_degrees_match_q_roots(monkeypatch):
+    # one call on graphs whose stripped cores have degree 0 (an edgeless
+    # graph, a path), 1 (the all-(-3) triangle, Z = q^3 - 9 q^2), 2
+    # (random triangles, one with a bridge hung on) and 3: one eigvals
+    # call for each degree from 2 on, and every graph gets the bits of
+    # its own q_roots
+    rng = np.random.default_rng(5)
+    triangle = (3, [(0, 1), (0, 2), (1, 2)])
+    graphs = [build_graph(range(3), []), path_graph(3, 0.5), complete_graph(3, -3.0)]
+    graphs += [families.weighted(triangle, families.sample_weights(3, "mixed", rng))
+               for _ in range(3)]
+    graphs += [build_graph(range(4), [(0, 1, 1.5j), (0, 2, -0.5), (1, 2, 2.0), (2, 3, 0.7)]),
+               cycle_graph(4, 0.3), complete_graph(4, 1j), complete_graph(3, 0.25)]
+    assert [_core_degree(g) for g in graphs] == [0, 0, 1, 2, 2, 2, 2, 3, 3, 2]
+    want = [q_roots(g) for g in graphs]
+    shapes = []
+    eigvals = np.linalg.eigvals
+
+    def recorded(a):
+        shapes.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recorded)
+    got = zeros._q_roots_rows(graphs, [z_polynomial(g) for g in graphs])
+    assert shapes == [(5, 2, 2), (2, 3, 3)]
+    assert [(_root_bits(r), m) for r, m in got] == [(_root_bits(r), m) for r, m in want]
+
+
+def test_zero_free_sweep_makes_one_eigvals_call_per_core_degree(monkeypatch):
+    # verify_zero_free(5, 15) solves the cores of each (regime, structure)
+    # by degree: 69 stacks for 1,035 cores of degree 2 or more
+    from tuttezero import verify
+
+    shapes, seen = [], []
+    eigvals, sweep_analyze = np.linalg.eigvals, verify.analyze
+
+    def counted(a):
+        shapes.append(a.shape)
+        return eigvals(a)
+
+    def recorded(g, *args):
+        seen.append(g)
+        return sweep_analyze(g, *args)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    monkeypatch.setattr(verify, "analyze", recorded)
+    assert verify.verify_zero_free(5, 15)["passed"]
+    # the sweep visits the (regime, structure) groups of 15 draws in turn
+    want = []
+    for i in range(0, len(seen), 15):
+        degrees = [_core_degree(g) for g in seen[i:i + 15]]
+        want += [(degrees.count(d), d, d) for d in dict.fromkeys(degrees) if d >= 2]
+    assert shapes == want
+    assert len(shapes) == 69 and sum(k for k, _, _ in shapes) == 1035
+
+
+# a degree-12 monic polynomial on which LAPACK's QR iteration does not
+# converge: eigvals raises LinAlgError("Eigenvalues did not converge")
+NONCONVERGENT = [
+    3.190487887020784e-271 + 8.570797543194736e-271j, 1.1609783648237074e+151 - 5.4613948753815825e+149j,
+    1.4164621323626401e+190 + 4.2288623569019164e+190j, 3.8356386840983195e-77 + 4.20466183264677e-77j,
+    3.698635559811102e-133 - 9.032774733942381e-133j, -3.763477981455945e+216 - 3.781924242921664e+216j,
+    -4.762732728606684e-228 + 3.6146432394318156e-228j, -179.9234823800456 + 312.14820306870877j,
+    7.3671434787879e-301 + 3.2305432300588686e-301j, 9.593336770433954e-245 - 2.2134118948240402e-244j,
+    6.820200956767985e-238 - 4.094648230031065e-238j, 1.0558418370986517e-91 + 6.714087398444252e-92j,
+    1 + 0j,
+]
+
+
+def test_eigenvalue_solve_that_does_not_converge_raises_no_convergence():
+    # typed, and silent: no numpy warning escapes, alone or in a stack
+    # with a solvable core of the same degree
+    solvable = _engine_coefficients(cycle_graph(13, 0.5))
+    assert len(solvable) == len(NONCONVERGENT) and len(_solve([solvable])[0]) == 12
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cs in ([NONCONVERGENT], [solvable, NONCONVERGENT], [NONCONVERGENT, [2j, 1 + 0j]]):
+            with pytest.raises(NoConvergence, match="eigenvalue solve failed"):
+                _solve(cs)
+
+
+def test_a_failed_eigenvalue_solve_fails_the_whole_stack(monkeypatch):
+    def failing(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    cores = [_engine_coefficients(cycle_graph(4, w)) for w in (0.5, 2.0)]
+    with pytest.raises(NoConvergence, match="did not converge"):
+        _solve(cores)
+    # a list with no core of degree 2 or more makes no eigenvalue solve
+    assert _solve([[2j, 1 + 0j], [1 + 0j]]) == [[-2j], []]
 
 
 def test_analyze_runs_the_engine_once_and_z_polynomial_once_on_the_whole_graph(monkeypatch):
