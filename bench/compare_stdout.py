@@ -9,7 +9,7 @@ neither sees the other's modules.  Z splits off every bridge of the
 parallel-reduced graph as a factor q + w_e, so only bridgeless graphs
 keep the engine's exact bits; graphs with a bridge may move in the last
 bits.  Roots are polished by Newton steps that stop at the rounding
-floor of Horner's rule, so every root may move in the last bits.  Seven
+floor of Horner's rule, so every root may move in the last bits.  Eight
 parts:
 
 1. Byte-compared stdout and exit code of `verify-polymer`,
@@ -59,6 +59,13 @@ parts:
    report the sweep made.  The last adds the 112 structures of 6
    vertices and their cores of degree 5.  No CLI command runs this sweep,
    so no other part sees its reports.
+
+8. Bit-compared connected_by_support tables, polymer_profile and
+   polymer_partition at q = 1.3 - 0.7i and -2.1 + 0.4i, of the connected
+   simple structures to 6 vertices and the connected multigraph
+   structures to 4, one mixed draw each from default_rng(0).
+   verify-polymer prints pass counts only, so this is the part that sees
+   a table, profile or partition value move.
 
 Prints one line per item and a JSON summary last; exits 1 if a part that
 must be identical is not, if a flag or exit status moves, or if a root
@@ -206,6 +213,30 @@ for seed in range(int(sys.argv[1])):
         for rep in reports:
             print(json.dumps(rep))
         reports.clear()
+"""
+
+POLYMER_DUMP = """
+import numpy as np
+from tuttezero import (TutteZeroError, connected_by_support, families, polymer_partition,
+                       polymer_profile, tutte_polymer_weights)
+
+def bits(z):
+    return f"{z.real.hex()},{z.imag.hex()}"
+
+rng = np.random.default_rng(0)
+for n, pairs in (families.connected_simple_structures(6)
+                 + families.connected_multigraph_structures(4)):
+    g = families.weighted((n, pairs), families.sample_weights(len(pairs), "mixed", rng))
+    out = [f"{n} {pairs}"]
+    try:
+        table = connected_by_support(g)
+        out.append(" ".join(f"{s}:{bits(c)}" for s, c in table.items()))
+        out.append(" ".join(map(bits, polymer_profile(g, table=table).tolist())))
+        for q in (complex(1.3, -0.7), complex(-2.1, 0.4)):
+            out.append(bits(polymer_partition(tutte_polymer_weights(g, q, table=table))))
+    except TutteZeroError as exc:
+        out.append(type(exc).__name__)
+    print(" | ".join(out))
 """
 
 # each example's report is matched to the graph that analyze was called on
@@ -490,6 +521,15 @@ def main() -> int:
         same = runs["parent"] == runs["change"] and runs["change"][0] == 0
         reports = len(runs["change"][1].splitlines()) - 3 * args.seeds
         label = f"verify_zero_free results and reports ({reports} reports, {args.seeds} seeds)"
+        summary["identical"][label] = same
+        print(f"{'same' if same else 'DIFF'}  {label}", flush=True)
+
+        script = work / "polymer_dump.py"
+        script.write_text(POLYMER_DUMP)
+        runs = {side: _run(tree, [str(script)], work) for side, tree in trees.items()}
+        same = runs["parent"] == runs["change"] and runs["change"][0] == 0
+        label = (f"C table, gas profile and partition bits "
+                 f"({len(runs['change'][1].splitlines())} graphs)")
         summary["identical"][label] = same
         print(f"{'same' if same else 'DIFF'}  {label}", flush=True)
 

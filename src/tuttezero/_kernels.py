@@ -46,9 +46,12 @@ for any number of edges, by the Fortuin-Kasteleyn set-partition recursion
 in vertex-exponential time", arXiv:0711.2585).  Its subtraction can cancel,
 so the float pass carries a rounding bound per vertex subset and falls
 back to exact arithmetic, in Gaussian integers scaled by a power of two,
-when a bound is not small against the value it bounds.  It shares
-nothing with the edge engine, so the polymer identity compares two
-independent routes.
+when a bound is not small against the value it bounds.  Both passes
+walk the T inside S that hold low(S) inline, by the decreasing submask
+loop sub = (sub - 1) & rest, so T comes in decreasing order; the
+polymer DPs read their subsets from a cached plan instead (see polymer),
+since they walk only the masks of one table.  It shares nothing with the
+edge engine, so the polymer identity compares two independent routes.
 """
 
 from __future__ import annotations
@@ -315,16 +318,6 @@ def _support_products(n: int, edges) -> list[complex]:
     return f
 
 
-def _proper_subsets_with_low(s: int):
-    """Yield (T, S minus T) for every T strictly inside S holding low(S)."""
-    low = s & -s
-    rest = s ^ low
-    sub = rest
-    while sub:
-        sub = (sub - 1) & rest
-        yield low | sub, rest ^ sub
-
-
 def _float_table(n: int, edges, conn: list[bool]) -> list[complex] | None:
     """C by the set-partition recursion in floats, or None on cancellation.
 
@@ -348,8 +341,14 @@ def _float_table(n: int, edges, conn: list[bool]) -> list[complex] | None:
             continue
         acc = f[s]  # a singleton has no T and keeps F = 1
         err = rel_f * a_f[s]
-        for t, r in _proper_subsets_with_low(s):
+        # T = low | sub for every sub strictly inside rest, in decreasing sub
+        low = s & -s
+        rest = sub = s ^ low
+        while sub:
+            sub = (sub - 1) & rest
+            t = low | sub
             if conn[t]:
+                r = rest ^ sub
                 acc -= c[t] * f[r]
                 err += w_c[t] * a_f[r] + _U * abs(acc)
         mod = abs(acc)
@@ -403,8 +402,13 @@ def _exact_table(n: int, edges, conn: list[bool]) -> list[complex]:
         if not conn[m]:
             continue
         x, y = f_re[m], f_im[m]
-        for t, r in _proper_subsets_with_low(m):
+        low = m & -m
+        rest = sub = m ^ low
+        while sub:  # the T of _float_table, in its order
+            sub = (sub - 1) & rest
+            t = low | sub
             if conn[t]:
+                r = rest ^ sub
                 shift = s * (e[m] - e[t] - e[r])
                 a, b, p, q = c_re[t], c_im[t], f_re[r], f_im[r]
                 x -= (a * p - b * q) << shift

@@ -13,12 +13,29 @@ tables in Python lists of complex, where one step costs less than the
 per-element call of a numpy array.  The classical convergence
 certificates bound, per vertex, the activity mass seen at scale alpha;
 margin at most one guarantees Xi does not vanish.
+
+Which polymers fit inside which vertex mask depends on the polymer masks
+alone, not on the activities, and the sweeps meet the same mask sets
+again and again: a graph's profile and its partitions share one, and so
+do the multigraphs of one skeleton.  So the masks go through one plan
+(_plan): each polymer's size shift |S| - 1 and, for every vertex mask,
+the indices of the polymers inside it that hold its lowest vertex, in
+the order the masks are given, which is ascending for every table and
+every PolymerWeights.  The DPs walk that plan, in the order they
+visited the polymers when they filtered them mask by mask, so every sum
+keeps its bits.  A plan holds tuples of small ints only.  Plans of at
+most PLAN_VERTICES = 7 vertices are cached, 64 of them at most 16 KB
+each, so the cache holds at most 1 MB (measured in _cached_plan); larger
+plans are built on every call.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,14 +52,89 @@ from .errors import (
 from .graph import WeightedGraph
 from .tutte import MAX_SUPPORT_VERTICES as MAX_POLYMER_VERTICES, connected_by_support
 
+# Plans of hosts with at most this many vertices are cached; larger ones
+# are built on every call.
+PLAN_VERTICES = 7
+
+
+def _mask_shifts(n: int, masks: tuple) -> tuple[int, ...]:
+    """|S| - 1 for every polymer mask S, after checking that each mask is
+    nonempty, inside the host's n vertices, not a singleton, and met once."""
+    seen = set()
+    for mask in masks:
+        if mask == 0:
+            raise BadIndex("polymer mask 0 is empty")
+        if mask < 0 or mask >> n:
+            raise BadIndex(f"polymer mask {mask} outside host range")
+        if mask & (mask - 1) == 0:
+            raise BadIndex(f"polymer mask {mask} is a singleton")
+        if mask in seen:
+            raise BadIndex(f"duplicate polymer mask {mask}")
+        seen.add(mask)
+    return tuple(mask.bit_count() - 1 for mask in masks)
+
+
+def _build_plan(n: int, masks: tuple) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """(shifts, inside) for polymer masks on n host vertices.
+
+    shifts[i] is |S| - 1 for the mask S = masks[i]; inside[m] holds, in
+    increasing i, every i whose mask lies inside the vertex mask m and
+    holds its lowest vertex.  Each S is added to every m it can serve:
+    S with any set of the vertices above low(S) that S leaves out, so the
+    work is the size of the plan.  Raises BadIndex as _mask_shifts does.
+    """
+    shifts = _mask_shifts(n, masks)
+    full = (1 << n) - 1
+    inside: list[list[int]] = [[] for _ in range(1 << n)]
+    for i, s in enumerate(masks):
+        free = full & ~(s | ((s & -s) - 1))
+        x = free
+        while True:
+            inside[s | x].append(i)
+            if not x:
+                break
+            x = (x - 1) & free
+    return shifts, tuple(map(tuple, inside))
+
+
+@functools.lru_cache(maxsize=64)
+def _cached_plan(n: int, masks: tuple) -> tuple:
+    """_build_plan, for hosts of at most PLAN_VERTICES vertices.
+
+    A plan holds tuples of small ints only, which CPython shares, so its
+    size is that of its tuples: on 7 vertices at most 120 shifts and 128
+    index tuples, with one index per pair of a vertex mask and a polymer
+    that fits in it and holds its lowest vertex, 966 in all for K7.  That
+    plan takes 14.7 KB, 15.8 KB with its key (CPython 3.11); K5's takes
+    2.8 KB.  The cache is bounded by 64 x 16 KB = 1 MB.  The polymer
+    sweep to 5 vertices with multigraphs to 4 meets 31 mask sets, so
+    every plan after its first unit is a hit; the 853 structures of 7
+    vertices cycle past the cache, one plan each.
+    """
+    return _build_plan(n, masks)
+
+
+def _plan(n: int, masks: tuple) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The plan of polymer masks on n host vertices, from the cache when
+    n <= PLAN_VERTICES."""
+    return _cached_plan(n, masks) if n <= PLAN_VERTICES else _build_plan(n, masks)
+
+
+def _shifts(n: int, masks: tuple) -> tuple[int, ...]:
+    """The checked shifts of polymer masks: from the cached plan when
+    n <= PLAN_VERTICES, so the checks run once per mask set, and without
+    a plan past it."""
+    return _cached_plan(n, masks)[0] if n <= PLAN_VERTICES else _mask_shifts(n, masks)
+
 
 @dataclass(frozen=True)
 class PolymerWeights:
     """Activity map for a polymer gas on host vertices 0..n-1.
 
     entries holds (vertex_mask, activity) pairs, sorted by mask, one per
-    polymer; singleton and empty masks are rejected, as is a mask that
-    leaves the host's range.
+    polymer.  A mask that is not an int, is empty or a singleton, leaves
+    the host's range or comes twice raises BadIndex, and an activity that
+    is not finite raises OutOfDomain; both are checked before sorting.
     """
 
     host_vertex_count: int
@@ -54,15 +146,15 @@ class PolymerWeights:
             raise BadIndex(f"vertex count must be >= 0, got {n}")
         if n > MAX_POLYMER_VERTICES:
             raise TooLarge(f"{n} vertices exceeds polymer limit {MAX_POLYMER_VERTICES}")
-        seen = set()
-        for mask, _ in self.entries:
-            if mask <= 0 or mask >> n:
-                raise BadIndex(f"polymer mask {mask} outside host range")
-            if mask & (mask - 1) == 0:
-                raise BadIndex(f"polymer mask {mask} is a singleton")
-            if mask in seen:
-                raise BadIndex(f"duplicate polymer mask {mask}")
-            seen.add(mask)
+        masks = tuple([mask for mask, _ in self.entries])
+        # int masks only: 3.0 would find the cached plan of 3
+        if not all(map(isinstance, masks, itertools.repeat(int))):
+            bad = next(m for m in masks if not isinstance(m, int))
+            raise BadIndex(f"polymer mask {bad!r} is not an integer")
+        if not all(map(cmath.isfinite, [rho for _, rho in self.entries])):
+            mask, rho = next(e for e in self.entries if not cmath.isfinite(e[1]))
+            raise OutOfDomain(f"activity {rho!r} of polymer mask {mask} is not finite")
+        _shifts(n, masks)
         object.__setattr__(self, "entries", tuple(sorted(self.entries)))
 
     @classmethod
@@ -71,6 +163,10 @@ class PolymerWeights:
         for s, rho in pairs:
             mask = 0
             for v in s:
+                try:
+                    v = operator.index(v)
+                except TypeError:
+                    raise BadIndex(f"vertex {v!r} is not an integer") from None
                 if not (0 <= v < n):
                     raise BadIndex(f"vertex {v} outside 0..{n - 1}")
                 mask |= 1 << v
@@ -85,24 +181,23 @@ def tutte_polymer_weights(
 
     table is g's connected_by_support table; it is built when not given,
     so a caller evaluating several q on one graph can build it once.
+    Raises OutOfDomain when an activity does not fit in floating point.
     """
     q = complex(q)
+    n = g.n
     if q == 0:
         raise ZeroQ("activities are undefined at q = 0")
-    if g.n > MAX_POLYMER_VERTICES:
-        raise TooLarge(f"{g.n} vertices exceeds polymer limit {MAX_POLYMER_VERTICES}")
+    if n > MAX_POLYMER_VERTICES:
+        raise TooLarge(f"{n} vertices exceeds polymer limit {MAX_POLYMER_VERTICES}")
     if table is None:
         table = connected_by_support(g)
     try:
-        powers = [q ** -j for j in range(g.n)]
+        powers = [q ** -j for j in range(n)]
     except (ZeroDivisionError, OverflowError):
-        raise OutOfDomain(f"q^-{g.n - 1} does not fit in floating point at q = {q}") from None
-    entries = tuple(
-        (mask, c * powers[bin(mask).count("1") - 1]) for mask, c in table.items()
-    )
-    if not all(cmath.isfinite(rho) for _, rho in entries):
-        raise OutOfDomain(f"an activity does not fit in floating point at q = {q}")
-    return PolymerWeights(g.n, entries)
+        raise OutOfDomain(f"q^-{n - 1} does not fit in floating point at q = {q}") from None
+    shifts = _shifts(n, tuple(table))
+    rhos = [c * powers[s] for c, s in zip(table.values(), shifts)]
+    return PolymerWeights(n, tuple(zip(table, rhos)))
 
 
 def polymer_partition(pw: PolymerWeights) -> complex:
@@ -110,25 +205,26 @@ def polymer_partition(pw: PolymerWeights) -> complex:
 
     Dynamic programming over the set of still-available vertices; the
     lowest available vertex is either left bare or covered by one of the
-    polymers containing it.
+    polymers of the plan that fit in the set and hold it.  Raises
+    OutOfDomain when Xi does not fit in floating point.
     """
     n = pw.host_vertex_count
     if n == 0:
         return 1.0 + 0j
-    by_low: list[list[tuple[int, complex]]] = [[] for _ in range(n)]
-    for mask, rho in pw.entries:
-        low = (mask & -mask).bit_length() - 1
-        by_low[low].append((mask, rho))
+    masks = tuple([mask for mask, _ in pw.entries])
+    rhos = [rho for _, rho in pw.entries]
+    _, inside = _plan(n, masks)
     f = [0j] * (1 << n)
     f[0] = 1.0 + 0j
     for mask in range(1, 1 << n):
-        low = (mask & -mask).bit_length() - 1
         acc = f[mask & (mask - 1)]
-        for smask, rho in by_low[low]:
-            if smask & mask == smask:
-                acc += rho * f[mask ^ smask]
+        for i in inside[mask]:
+            acc += rhos[i] * f[mask ^ masks[i]]
         f[mask] = acc
-    return complex(f[-1])
+    xi = complex(f[-1])
+    if not cmath.isfinite(xi):
+        raise OutOfDomain("the gas partition function does not fit in floating point")
+    return xi
 
 
 def polymer_profile(
@@ -141,7 +237,9 @@ def polymer_profile(
     q-dependence stays symbolic.  Multiplying by q^n aligns p_j with the
     coefficient of q^{n-j} in the partition function; the tests compare
     them coefficient by coefficient.  table is g's connected_by_support
-    table, built when not given, as in tutte_polymer_weights.
+    table, built when not given, as in tutte_polymer_weights; its masks
+    are checked as PolymerWeights checks them.  Raises OutOfDomain when
+    a coefficient does not fit in floating point.
     """
     n = g.n
     if n == 0:
@@ -150,19 +248,19 @@ def polymer_profile(
         raise TooLarge(f"{n} vertices exceeds polymer limit {MAX_POLYMER_VERTICES}")
     if table is None:
         table = connected_by_support(g)
-    by_low: list[list[tuple[int, int, complex]]] = [[] for _ in range(n)]
-    for mask, c in table.items():
-        low = (mask & -mask).bit_length() - 1
-        by_low[low].append((mask, bin(mask).count("1") - 1, c))
-    f = [[0j] * n for _ in range(1 << n)]
-    f[0][0] = 1.0 + 0j
+    masks = tuple(table)
+    cs = list(table.values())
+    shifts, inside = _plan(n, masks)
+    f = [[]] * (1 << n)
+    f[0] = [1.0 + 0j] + [0j] * (n - 1)
     for mask in range(1, 1 << n):
-        low = (mask & -mask).bit_length() - 1
         acc = f[mask & (mask - 1)][:]
-        for smask, shift, c in by_low[low]:
-            if smask & mask == smask:
-                acc[shift:] = [a + c * x for a, x in zip(acc[shift:], f[mask ^ smask])]
+        for i in inside[mask]:
+            shift, c = shifts[i], cs[i]
+            acc[shift:] = [a + c * x for a, x in zip(acc[shift:], f[mask ^ masks[i]])]
         f[mask] = acc
+    if not all(map(cmath.isfinite, f[-1])):
+        raise OutOfDomain("a gas profile coefficient does not fit in floating point")
     return np.array(f[-1], dtype=np.complex128)
 
 

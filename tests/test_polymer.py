@@ -1,4 +1,6 @@
+import functools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +24,7 @@ from tuttezero import (
     tutte_polymer_weights,
     z_polynomial,
 )
-from tuttezero import _kernels, verify
+from tuttezero import _kernels, polymer, verify
 from tuttezero.families import (
     complete_graph,
     connected_multigraph_structures,
@@ -57,6 +59,22 @@ def test_weights_validation():
         PolymerWeights.from_sets(3, [([0, 5], 1.0)])
     with pytest.raises(BadIndex):
         PolymerWeights.from_sets(3, [([0, 1], 1.0), ([1, 0], 2.0)])
+    # complex activities of one mask: checked before a sort could compare them
+    with pytest.raises(BadIndex, match="duplicate"):
+        PolymerWeights.from_sets(3, [([0, 1], 1j), ([1, 0], 2j)])
+    with pytest.raises(BadIndex, match="empty"):
+        PolymerWeights.from_sets(3, [([], 1.0)])
+    with pytest.raises(BadIndex, match="not an integer"):
+        PolymerWeights.from_sets(3, [([0, 1.5], 1.0)])
+    with pytest.raises(BadIndex, match="not an integer"):
+        PolymerWeights(3, ((3.0, 1.0),))
+    for rho in (math.nan, math.inf, complex(1.0, -math.inf)):
+        with pytest.raises(OutOfDomain):
+            PolymerWeights.from_sets(3, [([0, 1], rho)])
+    # numpy vertex indices build the same masks as Python ints
+    pw = PolymerWeights.from_sets(3, [(np.array([2, 0]), 0.5)])
+    assert pw.entries == ((0b101, 0.5 + 0j),)
+    assert type(pw.entries[0][0]) is int
 
 
 def test_partition_matches_brute_force(rng):
@@ -340,6 +358,195 @@ def test_list_dps_against_exact_arithmetic():
             w = _partition_dp(n, [(s, _Gauss(r)) for s, r in pw.entries], zero, one)
             sc = _partition_dp(n, [(s, abs(r)) for s, r in pw.entries], 0.0, 1.0)
             assert abs(complex(_Gauss(polymer_partition(pw)) - w)) <= 1e-13 * sc
+
+
+@functools.cache
+def bit_corpus():
+    """The simple structures to 6 vertices and the multigraphs to 4, one
+    mixed draw each from default_rng(0), with their tables."""
+    rng = np.random.default_rng(0)
+    out = []
+    for n, pairs in connected_simple_structures(6) + connected_multigraph_structures(4):
+        g = weighted((n, pairs), sample_weights(len(pairs), "mixed", rng))
+        out.append((g, connected_by_support(g)))
+    return out
+
+
+def _bits(values):
+    return [(complex(z).real.hex(), complex(z).imag.hex()) for z in values]
+
+
+def test_dps_match_the_textbook_dps_bit_for_bit():
+    # the textbook DPs visit the polymers of each mask in table order, as
+    # the plan does, so every sum is the same
+    for g, table in bit_corpus():
+        want = _profile_dp(g.n, table, 0j, 1.0 + 0j)
+        assert _bits(polymer_profile(g, table=table).tolist()) == _bits(want)
+        for q in (complex(1.3, -0.7), complex(-2.1, 0.4)):
+            pw = tutte_polymer_weights(g, q, table=table)
+            want = _partition_dp(g.n, pw.entries, 0j, 1.0 + 0j)
+            assert _bits([polymer_partition(pw)]) == _bits([want])
+
+
+def _proper_subsets_with_low(s):
+    """Yield (T, S minus T) for every T strictly inside S holding low(S)."""
+    low = s & -s
+    rest = s ^ low
+    sub = rest
+    while sub:
+        sub = (sub - 1) & rest
+        yield low | sub, rest ^ sub
+
+
+def _reference_table(n, edges):
+    """connected_by_support's float pass and exact redo, with T drawn from
+    the subset generator; returns (table, whether the exact route ran)."""
+    conn = _kernels._induced_connected(n, edges)
+    f = _kernels._support_products(n, edges)
+    a_f = [abs(x) for x in f]
+    u, mul = 2.0 ** -53, 3.0 * 2.0 ** -53
+    rel_f = len(edges) * (u + mul)
+    c, w_c = [0j] * (1 << n), [0.0] * (1 << n)
+    for s in range(1, 1 << n):
+        if not conn[s]:
+            continue
+        acc, err = f[s], rel_f * a_f[s]
+        for t, r in _proper_subsets_with_low(s):
+            if conn[t]:
+                acc -= c[t] * f[r]
+                err += w_c[t] * a_f[r] + u * abs(acc)
+        mod = abs(acc)
+        if err > _kernels.CANCEL_TOL * mod:
+            break
+        c[s] = acc
+        w_c[s] = (mul + rel_f) * mod + (1.0 + rel_f) * err
+    else:
+        return [0j if s & (s - 1) == 0 else x for s, x in enumerate(c)], False
+    # the exact route: Gaussian integers scaled by 2^(sh e(S))
+    sh = max((x.as_integer_ratio()[1].bit_length() - 1
+              for _, _, w in edges for x in (w.real, w.imag)), default=0)
+    lifted = [(u, v, _kernels._scaled(w.real, sh) + (1 << sh), _kernels._scaled(w.imag, sh))
+              for u, v, w in edges]
+    f_re, f_im, e = [1] * (1 << n), [0] * (1 << n), [0] * (1 << n)
+    for m in range(1, 1 << n):
+        low = m & -m
+        rest = m ^ low
+        x, y, k = f_re[rest], f_im[rest], e[rest]
+        for a, b, p, q in lifted:
+            a, b = min(a, b), max(a, b)
+            if 1 << a == low and rest >> b & 1:
+                x, y, k = x * p - y * q, x * q + y * p, k + 1
+        f_re[m], f_im[m], e[m] = x, y, k
+    c_re, c_im, out = [0] * (1 << n), [0] * (1 << n), [0j] * (1 << n)
+    for m in range(1, 1 << n):
+        if not conn[m]:
+            continue
+        x, y = f_re[m], f_im[m]
+        for t, r in _proper_subsets_with_low(m):
+            if conn[t]:
+                shift = sh * (e[m] - e[t] - e[r])
+                a, b, p, q = c_re[t], c_im[t], f_re[r], f_im[r]
+                x -= (a * p - b * q) << shift
+                y -= (a * q + b * p) << shift
+        c_re[m], c_im[m] = x, y
+        if m & (m - 1):
+            out[m] = complex(x / (1 << sh * e[m]), y / (1 << sh * e[m]))
+    return out, True
+
+
+def test_support_tables_match_the_generator_reference_bit_for_bit():
+    routes = set()
+    for g, _ in bit_corpus():
+        want, exact = _reference_table(g.n, g.edges)
+        routes.add(exact)
+        got = _kernels.connected_by_support(g.n, g.edges)
+        assert _bits(got.tolist()) == _bits(want)
+    assert routes == {False, True}  # both the float pass and the exact redo
+
+
+def test_plan_lists_the_fitting_polymers_in_the_given_order(rng):
+    for n in (3, 5, 7):
+        masks = [m for m in range(1 << n) if m & (m - 1) and rng.random() < 0.5]
+        rng.shuffle(masks)
+        masks = tuple(masks)
+        shifts, inside = polymer._build_plan(n, masks)
+        assert shifts == tuple(bin(s).count("1") - 1 for s in masks)
+        assert inside == tuple(
+            tuple(i for i, s in enumerate(masks) if s & m == s and s & m & -m)
+            for m in range(1 << n))
+
+
+def test_a_graph_builds_one_plan_for_its_profile_and_partitions():
+    g = complete_graph(5, complex(0.3, -0.8))
+    table = connected_by_support(g)
+    polymer._cached_plan.cache_clear()
+    polymer_profile(g, table=table)
+    for q in (complex(1.3, -0.7), complex(-2.1, 0.4)):
+        polymer_partition(tutte_polymer_weights(g, q, table=table))
+    info = polymer._cached_plan.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+
+
+def test_multigraphs_build_no_more_plans_than_skeletons():
+    corpus = connected_multigraph_structures(4)
+    skeletons = {(n, frozenset(pairs)) for n, pairs in corpus}
+    assert len(skeletons) < len(corpus)
+    rng = np.random.default_rng(0)
+    polymer._cached_plan.cache_clear()
+    for n, pairs in corpus:
+        g = weighted((n, pairs), sample_weights(len(pairs), "mixed", rng))
+        table = connected_by_support(g)
+        polymer_profile(g, table=table)
+        polymer_partition(tutte_polymer_weights(g, 2.0 - 1.0j, table=table))
+    assert polymer._cached_plan.cache_info().misses <= len(skeletons)
+
+
+def _deep_size(obj):
+    """Bytes of nested tuples of small ints, counting each object once."""
+    seen, total, todo = set(), 0, [obj]
+    while todo:
+        x = todo.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        total += sys.getsizeof(x)
+        if isinstance(x, tuple):
+            todo.extend(x)
+    return total
+
+
+def test_plan_cache_holds_its_byte_bound():
+    # K7 has every polymer mask of 7 vertices, so its plan is the largest
+    # the cache can hold; every int in it is one of CPython's shared small
+    # ints, so none adds to the bound
+    masks = tuple(m for m in range(1 << 7) if m & (m - 1))
+    shifts, inside = polymer._build_plan(7, masks)
+    assert max(max(shifts), max(map(max, filter(None, inside)))) <= 256
+    entry = _deep_size(((7, masks), (shifts, inside))) - sum(
+        sys.getsizeof(i) for i in set(masks) | set(shifts) | {7}
+        | {i for t in inside for i in t})
+    assert entry <= 16 * 1024
+    assert polymer._cached_plan.cache_info().maxsize * 16 * 1024 <= 1 << 20
+    # past PLAN_VERTICES no plan is cached
+    polymer._cached_plan.cache_clear()
+    polymer_partition(PolymerWeights.from_sets(8, [([0, 7], 0.5)]))
+    assert polymer._cached_plan.cache_info().currsize == 0
+    assert polymer.PLAN_VERTICES == 7
+
+
+def test_dps_raise_when_they_overflow():
+    # 1e160 * 1e160 overflows in the gas coefficient of both edges together;
+    # the weak middle edge makes a finite fourth coefficient, 1e120
+    for extra in ([], [(1, 2, 1e-200)]):
+        g = build_graph(range(4), [(0, 1, 1e160), (2, 3, 1e160)] + extra)
+        table = connected_by_support(g)
+        with pytest.raises(OutOfDomain, match="gas profile"):
+            polymer_profile(g, table=table)
+        pw = tutte_polymer_weights(g, 1.0, table=table)
+        with pytest.raises(OutOfDomain, match="gas partition"):
+            polymer_partition(pw)
+        with pytest.raises(OutOfDomain):
+            z_polynomial(g)
 
 
 def test_dps_on_zero_and_one_vertex():
