@@ -20,7 +20,7 @@ parts:
    simple structures to 6 vertices under mixed weights from
    default_rng(0).  Reported apart: the bridgeless cores past the
    engine's layout cache limit (more than 16 edges), whose block
-   groupings are streamed rather than cached; these are the 19 connected
+   plans are streamed rather than cached; these are the 19 connected
    7-vertex structures of more than 16 edges, one mixed draw each from
    a second default_rng(0), and a 12-cycle with chords at 20 and 24
    edges, weighted by the same generator.

@@ -12,13 +12,14 @@ in a per-mask loop.
 
 The walk is two generators that visit the blocks in the same order.  The
 weight-free one joins labels, carries the component counts k and yields
-each block's grouping: the stable order that sorts its masks by k and the
-number of masks at each k.  The other only multiplies weights into the
-products.  A grouping depends only on the edge structure, which the
-sweeps and analyze-wide revisit, so the groupings of a structure with at
-most CACHED_HIGH_EDGES edges past the first block (16 blocks) are cached
-whole; a larger one (17 to 24 edges) is streamed block by block and
-cached nowhere, since its orders would take up to 32 MB.
+each block's gather plan (_gather_plan): the stable order that sorts its
+masks by k, with a sentinel slot ahead of the masks of each count, and
+the slots where the counts' segments start.  The other only multiplies
+weights into the products.  A plan depends only on the edge structure,
+which the sweeps and analyze-wide revisit, so the plans of a structure
+with at most CACHED_HIGH_EDGES edges past the first block (16 blocks)
+are cached whole; a larger one (17 to 24 edges) is streamed block by
+block and cached nowhere, since its plans would take up to 34 MB.
 
 A join relabels the class of v with the label of u, which is the label of
 a vertex in u's class, so every class keeps the label of one of its own
@@ -26,14 +27,22 @@ vertices.  The component count of a mask is therefore the number of
 vertices that carry their own label, plus the vertices no edge touches;
 the first block counts them once, from its final labels.
 
-The products of each block are gathered by its order and summed per
-component count.  The block sums are then reduced pairwise in order of
-their high edges, which keeps the summation order deterministic and the
-rounding error logarithmic in the number of blocks.
+Each block's products are gathered by its plan in one take, the
+sentinel slots are set to +0.0, and one np.add.reduceat sums every
+count's segment.  reduceat seeds a segment with its first element, so
+without the +0.0 lead its sums would differ in the last bits from those
+of np.add.reduce, which starts from +0.0; with it they are the same bit
+for bit, since the rest of the segment goes through the same pairwise
+summation.  A count that no mask has sums to +0.0 from its sentinel
+alone.  The sentinels are written after the gather, not carried through
+the products, where 0 w can turn into -0.0.  The block sums are then
+reduced pairwise in order of their high edges, which keeps the summation
+order deterministic and the rounding error logarithmic in the number of
+blocks.
 
 The weights may come as rows, one per graph of one edge structure
-(z_coefficient_rows): a pass walks the groupings once for all its rows.
-Each row's products lie contiguous in memory, and the gathers and the
+(z_coefficient_rows): a pass walks the plans once for all its rows.
+Each row's products lie contiguous in memory, and the gather and the
 per-count sums run along them, so every row gets the bits of its own
 single-row call (z_coefficients).  A pass takes rows until they walk
 ROW_SUBSETS = 2^16 edge subsets between them, so its products take at
@@ -50,8 +59,11 @@ when a bound is not small against the value it bounds.  Both passes
 walk the T inside S that hold low(S) inline, by the decreasing submask
 loop sub = (sub - 1) & rest, so T comes in decreasing order; the
 polymer DPs read their subsets from a cached plan instead (see polymer),
-since they walk only the masks of one table.  It shares nothing with the
-edge engine, so the polymer identity compares two independent routes.
+since they walk only the masks of one table.  Which vertex masks their
+nonzero-weight edges connect is cached per vertex count and edge
+support (_connected_masks), which the multigraphs of one skeleton share.
+It shares nothing with the edge engine, so the polymer identity compares
+two independent routes.
 """
 
 from __future__ import annotations
@@ -72,7 +84,7 @@ from .errors import OutOfDomain
 BLOCK_BITS = 12
 
 # A structure with at most this many edges past the first block has the
-# groupings of all its blocks cached; past it they are streamed.
+# plans of all its blocks cached; past it they are streamed.
 CACHED_HIGH_EDGES = 4
 
 
@@ -88,33 +100,54 @@ def _join(labels: np.ndarray, u: int, v: int) -> np.ndarray:
     return labels + (labels == b) * (a - b)
 
 
-def _groupings(e, high, labels, k, b, eu, ev, n):
-    """Yield (high, order, sizes) for every choice of the edges from e on.
+def _gather_plan(k: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(gather, starts) for a block whose masks have component counts k.
 
-    Depth first, without edge e before with it.  order is the stable
-    order that sorts the block's component counts k, and sizes the
-    number of masks at each k.  Past the last edge no label is read, so
-    the last edge makes no join.  A module-level generator that takes its
-    arrays as arguments, so a call leaves no reference cycle behind for
-    the cyclic garbage collector.
+    One stable argsort of the keys 2k + 1 of the masks followed by 2c
+    for c = 0..n orders the masks by k, in mask order within each k, with
+    a sentinel slot ahead of the masks of each count c.  starts holds the
+    slots of the sentinels, where the segments of the counts begin.  A
+    sentinel gathers mask 0, and _z_sums writes +0.0 over it.  The keys
+    share k's dtype, a byte wide for n up to 127: numpy's stable sort is
+    a radix sort only for narrow integer keys.
+    """
+    size = len(k)
+    keys = np.empty(size + n + 1, dtype=k.dtype)
+    np.add(k, k, out=keys[:size])
+    keys[:size] += 1
+    keys[size:] = np.arange(0, 2 * n + 2, 2)
+    gather = np.argsort(keys, kind="stable")
+    starts = np.flatnonzero(gather >= size)
+    gather[starts] = 0
+    return gather, starts
+
+
+def _plans(e, high, labels, k, b, eu, ev, n):
+    """Yield (high, gather, starts) for every choice of the edges from e on.
+
+    Depth first, without edge e before with it; (gather, starts) is the
+    _gather_plan of the block's component counts k.  Past the last edge
+    no label is read, so the last edge makes no join.  A module-level
+    generator that takes its arrays as arguments, so a call leaves no
+    reference cycle behind for the cyclic garbage collector.
     """
     if e == len(eu):
-        sizes = tuple(np.bincount(k, minlength=n + 1).tolist())
-        yield high, np.argsort(k, kind="stable"), sizes
+        yield (high,) + _gather_plan(k, n)
         return
-    yield from _groupings(e + 1, high, labels, k, b, eu, ev, n)
+    yield from _plans(e + 1, high, labels, k, b, eu, ev, n)
     joined = labels[eu[e]] != labels[ev[e]]
     after = _join(labels, eu[e], ev[e]) if e + 1 < len(eu) else None
-    yield from _groupings(e + 1, high | 1 << (e - b), after, k - joined, b, eu, ev, n)
+    yield from _plans(e + 1, high | 1 << (e - b), after, k - joined, b, eu, ev, n)
 
 
 def _blocks(n: int, pairs: tuple, b: int):
-    """Yield the grouping (high, order, sizes) of every block of one edge
+    """Yield the plan (high, gather, starts) of every block of one edge
     structure, the first block (high == 0) first.
 
     The first block is built by doubling over the first b edges; its
     component counts k count the vertices that keep their own label and
-    the n - |used| vertices no edge touches.
+    the n - |used| vertices no edge touches.  k is wide enough for the
+    keys 2k + 1 of _gather_plan.
     """
     used = sorted({x for p in pairs for x in p})
     index = {x: i for i, x in enumerate(used)}
@@ -124,23 +157,23 @@ def _blocks(n: int, pairs: tuple, b: int):
     labels = own
     for j in range(b):
         labels = np.concatenate([labels, _join(labels, eu[j], ev[j])], axis=1)
-    count_type = np.min_scalar_type(n)
+    count_type = np.min_scalar_type(2 * n + 1)
     k = (labels == own).sum(axis=0, dtype=count_type) + count_type.type(n - len(used))
-    yield from _groupings(b, 0, labels, k, b, eu, ev, n)
+    yield from _plans(b, 0, labels, k, b, eu, ev, n)
 
 
 @functools.lru_cache(maxsize=64)
 def _layout(n: int, pairs: tuple, b: int) -> tuple:
-    """Every block's grouping for one edge structure, from _blocks.
+    """Every block's plan for one edge structure, from _blocks.
 
-    An entry holds one (high, order, sizes) per block and no labels or
-    component counts, since the weights need only the order and sizes.
-    z_coefficients caches a structure only when at most
-    CACHED_HIGH_EDGES edges lie past the first block, so an entry holds
-    at most 16 orders.  At 12 low edges an order takes 8 KB: an entry
-    takes at most 128 KB, and the cache is bounded by 64 x 128 KB, about
-    8 MB (it was about 3.8 MB when an entry held the first block's
-    labels, counts and order only).
+    An entry holds one (high, gather, starts) per block and no labels or
+    component counts, since the weights need only the plans.  gather
+    takes 2 bytes for each of its 2^b + n + 1 slots at 12 low edges, and
+    starts 8 bytes for each of its n + 1.  z_coefficients caches a
+    structure only when at most CACHED_HIGH_EDGES edges lie past the
+    first block, so an entry holds at most 16 plans: 16 x 8,322 bytes =
+    133 KB at 12 vertices and 16 edges.  The cache is bounded by 64
+    entries of about 133 KB, about 8.5 MB.
 
     verify_zero_free loops regime, then structure, then draw, so a
     structure comes back once per regime after every other one of the
@@ -153,15 +186,16 @@ def _layout(n: int, pairs: tuple, b: int) -> tuple:
     """
     narrow = np.min_scalar_type((1 << b) - 1)
     entry = []
-    for high, order, sizes in _blocks(n, pairs, b):
-        order = order.astype(narrow)
-        order.flags.writeable = False
-        entry.append((high, order, sizes))
+    for high, gather, starts in _blocks(n, pairs, b):
+        gather = gather.astype(narrow)
+        gather.flags.writeable = False
+        starts.flags.writeable = False
+        entry.append((high, gather, starts))
     return tuple(entry)
 
 
 def _products(e, prod, by_edge):
-    """Yield the products of every block, in the order of _groupings.
+    """Yield the products of every block, in the order of _plans.
 
     Depth first, without edge e before with it, each product multiplied
     in increasing edge order.  by_edge[e] is edge e's weight: one number,
@@ -175,15 +209,14 @@ def _products(e, prod, by_edge):
 
 
 def _pairwise_reduce(blocks: np.ndarray) -> np.ndarray:
-    """Tree-order sum of block rows; deterministic regardless of count."""
-    cur = blocks
-    while cur.shape[0] > 1:
-        half = cur.shape[0] // 2
-        nxt = cur[: 2 * half : 2] + cur[1 : 2 * half : 2]
-        if cur.shape[0] % 2:
-            nxt = np.vstack([nxt, cur[-1:]])
-        cur = nxt
-    return cur[0]
+    """Tree-order sum of the block sums, in order of their high edges.
+
+    There are always 1 << (m - b) blocks, a power of two, so every level
+    pairs them all.
+    """
+    while len(blocks) > 1:
+        blocks = blocks[0::2] + blocks[1::2]
+    return blocks[0]
 
 
 Z_OVERFLOW = "a partition-function coefficient overflows floating point"
@@ -199,33 +232,32 @@ def _z_sums(n: int, pairs: tuple, w: np.ndarray) -> np.ndarray:
 
     Every row's products are contiguous, so its gathers and per-count sums
     are those of a single row, and each row keeps the bits it gets on its
-    own.  The arrays are handled through views indexed by mask first, so
-    that one row takes the plain 1-D indexing of numpy's cheapest calls.
+    own.  The products are handled through views indexed by mask first,
+    so that one row takes the plain 1-D indexing of numpy's cheapest
+    calls.
     """
     b = min(BLOCK_BITS, len(pairs))
     if len(pairs) - b <= CACHED_HIGH_EDGES:
-        groupings = _layout(n, pairs, b)
+        plans = _layout(n, pairs, b)
     else:
-        groupings = _blocks(n, pairs, b)
+        plans = _blocks(n, pairs, b)
     rows = w.shape[:-1]
     by_edge = w.T
-    blocks = np.zeros((1 << len(pairs) - b, n + 1) + rows, dtype=np.complex128)
+    blocks = np.empty((1 << len(pairs) - b,) + rows + (n + 1,), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         # the products of the first block, each in increasing edge order
         prod = np.empty(rows + (1 << b,), dtype=np.complex128).T
         prod[0] = 1
         for j in range(b):
             np.multiply(prod[:1 << j], by_edge[j], out=prod[1 << j:2 << j])
-        for (high, order, sizes), block_prod in zip(groupings, _products(b, prod, by_edge)):
-            # group each row's products by k, keeping mask order, and sum
-            # each non-empty group with numpy's pairwise summation
-            grouped = block_prod.T.take(order, -1).T
-            start = 0
-            for c, size in enumerate(sizes):
-                if size:
-                    blocks[high, c] = np.add.reduce(grouped[start:start + size])
-                    start += size
-        out = _pairwise_reduce(blocks).T
+        for (high, gather, starts), block_prod in zip(plans, _products(b, prod, by_edge)):
+            # each row's products grouped by k in mask order, each group
+            # led by a +0.0, on which reduceat sums it as np.add.reduce
+            # would, with numpy's pairwise summation
+            grouped = block_prod.T.take(gather, -1)
+            grouped[..., starts] = 0
+            np.add.reduceat(grouped, starts, axis=-1, out=blocks[high])
+        out = _pairwise_reduce(blocks)
     if not np.isfinite(out).all():
         raise OutOfDomain(Z_OVERFLOW)
     return out
@@ -250,7 +282,7 @@ def z_coefficient_rows(n: int, pairs: tuple, weights) -> np.ndarray:
     the result has the coefficients, and the bits, that z_coefficients
     gives for the weights in row i of weights (rows x edges).
 
-    The rows share one walk over the structure's groupings; they go
+    The rows share one walk over the structure's plans; they go
     through the engine in passes of at most ROW_SUBSETS edge subsets in
     all, one row per pass from 2^16 subsets on.  Raises OutOfDomain when
     any row overflows.
@@ -271,18 +303,32 @@ CANCEL_TOL = 1e-12
 _TABLE_OVERFLOW = "a connected-subgraph value overflows floating point"
 
 
-def _induced_connected(n: int, edges) -> list[bool]:
+def _induced_connected(n: int, edges) -> tuple[bool, ...]:
     """Per vertex mask: True iff its induced nonzero-weight edges connect it.
 
     Singletons count as connected and the empty mask does not.  A mask
     that fails has C = 0 exactly, since every edge subset connecting it
-    must use an edge of weight zero.
+    must use an edge of weight zero.  The answer depends only on n and
+    the distinct vertex pairs joined by a nonzero weight, so it comes
+    from _connected_masks, which parallel edges share.
+    """
+    support = {(u, v) if u < v else (v, u) for u, v, w in edges if w != 0}
+    return _connected_masks(n, tuple(sorted(support)))
+
+
+@functools.lru_cache(maxsize=64)
+def _connected_masks(n: int, support: tuple) -> tuple[bool, ...]:
+    """_induced_connected for the sorted vertex pairs support.
+
+    An entry is a tuple of 2^n of the two shared bools, at most 2^12
+    entries at the vertex-subset cap (32 KB of pointers), so the 64
+    entries take at most about 2 MB.  A polymer sweep unit to 5 vertices
+    with multigraphs to 4 meets 31 supports.
     """
     adj = [0] * n
-    for u, v, w in edges:
-        if w != 0:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+    for u, v in support:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
     out = [False] * (1 << n)
     for s in range(1, 1 << n):
         reach = frontier = s & -s
@@ -293,7 +339,7 @@ def _induced_connected(n: int, edges) -> list[bool]:
             reach |= new
             frontier |= new
         out[s] = reach == s
-    return out
+    return tuple(out)
 
 
 def _support_products(n: int, edges) -> list[complex]:
@@ -318,7 +364,7 @@ def _support_products(n: int, edges) -> list[complex]:
     return f
 
 
-def _float_table(n: int, edges, conn: list[bool]) -> list[complex] | None:
+def _float_table(n: int, edges, conn: tuple[bool, ...]) -> list[complex] | None:
     """C by the set-partition recursion in floats, or None on cancellation.
 
     Alongside each C(S) runs a first-order bound on its rounding error,
@@ -365,7 +411,7 @@ def _scaled(x: float, s: int) -> int:
     return num << (s + 1 - den.bit_length())
 
 
-def _exact_table(n: int, edges, conn: list[bool]) -> list[complex]:
+def _exact_table(n: int, edges, conn: tuple[bool, ...]) -> list[complex]:
     """The same recursion in exact scaled Gaussian integers, rounded at the end.
 
     Float weights are binary rationals.  With s the most fractional bits

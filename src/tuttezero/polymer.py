@@ -114,9 +114,19 @@ def _cached_plan(n: int, masks: tuple) -> tuple:
     return _build_plan(n, masks)
 
 
+def _int_masks(masks: tuple) -> None:
+    """Raise BadIndex unless every polymer mask is an int.  Both _plan
+    and _shifts run it before they look in the cache, since a float mask
+    such as 3.0 hashes equal to 3 and would find the plan of 3."""
+    if not all(map(isinstance, masks, itertools.repeat(int))):
+        bad = next(m for m in masks if not isinstance(m, int))
+        raise BadIndex(f"polymer mask {bad!r} is not an integer")
+
+
 def _plan(n: int, masks: tuple) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """The plan of polymer masks on n host vertices, from the cache when
     n <= PLAN_VERTICES."""
+    _int_masks(masks)
     return _cached_plan(n, masks) if n <= PLAN_VERTICES else _build_plan(n, masks)
 
 
@@ -124,6 +134,7 @@ def _shifts(n: int, masks: tuple) -> tuple[int, ...]:
     """The checked shifts of polymer masks: from the cached plan when
     n <= PLAN_VERTICES, so the checks run once per mask set, and without
     a plan past it."""
+    _int_masks(masks)
     return _cached_plan(n, masks)[0] if n <= PLAN_VERTICES else _mask_shifts(n, masks)
 
 
@@ -134,7 +145,8 @@ class PolymerWeights:
     entries holds (vertex_mask, activity) pairs, sorted by mask, one per
     polymer.  A mask that is not an int, is empty or a singleton, leaves
     the host's range or comes twice raises BadIndex, and an activity that
-    is not finite raises OutOfDomain; both are checked before sorting.
+    is not finite raises OutOfDomain; the masks are checked first, and
+    both before sorting.
     """
 
     host_vertex_count: int
@@ -146,15 +158,10 @@ class PolymerWeights:
             raise BadIndex(f"vertex count must be >= 0, got {n}")
         if n > MAX_POLYMER_VERTICES:
             raise TooLarge(f"{n} vertices exceeds polymer limit {MAX_POLYMER_VERTICES}")
-        masks = tuple([mask for mask, _ in self.entries])
-        # int masks only: 3.0 would find the cached plan of 3
-        if not all(map(isinstance, masks, itertools.repeat(int))):
-            bad = next(m for m in masks if not isinstance(m, int))
-            raise BadIndex(f"polymer mask {bad!r} is not an integer")
+        _shifts(n, tuple([mask for mask, _ in self.entries]))
         if not all(map(cmath.isfinite, [rho for _, rho in self.entries])):
             mask, rho = next(e for e in self.entries if not cmath.isfinite(e[1]))
             raise OutOfDomain(f"activity {rho!r} of polymer mask {mask} is not finite")
-        _shifts(n, masks)
         object.__setattr__(self, "entries", tuple(sorted(self.entries)))
 
     @classmethod

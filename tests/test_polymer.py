@@ -77,6 +77,36 @@ def test_weights_validation():
     assert type(pw.entries[0][0]) is int
 
 
+def test_profile_table_with_a_float_mask_raises_bad_index():
+    # 3.0 hashes equal to 3, so a cached plan of (3,) must not serve it
+    g = build_graph(range(2), [(0, 1, 0.5)])
+    polymer._cached_plan.cache_clear()
+    with pytest.raises(BadIndex, match="not an integer"):
+        polymer_profile(g, table={3.0: 0.5})
+    assert polymer_profile(g, table={3: 0.5}).tolist() == [1.0, 0.5]
+    assert polymer._cached_plan.cache_info().currsize == 1
+    with pytest.raises(BadIndex, match="not an integer"):
+        polymer_profile(g, table={3.0: 0.5})
+    with pytest.raises(BadIndex, match="not an integer"):
+        PolymerWeights(2, ((3.0, 0.5),))
+
+
+def test_induced_connected_is_shared_by_parallel_edges():
+    import networkx as nx
+
+    _kernels._connected_masks.cache_clear()
+    # one skeleton: parallel edges, either orientation, zero weights dropped
+    a = _kernels._induced_connected(4, [(0, 1, 0.5), (1, 2, 1j), (2, 3, 0j)])
+    b = _kernels._induced_connected(4, [(1, 0, 2.0), (0, 1, -1.0), (2, 1, 0.3), (0, 3, 0j)])
+    assert a is b and type(a) is tuple
+    assert _kernels._connected_masks.cache_info().misses == 1
+    skeleton = nx.Graph([(0, 1), (1, 2)])
+    skeleton.add_nodes_from(range(4))
+    want = [mask > 0 and nx.is_connected(skeleton.subgraph(v for v in range(4) if mask >> v & 1))
+            for mask in range(16)]
+    assert list(a) == want
+
+
 def test_partition_matches_brute_force(rng):
     for _ in range(20):
         n = int(rng.integers(3, 7))

@@ -219,23 +219,112 @@ def sparse_multigraphs(draw, max_n=7, max_m=9):
 @settings(max_examples=60, deadline=None)
 @given(sparse_multigraphs())
 def test_layout_component_counts(block_bits, data):
-    # every block's order sorts the component counts of its masks stably
-    # and its sizes count the masks at each k, whether the groupings are
-    # streamed or held in a cache entry
+    # every block's plan lists its masks stably sorted by component count,
+    # with a sentinel slot ahead of the masks of each count c = 0..n, and
+    # its starts are the sentinel slots, whether the plans are streamed
+    # or held in a cache entry
     n, edges = data
     pairs = tuple((u, v) for u, v, _ in edges)
     b = min(block_bits, len(pairs))
     blocks = list(_kernels._blocks(n, pairs, b))
     assert sorted(high for high, _, _ in blocks) == list(range(1 << (len(pairs) - b)))
     assert blocks[0][0] == 0
-    for high, order, sizes in blocks:
+    for high, gather, starts in blocks:
         k = np.array([component_count(n, list(pairs), low | high << b) for low in range(1 << b)])
-        assert np.array_equal(order, np.argsort(k, kind="stable"))
-        assert list(sizes) == np.bincount(k, minlength=n + 1).tolist()
+        assert len(gather) == (1 << b) + n + 1 and len(starts) == n + 1
+        assert starts[0] == 0 and np.all(np.diff(starts) > 0)
+        assert np.all(gather[starts] == 0)  # a sentinel gathers mask 0
+        assert np.array_equal(np.delete(gather, starts), np.argsort(k, kind="stable"))
+        ends = list(starts[1:]) + [len(gather)]
+        for c, (start, end) in enumerate(zip(starts, ends)):
+            assert np.all(k[gather[start + 1:end]] == c)
     entry = _kernels._layout(n, pairs, b)
     assert len(entry) == len(blocks)
-    for (high, order, sizes), (h, o, s) in zip(entry, blocks):
-        assert (high, sizes) == (h, s) and np.array_equal(order, o)
+    for (high, gather, starts), (h, g, s) in zip(entry, blocks):
+        assert high == h and np.array_equal(gather, g) and np.array_equal(starts, s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 5000), min_size=1, max_size=6), st.sampled_from([(), (1,), (3,)]),
+       st.integers(0, 2**32 - 1), st.booleans())
+def test_zero_led_reduceat_sums_each_segment_as_reduce_does(sizes, rows, seed, negative_zero):
+    # the engine sums each count's products by one np.add.reduceat over
+    # segments led by +0.0; that must keep the bits of np.add.reduce on
+    # each segment, whatever the moduli, for a segment of only -0.0, for
+    # an empty one (the lead alone) and along the last axis of rows
+    rng = np.random.default_rng(seed)
+    segments = []
+    for size in sizes:
+        x = (rng.standard_normal(rows + (size,)) * 10.0 ** rng.uniform(-20, 20, rows + (size,))
+             + 1j * rng.standard_normal(rows + (size,)) * 10.0 ** rng.uniform(-20, 20, rows + (size,)))
+        if negative_zero and size % 2:
+            x = np.full(rows + (size,), complex(-0.0, -0.0))
+        segments.append(x)
+    starts = np.cumsum([0] + [size + 1 for size in sizes[:-1]])
+    led = np.concatenate([np.concatenate([np.zeros(rows + (1,), complex), x], axis=-1)
+                          for x in segments], axis=-1)
+    got = np.add.reduceat(led, starts, axis=-1)
+    want = np.stack([np.add.reduce(x, axis=-1) for x in segments], axis=-1)
+    assert got.tobytes() == want.tobytes()
+    assert got.shape == want.shape == rows + (len(sizes),)
+
+
+def _z_per_count_reduce(n, pairs, w, b):
+    """Z of one weight row by the engine's sums before the gather plans:
+    the products of each block stably grouped by component count, every
+    nonempty group summed by its own np.add.reduce, and the block sums
+    reduced pairwise in order of their high edges."""
+    prod = np.ones(1, dtype=np.complex128)
+    for x in w:  # each product multiplied in increasing edge order
+        prod = np.concatenate([prod, prod * x])
+    blocks = np.zeros((1 << len(pairs) - b, n + 1), dtype=np.complex128)
+    for high in range(len(blocks)):
+        k = np.array([component_count(n, list(pairs), low | high << b) for low in range(1 << b)])
+        grouped = prod[high << b:high + 1 << b][np.argsort(k, kind="stable")]
+        start = 0
+        for c, size in enumerate(np.bincount(k, minlength=n + 1)):
+            if size:
+                blocks[high, c] = np.add.reduce(grouped[start:start + size])
+                start += size
+    while len(blocks) > 1:
+        blocks = blocks[0::2] + blocks[1::2]
+    return blocks[0]
+
+
+def _weight_rows(rng, rows, m):
+    w = rng.standard_normal((rows, m)) + 1j * rng.standard_normal((rows, m))
+    w *= 10.0 ** rng.uniform(-3, 3, (rows, m))
+    w[rng.random((rows, m)) < 0.15] = 0j
+    return w
+
+
+@pytest.mark.parametrize("block_bits", BLOCK_SIZES)
+@settings(max_examples=40, deadline=None)
+@given(sparse_multigraphs(max_m=8), st.sampled_from([1, 3]), st.integers(0, 2**32 - 1))
+def test_z_has_the_bits_of_per_count_reduce(block_bits, data, rows, seed):
+    n, edges = data
+    pairs = tuple((u, v) for u, v, _ in edges)
+    w = _weight_rows(np.random.default_rng(seed), rows, len(pairs))
+    b = min(block_bits, len(pairs))
+    want = [_z_per_count_reduce(n, pairs, row, b).tobytes() for row in w]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "BLOCK_BITS", block_bits)
+        _kernels._layout.cache_clear()
+        single = [_kernels.z_coefficients(n, [(u, v, x) for (u, v), x in zip(pairs, row)]).tobytes()
+                  for row in w]
+        batched = [row.tobytes() for row in _kernels.z_coefficient_rows(n, pairs, w)]
+    _kernels._layout.cache_clear()
+    assert single == batched == want
+
+
+def test_z_has_the_bits_of_per_count_reduce_past_the_first_block():
+    # 14 edges: four blocks of 2^12 masks at the default block size
+    pairs = CYCLE_12 + CHORDS_12[:2]
+    w = _weight_rows(np.random.default_rng(35), 3, len(pairs))
+    want = [_z_per_count_reduce(12, pairs, row, _kernels.BLOCK_BITS).tobytes() for row in w]
+    assert [row.tobytes() for row in _kernels.z_coefficient_rows(12, pairs, w)] == want
+    edges = [(u, v, x) for (u, v), x in zip(pairs, w[0])]
+    assert _kernels.z_coefficients(12, edges).tobytes() == want[0]
 
 
 def _layout_corpus():
@@ -294,7 +383,7 @@ def test_walk_makes_no_join_at_the_last_edge():
     # K4 at BLOCK_BITS = 2: two joins build the first block, and the walk
     # over the four high edges joins on the with-branch of every edge but
     # the last, 2^0 + 2^1 + 2^2 = 7 times; a warm call reads the cached
-    # groupings and joins nothing
+    # plans and joins nothing
     k4 = [(u, v, 0.5 + 0.25j * u) for u in range(4) for v in range(u + 1, 4)]
     calls = []
     join = _kernels._join
@@ -361,16 +450,19 @@ def _chorded_cycle(m):
 
 def _layout_blocks_and_bytes(n, pairs):
     entry = _kernels._layout(n, pairs, min(_kernels.BLOCK_BITS, len(pairs)))
-    assert all(len(grouping) == 3 for grouping in entry)  # no labels or counts
-    return len(entry), sum(order.nbytes for _, order, _ in entry)
+    assert all(len(plan) == 3 for plan in entry)  # no labels or counts
+    assert all(starts.dtype == np.intp for _, _, starts in entry)
+    return len(entry), sum(gather.nbytes + starts.nbytes for _, gather, starts in entry)
 
 
 def test_layout_entry_size_is_bounded():
-    # two bytes of order per mask and block: 2^4 blocks of 2^12 masks at
-    # the cache limit, and a single order when every edge is in the first
+    # per block, two bytes of gather for each of its 2^12 masks and 13
+    # sentinels, and 8 bytes for each of the 13 segment starts: 2^4
+    # blocks at the cache limit, and a single plan when every edge is in
+    # the first block
     chorded = CYCLE_12 + CHORDS_12[:_kernels.CACHED_HIGH_EDGES]
-    assert _layout_blocks_and_bytes(12, chorded) == (16, 131_072)
-    assert _layout_blocks_and_bytes(12, CYCLE_12) == (1, 8_192)
+    assert _layout_blocks_and_bytes(12, chorded) == (16, 16 * 8_322) == (16, 133_152)
+    assert _layout_blocks_and_bytes(12, CYCLE_12) == (1, (4096 + 13) * 2 + 13 * 8) == (1, 8_322)
 
 
 @pytest.mark.parametrize("m", [17, 20])
@@ -397,9 +489,9 @@ def test_streamed_core_has_the_bits_of_a_cached_one(m):
 
 
 def test_24_edge_core_streams_its_groupings():
-    # kept, the 4096 orders of a 24-edge core take 32 MB (a 37 MB peak);
-    # streamed, the call holds the products and labels of one path of the
-    # walk and the 4096 block sums, about 2.6 MB
+    # kept, the 4096 plans of a 24-edge core would take 34 MB; streamed,
+    # the call holds the products and labels of one path of the walk and
+    # the 4096 block sums, about 2.6 MB
     edges = _chorded_cycle(24)
     tracemalloc.start()
     try:
