@@ -55,10 +55,12 @@ parts:
 7. Bit-compared results of verify_zero_free(5, 15, seed=s),
    verify_zero_free(4, 5, seed=s, max_multi=3) and
    verify_zero_free(6, 4, seed=s) at each seed, without elapsed, and
-   the graph, roots, q_max, zero multiplicity and disc flags of every
-   report the sweep made.  The last adds the 112 structures of 6
-   vertices and their cores of degree 5.  No CLI command runs this sweep,
-   so no other part sees its reports.
+   the graph, roots, q_max, zero multiplicity, disc flags and every
+   BoundSet field of every report the sweep made: bounds.to_json() with
+   each float as its hex string, so the degree quantities, every radius,
+   the five interpolated radii and all_subcritical.  The last sweep adds
+   the 112 structures of 6 vertices and their cores of degree 5.  No CLI
+   command runs this sweep, so no other part sees its reports.
 
 8. Bit-compared connected_by_support tables, polymer_profile and
    polymer_partition at q = 1.3 - 0.7i and -2.1 + 0.4i, of the connected
@@ -194,12 +196,18 @@ from tuttezero import verify
 analyze = verify.analyze
 reports = []
 
+def hexed(x):  # every float as its hex string; dict keys stay as they are
+    if isinstance(x, dict):
+        return {k: hexed(v) for k, v in x.items()}
+    return x.hex() if isinstance(x, float) else x
+
 def recorded(g, *args):
     rep = analyze(g, *args)
     reports.append({"n": g.n, "edges": [[u, v, w.real.hex(), w.imag.hex()] for u, v, w in g.edges],
                     "roots": [[r.real.hex(), r.imag.hex()] for r in rep.roots],
                     "q_max": rep.q_max.hex(), "mult": rep.q_zero_multiplicity,
-                    "flags": [rep.general_disc_verified, rep.simple_disc_verified]})
+                    "flags": [rep.general_disc_verified, rep.simple_disc_verified],
+                    "bounds": hexed(rep.bounds.to_json())})
     return rep
 
 verify.analyze = recorded

@@ -207,8 +207,13 @@ def sample_weights(m: int, regime: str, rng: np.random.Generator) -> list[comple
 
 
 def weighted(structure: Structure, weights) -> WeightedGraph:
-    """Attach weights to a corpus structure, one per edge in edge order."""
+    """Attach weights to a corpus structure, one per edge in edge order.
+
+    The graph is built as build_graph builds it, without the intermediate
+    edge list: the sweeps make one graph per weight draw.
+    """
     n, pairs = structure
     if len(weights) != len(pairs):
         raise OutOfDomain(f"{len(pairs)} edges but {len(weights)} weights")
-    return build_graph(range(n), [(u, v, w) for (u, v), w in zip(pairs, weights)])
+    return WeightedGraph(tuple(range(n)), tuple([(int(u), int(v), complex(w))
+                                                 for (u, v), w in zip(pairs, weights)]))

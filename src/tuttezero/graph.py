@@ -2,12 +2,13 @@
 
 A graph here is a finite loopless multigraph on vertices 0..n-1 with one
 complex weight per edge.  Instances are immutable; every operation returns
-a new graph.  Each graph computes once, on first use, what every layer
-reads of it: is_simple, pairs (the (u, v) endpoint pairs in edge order,
-the structure that the caches in tutte and _kernels are keyed on) and
-moduli ((u, v, |w|, |1+w|) in edge order, the only inputs of the disc
-radii and the Penrose majorants).  Beyond construction and serialization
-this module provides
+a new graph.  Each graph settles once what every layer reads of it:
+pairs (the (u, v) endpoint pairs in edge order, the structure that the
+caches in tutte and _kernels are keyed on) and is_simple are set by the
+pass that checks the edges at construction, and moduli ((u, v, |w|,
+|1+w|) in edge order, the only inputs of the disc radii and the Penrose
+majorants) is computed on first use.  Beyond construction and
+serialization this module provides
 
 * the parallel-class reduction  w -> prod(1+w_i) - 1,
 * the damped weights min(|w|, |w|/|1+w|^e) built from the moduli for the
@@ -49,7 +50,10 @@ class WeightedGraph:
     preserved from construction and is part of the graph's identity.
     Every way of making a graph checks its edges here: a bad endpoint
     raises BadIndex, a loop LoopEdge, and a weight of non-finite modulus
-    (a NaN or infinite part, or finite parts too large) NonFiniteWeight.
+    (a NaN or infinite part, or finite parts too large) NonFiniteWeight,
+    for the first bad edge.  The same pass sets pairs, the (u, v)
+    endpoint pairs in edge order, and is_simple, true when no unordered
+    vertex pair carries more than one edge.
     """
 
     vertices: tuple
@@ -57,6 +61,8 @@ class WeightedGraph:
 
     def __post_init__(self):
         n = len(self.vertices)
+        pairs = []
+        keys = set()
         for i, (u, v, w) in enumerate(self.edges):
             if not (0 <= u < n and 0 <= v < n):
                 raise BadIndex(f"edge endpoint out of range: ({u}, {v}) with {n} vertices")
@@ -65,6 +71,10 @@ class WeightedGraph:
             # hypot, unlike abs, gives inf rather than raising on overflow
             if not math.isfinite(math.hypot(w.real, w.imag)):
                 raise NonFiniteWeight(f"edge {i} has weight {w} of non-finite modulus")
+            pairs.append((u, v))
+            keys.add((u, v) if u < v else (v, u))
+        object.__setattr__(self, "pairs", tuple(pairs))
+        object.__setattr__(self, "is_simple", len(keys) == len(pairs))
 
     @property
     def n(self) -> int:
@@ -75,30 +85,12 @@ class WeightedGraph:
         return len(self.edges)
 
     @cached_property
-    def is_simple(self) -> bool:
-        """True when no unordered vertex pair carries more than one edge.
-
-        Computed once per graph; the graph is immutable.
-        """
-        seen = set()
-        for u, v, _ in self.edges:
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                return False
-            seen.add(key)
-        return True
-
-    @cached_property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        """The (u, v) endpoint pairs, in edge order."""
-        return tuple([(u, v) for u, v, _ in self.edges])
-
-    @cached_property
     def moduli(self) -> tuple[tuple[int, int, float, float], ...]:
         """(u, v, |w|, |1+w|) for every edge, in edge order.
 
         Every degree-style quantity of the graph is a function of these
-        two moduli.
+        two moduli.  Computed on first use, since the polymer sweep never
+        reads them.
         """
         return tuple([(u, v, abs(w), abs(1 + w)) for u, v, w in self.edges])
 
@@ -118,7 +110,7 @@ def build_graph(vertex_labels: Sequence, edge_list: Iterable[tuple]) -> Weighted
     edge_list items are (u, v, w) with integer endpoints and a weight
     convertible to complex; WeightedGraph checks the edges.
     """
-    edges = tuple((int(u), int(v), complex(w)) for u, v, w in edge_list)
+    edges = tuple([(int(u), int(v), complex(w)) for u, v, w in edge_list])
     return WeightedGraph(tuple(vertex_labels), edges)
 
 
@@ -129,7 +121,7 @@ def parallel_reduce(g: WeightedGraph) -> WeightedGraph:
     Classes are ordered by first appearance, and the surviving edge keeps
     the orientation of the first edge of its class.  A simple graph is its
     own reduction and comes back as the same instance, without a pass over
-    its edges beyond the cached is_simple.
+    its edges beyond the one that set is_simple.
 
     Each merge computes w0 + w + w0*w rather than (1+w0)(1+w) - 1, which
     would round small weights against 1 and lose their digits.
@@ -192,6 +184,10 @@ def degree_quantities(g: WeightedGraph) -> DegreeReport:
 
     An edgeless graph reports zeros with Psi = 1 and an undefined lambda.
     Always 1/sqrt(psi) <= lam <= 1 when lam is defined.
+
+    Each edge takes one branch on |1+w| and gives _damped's bits: an edge
+    with |1+w| <= 1 is not damped and leaves Psi alone, since every power
+    of |1+w| is at most 1 there, and otherwise |1+w|^1 is |1+w| itself.
     """
     n = g.n
     s_raw = [0.0] * n
@@ -199,17 +195,23 @@ def degree_quantities(g: WeightedGraph) -> DegreeReport:
     s_tilde = [0.0] * n
     p_psi = [1.0] * n
     for u, v, aw, a1 in g.moduli:
-        dp = _damped(aw, a1, 1.0)
-        dt = _damped(aw, a1, 0.5)
-        mx = a1 if a1 > 1.0 else 1.0
         s_raw[u] += aw
         s_raw[v] += aw
+        if a1 <= 1.0:
+            s_prime[u] += aw
+            s_prime[v] += aw
+            s_tilde[u] += aw
+            s_tilde[v] += aw
+            continue
+        dp = aw / a1
+        d = a1 ** 0.5
+        dt = aw / d if d > 1.0 else aw
         s_prime[u] += dp
         s_prime[v] += dp
         s_tilde[u] += dt
         s_tilde[v] += dt
-        p_psi[u] *= mx
-        p_psi[v] *= mx
+        p_psi[u] *= a1
+        p_psi[v] *= a1
     delta = max(s_raw, default=0.0) if n else 0.0
     dprime = max(s_prime, default=0.0) if n else 0.0
     dtilde = max(s_tilde, default=0.0) if n else 0.0
@@ -222,16 +224,20 @@ def delta_prime_a(g: WeightedGraph, a: float) -> float:
     """Max vertex sum of min(|w|, |w|/|1+w|^(1-a/2)) over all edges.
 
     Interpolates between Delta' at a = 0 and Delta~ at a = 1, and is
-    nondecreasing in a.
+    nondecreasing in a.  Each edge takes one branch on |1+w|, with
+    _damped's bits, as in degree_quantities.
     """
     if not (0.0 <= a <= 1.0):
         raise OutOfDomain(f"a must lie in [0, 1], got {a}")
     expo = 1.0 - a / 2.0
     s = [0.0] * g.n
     for u, v, aw, a1 in g.moduli:
-        d = _damped(aw, a1, expo)
-        s[u] += d
-        s[v] += d
+        if a1 > 1.0:
+            d = a1 ** expo
+            if d > 1.0:
+                aw /= d
+        s[u] += aw
+        s[v] += aw
     return max(s, default=0.0)
 
 

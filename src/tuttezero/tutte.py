@@ -295,5 +295,16 @@ def nonzero_component_count(g: WeightedGraph) -> int:
     Z_G is divisible by q to at least this combinatorial power, and to a
     higher one when weights cancel its next coefficients, so it is the
     multiplicity of the root q = 0 that the nonzero-weight edges force.
+    When no weight is zero this is the structure's own component count,
+    which is memoized on the structure, as the sweeps revisit it once per
+    weight draw; otherwise the union-find runs on the nonzero edges.
     """
+    if all(g.weights()):
+        return _component_count(g.n, g.pairs)
     return g.n - len(_classes(g.n, [(u, v) for u, v, w in g.edges if w != 0])[1])
+
+
+@functools.lru_cache(maxsize=4096)
+def _component_count(n: int, pairs: tuple[tuple[int, int], ...]) -> int:
+    """k(E): the components of (V, pairs)."""
+    return n - len(_classes(n, pairs)[1])

@@ -486,3 +486,21 @@ def test_bound_set_to_json_keys():
                 "radius_general", "radius_simple", "radius_subcritical",
                 "radius_interpolated", "all_subcritical", "lambda"):
         assert key in blob
+
+
+@pytest.mark.parametrize("w, subcritical", [
+    (-2.0, True),  # |1+w| = 1 exactly
+    (complex(-1.0, 1.0), True),  # |1+w| = 1 exactly, off the real line
+    (5e-13, True),  # |1+w| = 1 + 5e-13, inside the 1e-12 rounding allowance
+    (2e-12, False),  # |1+w| = 1 + 2e-12
+    (-2.0 - 2e-12, False),
+])
+def test_subcritical_flag_at_the_unit_modulus(w, subcritical):
+    # one boundary edge among contractive ones: the flag, and with it the
+    # subcritical radius, turns on the largest |1+w| alone
+    g = build_graph(range(3), [(0, 1, -0.5), (1, 2, w), (0, 2, -1.0 + 0.5j)])
+    b = graph_bounds(g)
+    assert b.all_subcritical is subcritical
+    assert (b.radius_subcritical is not None) is subcritical
+    if subcritical:
+        assert b.radius_subcritical == sokal_K() * b.delta

@@ -1,5 +1,6 @@
 import cmath
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from tuttezero import (
     parse_edge_lines,
 )
 from tuttezero.errors import OutOfDomain
+from tuttezero import families
 from tuttezero.families import k2_parallel
 
 from conftest import dc_z_coeffs
@@ -258,3 +260,174 @@ def test_prime_view_matches_damped_magnitude(re, im):
     damped = degree_quantities(g).delta_prime
     want = min(abs(w), abs(w) / max(abs(1 + w), 1e-300))
     assert abs(damped - want) <= 1e-12 * (1.0 + want)
+
+
+# ---------------------------------------------------------------------------
+# one-branch degree sums against a _damped-based reference
+
+def _damped_reference(aw, a1, exponent):
+    d = a1 ** exponent
+    if d <= 1.0:
+        return aw
+    return aw / d
+
+
+def _degree_reference(g):
+    """degree_quantities as two _damped calls and a max per edge."""
+    n = g.n
+    s_raw, s_prime, s_tilde, p_psi = [0.0] * n, [0.0] * n, [0.0] * n, [1.0] * n
+    for u, v, aw, a1 in g.moduli:
+        dp = _damped_reference(aw, a1, 1.0)
+        dt = _damped_reference(aw, a1, 0.5)
+        mx = a1 if a1 > 1.0 else 1.0
+        for x in (u, v):
+            s_raw[x] += aw
+            s_prime[x] += dp
+            s_tilde[x] += dt
+            p_psi[x] *= mx
+    dprime, dtilde = max(s_prime, default=0.0), max(s_tilde, default=0.0)
+    lam = dprime / dtilde if dtilde > 0.0 else None
+    return (max(s_raw, default=0.0), dprime, dtilde, max(p_psi, default=1.0),
+            tuple(s_raw), lam)
+
+
+def _delta_prime_a_reference(g, a):
+    s = [0.0] * g.n
+    for u, v, aw, a1 in g.moduli:
+        d = _damped_reference(aw, a1, 1.0 - a / 2.0)
+        s[u] += d
+        s[v] += d
+    return max(s, default=0.0)
+
+
+def _hex(x):
+    if isinstance(x, tuple):
+        return tuple(map(_hex, x))
+    return None if x is None else x.hex()
+
+
+_ULP = 2.0 ** -52
+# |1+w| at and around the damping threshold, and far from it (2^-27 is
+# about 1e-8, and unlike 1e-8 it survives w = 2^-27 - 1 exactly)
+_BOUNDARY_MODULI = [0.0, 1.0 - _ULP / 2, 1.0, 1.0 + _ULP, 1.0 + 2e-12, 2.0 ** -27, 1e8]
+
+
+@st.composite
+def _edges_around_the_threshold(draw):
+    """Edges whose |1+w| is drawn from _BOUNDARY_MODULI or from (0, 20];
+    a real 1 + w keeps the boundary moduli exact."""
+    n = draw(st.integers(2, 5))
+    edges = []
+    for _ in range(draw(st.integers(1, 8))):
+        u, v = draw(st.sampled_from([(u, v) for u in range(n) for v in range(n) if u != v]))
+        r = draw(st.sampled_from(_BOUNDARY_MODULI) | st.floats(0.0, 20.0))
+        phase = draw(st.sampled_from([0.0, math.pi]) | st.floats(0.0, 2 * math.pi))
+        one_plus_w = complex(r) if phase == 0.0 else cmath.rect(r, phase)
+        edges.append((u, v, one_plus_w - 1.0))
+    return n, edges
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edges_around_the_threshold())
+def test_one_branch_degree_sums_have_the_damped_bits(data):
+    n, edges = data
+    g = build_graph(range(n), edges)
+    deg = degree_quantities(g)
+    got = (deg.delta, deg.delta_prime, deg.delta_tilde, deg.psi, deg.strengths, deg._lam)
+    assert _hex(got) == _hex(_degree_reference(g))
+    for a in (0.0, 0.25, 0.5, 0.75, 1.0):
+        assert delta_prime_a(g, a).hex() == _delta_prime_a_reference(g, a).hex()
+
+
+def test_threshold_moduli_are_exact():
+    # the boundary edges of the property test reach the graph as drawn
+    g = build_graph(range(2), [(0, 1, complex(r) - 1.0) for r in _BOUNDARY_MODULI])
+    assert [a1 for _, _, _, a1 in g.moduli] == _BOUNDARY_MODULI
+
+
+# ---------------------------------------------------------------------------
+# facts set by the construction pass
+
+def _pairs_reference(edges):
+    return tuple((u, v) for u, v, _ in edges)
+
+
+def _is_simple_reference(edges):
+    seen = set()
+    for u, v, _ in edges:
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            return False
+        seen.add(key)
+    return True
+
+
+@pytest.mark.parametrize("n, edges", [
+    (0, []),
+    (3, []),
+    (3, [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 0.5j)]),
+    (2, [(0, 1, 1.0), (1, 0, 2.0)]),  # one pair, both orientations
+    (3, [(1, 0, 1.0), (2, 1, 1.0), (0, 1, -1.0)]),
+    (4, [(0, 1, 1.0), (2, 3, 1.0), (3, 2, 1.0), (0, 1, 0.0)]),
+])
+def test_construction_sets_pairs_and_is_simple(n, edges):
+    g = build_graph(range(n), edges)
+    assert g.pairs == _pairs_reference(g.edges)
+    assert g.is_simple is _is_simple_reference(g.edges)
+    assert "pairs" in vars(g) and "is_simple" in vars(g)
+    assert "moduli" not in vars(g)  # computed on first use only
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=8))))
+def test_construction_facts_match_their_definitions(data):
+    n, pairs = data
+    edges = [(u, v, complex(i, 1)) for i, (u, v) in enumerate(pairs) if u != v]
+    g = build_graph(range(n), edges)
+    assert g.pairs == _pairs_reference(edges)
+    assert g.is_simple is _is_simple_reference(edges)
+    if g.is_simple:
+        assert parallel_reduce(g) is g
+
+
+def _first_fault(n, edges):
+    """The error that the edge check raised before it set any graph fact."""
+    for i, (u, v, w) in enumerate(edges):
+        if not (0 <= u < n and 0 <= v < n):
+            return BadIndex, f"edge endpoint out of range: ({u}, {v}) with {n} vertices"
+        if u == v:
+            return LoopEdge, f"loop at vertex {u} is not allowed"
+        if not math.isfinite(math.hypot(w.real, w.imag)):
+            return NonFiniteWeight, f"edge {i} has weight {w} of non-finite modulus"
+    return None
+
+
+_BAD_EDGES = [(0, 3, 1.0), (-1, 0, 1.0), (2, 2, 1.0), (0, 1, complex(math.nan, 0.0)),
+              (1, 2, complex(1.7e308, 1.7e308)), (0, 2, 1.0), (1, 0, 0.5)]
+
+
+@pytest.mark.parametrize("order", [(0, 2, 3), (1, 0, 4), (2, 3, 0), (2, 1, 4), (3, 4, 2),
+                                   (4, 3, 1)])
+def test_first_bad_edge_raises_as_before(order):
+    # one good edge ahead of three bad ones of different kinds
+    edges = [_BAD_EDGES[5]] + [_BAD_EDGES[i] for i in order] + [_BAD_EDGES[6]]
+    kind, message = _first_fault(3, edges)
+    with pytest.raises(kind) as info:
+        build_graph(range(3), edges)
+    assert str(info.value) == message
+    pairs = tuple((u, v) for u, v, _ in edges)
+    with pytest.raises(kind) as info:
+        families.weighted((3, pairs), [w for _, _, w in edges])
+    assert str(info.value) == message
+
+
+def test_weighted_builds_what_build_graph_builds():
+    n, pairs = families.connected_simple_structures(4)[-1]
+    ws = [np.complex128(0.5 - 0.25j), np.float64(2.0), 3, -1.0 + 0j, 0.0, -0.0j]
+    g = families.weighted((n, pairs), ws)
+    ref = build_graph(range(n), [(u, v, w) for (u, v), w in zip(pairs, ws)])
+    assert g == ref and g.vertices == ref.vertices
+    assert [tuple(map(type, e)) for e in g.edges] == [(int, int, complex)] * len(ws)
+    assert [w.imag.hex() for w in g.weights()] == [w.imag.hex() for w in ref.weights()]
+    assert (g.pairs, g.is_simple) == (ref.pairs, ref.is_simple)

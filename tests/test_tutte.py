@@ -25,7 +25,14 @@ from tuttezero import _kernels, families
 from tuttezero.families import cycle_one_heavy
 from tuttezero.graph import parallel_reduce
 from tuttezero.polymer import polymer_profile, tutte_polymer_weights
-from tuttezero.tutte import _bridge_split, _z_polynomials, component_count, spanning_tree_masks
+from tuttezero.tutte import (
+    _bridge_split,
+    _classes,
+    _component_count,
+    _z_polynomials,
+    component_count,
+    spanning_tree_masks,
+)
 from tuttezero.verify import verify_polymer_identity, verify_zero_free
 
 from conftest import (
@@ -915,3 +922,34 @@ def test_exact_table_matches_fraction_reference():
             continue
         assert _bits(_kernels._exact_table(n, edges, conn)) == want, (n, edges)
     assert fallbacks > 0 and 0 < overflows < len(cases) - fallbacks
+
+
+def test_nonzero_component_count_matches_the_union_find():
+    # all-nonzero draws read the memoized structure count; draws with a
+    # 0j, -0j or -0-0j weight run the union-find on the nonzero edges
+    rng = np.random.default_rng(5)
+    zero_weights = (0j, -0j, complex(-0.0, -0.0), complex(0.0, -0.0))
+    seen = {"nonzero": 0, "zero": 0, "disconnected": 0}
+    for n, pairs in _oracle_structures():
+        for kind in ("nonzero", "zero"):
+            ws = [complex(rng.normal(), rng.normal()) for _ in pairs]
+            if kind == "zero" and pairs:
+                for i in rng.choice(len(pairs), int(rng.integers(1, len(pairs) + 1)), False):
+                    ws[i] = zero_weights[int(rng.integers(len(zero_weights)))]
+            g = families.weighted((n, pairs), ws)
+            nonzero = [(u, v) for u, v, w in g.edges if w != 0]
+            want = n - len(_classes(n, nonzero)[1])
+            assert nonzero_component_count(g) == want
+            seen[kind] += 1
+            seen["disconnected"] += want > 1
+    assert min(seen.values()) >= 50, seen
+
+
+def test_nonzero_component_count_is_memoized_on_the_structure():
+    n, pairs = 5, ((0, 1), (1, 2), (3, 4))
+    _component_count.cache_clear()
+    for w in (1.0, 2j, -0.5):
+        assert nonzero_component_count(families.weighted((n, pairs), [w] * 3)) == 2
+    assert _component_count.cache_info().misses == 1
+    assert nonzero_component_count(families.weighted((n, pairs), [1.0, -0j, 1.0])) == 3
+    assert _component_count.cache_info().currsize == 1

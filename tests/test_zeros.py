@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import warnings
 
@@ -536,3 +537,23 @@ def test_uniform_cycle_trend_tightens():
     a10 = c["qmax_over_w_power_at_10"]
     a100 = c["qmax_over_w_power_at_100"]
     assert abs(a100 - 1.0) < abs(a10 - 1.0)
+
+
+@pytest.mark.parametrize("between", ["simple", "general"])
+def test_each_disc_flag_reads_its_own_radius(monkeypatch, between):
+    # one radius between two root moduli, the other above them all: only
+    # the disc whose radius falls short may be refused
+    g = cycle_graph(4, complex(2.0, 0.5))
+    roots, _ = q_roots(g)
+    moduli = sorted(abs(r) for r in roots)
+    assert moduli[0] < moduli[-1]
+    short = (moduli[0] + moduli[-1]) / 2
+    wide = 2 * moduli[-1]
+    true_bounds = zeros.graph_bounds(g)
+    radii = ({"radius_simple": short, "radius_general": wide} if between == "simple"
+             else {"radius_simple": wide, "radius_general": short})
+    monkeypatch.setattr(zeros, "graph_bounds",
+                        lambda h: dataclasses.replace(true_bounds, **radii))
+    rep = analyze(g)
+    assert rep.general_disc_verified is (between == "simple")
+    assert rep.simple_disc_verified is (between == "general")
